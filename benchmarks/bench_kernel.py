@@ -1,21 +1,13 @@
-"""Micro-benchmarks of the FLAMES kernel pieces.
+"""Micro-benchmarks of the FLAMES engine pieces.
 
 These time the substrates the paper's runtime claims rest on: fuzzy
 interval arithmetic, Dc evaluation, ATMS label propagation, weighted
-hitting sets, the DC simulator and one full diagnosis cycle — plus a
-reference-vs-fast kernel comparison on the repeated-measurement
-workloads the fast kernel was built for (the ``test_*_speedup`` cases
-double as the CI perf-regression guard: they fail when the fast kernel
-drops below 2x on the worklist workload).
-
-The module entry point runs just the kernel comparison and can write a
-machine-readable result for trend tracking:
-
-    PYTHONPATH=src python -m benchmarks.bench_kernel --json-out BENCH_kernel.json
+hitting sets, the DC simulator and one full diagnosis cycle, plus the
+tracing-overhead guard.  Committed end-to-end numbers come from
+``python -m flamesbench``; the change-tick skip is pinned by
+``tests/core/test_tick_skip.py``.
 """
 
-import argparse
-import json
 import time
 
 from repro.atms import ATMS, Environment, minimal_diagnoses
@@ -29,12 +21,7 @@ from repro.circuit import (
     probe_all,
     three_stage_amplifier,
 )
-from repro.circuit.constraints import ConstraintNetwork
-from repro.circuit.generators import resistor_ladder
-from repro.circuit.measurements import probe
 from repro.core import Flames
-from repro.core.predict import predict_nominal
-from repro.core.propagation import FuzzyPropagator, PropagatorConfig
 from repro.fuzzy import FuzzyInterval, consistency, fuzzy_entropy
 
 
@@ -128,29 +115,6 @@ class TestSimulatorAndEngine:
         assert not result.is_consistent
 
 
-def _measurement_stream(circuit, probes):
-    """A persistent propagator fed one measurement at a time (fault-shop
-    cadence: predictions first, then probe / run / probe / run ...)."""
-    op = DCSolver(circuit).solve()
-    nets = [n for n in sorted(op.voltages) if n != "0"][:probes]
-    network = ConstraintNetwork(circuit, False)
-    nominal = predict_nominal(circuit)
-
-    def run(kernel):
-        prop = FuzzyPropagator(network, config=PropagatorConfig(kernel=kernel))
-        for name, pred in nominal.items():
-            if name in network.variables:
-                prop.set_value(name, pred.value, pred.support, source="prediction")
-        prop.run()
-        for net in nets:
-            m = probe(op, net, 0.02)
-            prop.set_value(m.point, m.value)
-            prop.run()
-        return prop
-
-    return run
-
-
 def _time(fn, *args, repeats=2):
     best = float("inf")
     for _ in range(repeats):
@@ -158,56 +122,6 @@ def _time(fn, *args, repeats=2):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-class TestKernelComparison:
-    """Reference vs fast kernel on the workloads the ISSUE targets.
-
-    The speedup assertion is deliberately below the typical figure
-    (~4x on the ladder) so it trips on real regressions — a fast kernel
-    slower than 2x the reference on its flagship workload is a bug —
-    without flaking on machine noise.
-    """
-
-    def test_repeated_measurement_speedup(self, emit):
-        rows = []
-        for label, circuit, probes in (
-            ("ladder-40 x12 probes", resistor_ladder(40), 12),
-            ("three-stage x6 probes", three_stage_amplifier(), 6),
-        ):
-            run = _measurement_stream(circuit, probes)
-            run("fast")  # touch everything once so both timings are warm
-            ref = _time(run, "reference")
-            fast = _time(run, "fast")
-            rows.append((label, ref, fast))
-        table = ["kernel comparison — repeated-measurement propagation",
-                 f"{'workload':<26} {'reference':>10} {'fast':>9} {'speedup':>8}"]
-        for label, ref, fast in rows:
-            table.append(
-                f"{label:<26} {ref * 1000:>8.0f}ms {fast * 1000:>7.0f}ms "
-                f"{ref / fast:>7.2f}x"
-            )
-        emit("kernel-comparison", "\n".join(table))
-        ladder_ref, ladder_fast = rows[0][1], rows[0][2]
-        assert ladder_ref / ladder_fast >= 2.0, (
-            f"fast kernel regressed: only {ladder_ref / ladder_fast:.2f}x "
-            f"on {rows[0][0]}"
-        )
-
-    def test_fast_kernel_diagnosis_cycle(self, benchmark):
-        """The full-diagnosis timing on the fast kernel (pairs with
-        TestSimulatorAndEngine.test_full_diagnosis_cycle above)."""
-        from repro.core.diagnosis import FlamesConfig
-
-        golden = three_stage_amplifier()
-        engine = Flames(golden, FlamesConfig(kernel="fast"))
-        engine.predictions()
-        op = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, "R2"))).solve()
-        measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=0.02)
-        result = benchmark.pedantic(
-            engine.diagnose, args=(measurements,), rounds=3, iterations=1
-        )
-        assert not result.is_consistent
 
 
 class TestTracingOverhead:
@@ -220,11 +134,10 @@ class TestTracingOverhead:
     """
 
     def test_span_overhead_within_5_percent(self, emit):
-        from repro.core.diagnosis import FlamesConfig
         from repro.runtime import RunContext
 
         golden = three_stage_amplifier()
-        engine = Flames(golden, FlamesConfig(kernel="fast"))
+        engine = Flames(golden)
         engine.predictions()
         op = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, "R2"))).solve()
         measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=0.02)
@@ -238,7 +151,7 @@ class TestTracingOverhead:
         traced = _time(run, True, repeats=5)
         emit(
             "tracing-overhead",
-            "span-collection overhead — full diagnosis cycle (fast kernel)\n"
+            "span-collection overhead — full diagnosis cycle\n"
             f"{'tracing off':<14} {base * 1000:>8.2f}ms\n"
             f"{'tracing on':<14} {traced * 1000:>8.2f}ms\n"
             f"{'overhead':<14} {(traced / base - 1) * 100:>7.1f}%",
@@ -259,60 +172,3 @@ class TestATMSGrowth:
         )
         assert rows[-1].diagnoses_all == 256
         emit("atms-growth", format_atms_growth(rows))
-
-
-def run_comparison(repeats=2):
-    """The reference-vs-fast rows as plain data (shared by CLI and JSON)."""
-    rows = []
-    for label, circuit, probes in (
-        ("ladder-40 x12 probes", resistor_ladder(40), 12),
-        ("three-stage x6 probes", three_stage_amplifier(), 6),
-    ):
-        run = _measurement_stream(circuit, probes)
-        run("fast")  # touch everything once so both timings are warm
-        ref = _time(run, "reference", repeats=repeats)
-        fast = _time(run, "fast", repeats=repeats)
-        rows.append(
-            {
-                "workload": label,
-                "reference_ms": round(ref * 1000, 3),
-                "fast_ms": round(fast * 1000, 3),
-                "speedup": round(ref / fast, 3),
-            }
-        )
-    return rows
-
-
-def main():  # pragma: no cover - manual entry point
-    parser = argparse.ArgumentParser(
-        prog="bench_kernel",
-        description="reference-vs-fast kernel comparison on the "
-        "repeated-measurement workloads",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="timing repetitions per workload, best-of (default 2)",
-    )
-    parser.add_argument(
-        "--json-out", default="",
-        help="also write the rows as JSON here (e.g. BENCH_kernel.json)",
-    )
-    args = parser.parse_args()
-    rows = run_comparison(repeats=args.repeats)
-    print("kernel comparison — repeated-measurement propagation")
-    print(f"{'workload':<26} {'reference':>10} {'fast':>9} {'speedup':>8}")
-    for row in rows:
-        print(
-            f"{row['workload']:<26} {row['reference_ms']:>8.0f}ms "
-            f"{row['fast_ms']:>7.0f}ms {row['speedup']:>7.2f}x"
-        )
-    if args.json_out:
-        payload = {"benchmark": "kernel", "repeats": args.repeats, "rows": rows}
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json_out}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

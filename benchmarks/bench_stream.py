@@ -12,24 +12,17 @@ degrading unit looks like) against both cold baselines:
 * **one-shot** — ``Flames.diagnose`` of the final measurement set (the
   batch path a non-streaming caller would use).
 
-The pytest cases are CI smoke (small ladder, sanity ratios).  The
-module entry point runs the paper-scale ladder and, under
-``REPRO_BENCH_STRICT=1``, enforces the ≥5x acceptance gate on both
-kernels against the chain-cold baseline:
-
-    REPRO_BENCH_STRICT=1 PYTHONPATH=src python -m benchmarks.bench_stream
-
-``--json-out BENCH_stream.json`` additionally writes the rows as a
-machine-readable file for trend tracking.
+The pytest case is CI smoke (small ladder, sanity ratios).  Committed
+end-to-end numbers for the warm tick come from ``python -m flamesbench``
+(the ``stream-drift`` workload).
 """
 
-import os
 import time
 
 from repro.circuit.generators import resistor_ladder
 from repro.circuit.measurements import Measurement, probe_all
 from repro.circuit.simulate import DCSolver
-from repro.core.diagnosis import Flames, FlamesConfig
+from repro.core.diagnosis import Flames
 from repro.fuzzy import FuzzyInterval
 from repro.stream.incremental import IncrementalDiagnosisEngine
 
@@ -58,7 +51,7 @@ def _median(samples):
     return ordered[len(ordered) // 2]
 
 
-def run_tick_comparison(sections, kernel, reps=5):
+def run_tick_comparison(sections, reps=5):
     """Median warm / chain-cold / one-shot milliseconds for one drift."""
     circuit = resistor_ladder(sections)
     nets = [f"n{i}" for i in range(1, sections + 1)]
@@ -67,7 +60,7 @@ def run_tick_comparison(sections, kernel, reps=5):
     nominal = dict((m.point, m) for m in healthy)[drift_point].value.centroid
     drift_volts = nominal * DRIFT_FACTOR
 
-    warm = IncrementalDiagnosisEngine(Flames(circuit, FlamesConfig(kernel=kernel)))
+    warm = IncrementalDiagnosisEngine(Flames(circuit))
     warm.diagnose(healthy)
     # First drift pays the reorder; steady state starts on the second.
     warm.diagnose(_with_value(healthy, drift_point, drift_volts))
@@ -87,107 +80,33 @@ def run_tick_comparison(sections, kernel, reps=5):
         order = warm.order
         by_point = {m.point: m for m in snapshot}
         started = time.perf_counter()
-        cold = IncrementalDiagnosisEngine(Flames(circuit, FlamesConfig(kernel=kernel)))
+        cold = IncrementalDiagnosisEngine(Flames(circuit))
         cold_result = cold.diagnose([by_point[p] for p in order])
         chain_ms.append((time.perf_counter() - started) * 1e3)
         assert not warm_result.is_consistent, "the drift must actually diagnose"
         assert warm_result.ranked_components() == cold_result.ranked_components()
 
         started = time.perf_counter()
-        Flames(circuit, FlamesConfig(kernel=kernel)).diagnose(snapshot)
+        Flames(circuit).diagnose(snapshot)
         oneshot_ms.append((time.perf_counter() - started) * 1e3)
 
     return _median(warm_ms), _median(chain_ms), _median(oneshot_ms)
 
 
-def format_table(rows):
-    lines = [
+def format_table(sections, warm, chain, oneshot):
+    return "\n".join([
         "streaming tick latency: incremental vs cold (median ms, one drifting net)",
-        f"  {'kernel':<10} {'sections':>8} {'warm':>8} {'chain-cold':>11} "
+        f"  {'sections':>8} {'warm':>8} {'chain-cold':>11} "
         f"{'one-shot':>9} {'vs chain':>9} {'vs shot':>8}",
-    ]
-    for kernel, sections, warm, chain, oneshot in rows:
-        lines.append(
-            f"  {kernel:<10} {sections:>8} {warm:>8.1f} {chain:>11.1f} "
-            f"{oneshot:>9.1f} {chain / warm:>8.1f}x {oneshot / warm:>7.1f}x"
-        )
-    return "\n".join(lines)
+        f"  {sections:>8} {warm:>8.1f} {chain:>11.1f} "
+        f"{oneshot:>9.1f} {chain / warm:>8.1f}x {oneshot / warm:>7.1f}x",
+    ])
 
 
 class TestStreamTick:
     def test_warm_tick_beats_cold_baselines(self, emit):
-        rows = []
-        for kernel in ("reference", "fast"):
-            warm, chain, oneshot = run_tick_comparison(8, kernel, reps=3)
-            rows.append((kernel, 8, warm, chain, oneshot))
-        emit("stream-tick", format_table(rows))
-        for kernel, _, warm, chain, oneshot in rows:
-            # CI smoke keeps a loose floor; the strict 5x acceptance
-            # gate runs at paper scale via the module entry point.
-            assert chain > warm, f"{kernel}: warm tick slower than chain-cold"
-            assert oneshot > warm, f"{kernel}: warm tick slower than one-shot"
-
-
-def main():  # pragma: no cover - manual entry point
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="bench_stream",
-        description="streaming warm-tick latency vs cold baselines",
-    )
-    parser.add_argument(
-        "--sections", type=int, default=12,
-        help="ladder sections, paper scale (default 12)",
-    )
-    parser.add_argument(
-        "--reps", type=int, default=5, help="drift ticks per median (default 5)"
-    )
-    parser.add_argument(
-        "--json-out", default="",
-        help="also write the rows as JSON here (e.g. BENCH_stream.json)",
-    )
-    args = parser.parse_args()
-    sections = args.sections
-    rows = []
-    for kernel in ("reference", "fast"):
-        warm, chain, oneshot = run_tick_comparison(sections, kernel, reps=args.reps)
-        rows.append((kernel, sections, warm, chain, oneshot))
-    print(format_table(rows))
-    if args.json_out:
-        payload = {
-            "benchmark": "stream",
-            "sections": sections,
-            "reps": args.reps,
-            "rows": [
-                {
-                    "kernel": kernel,
-                    "sections": secs,
-                    "warm_ms": round(warm, 3),
-                    "chain_cold_ms": round(chain, 3),
-                    "one_shot_ms": round(oneshot, 3),
-                    "speedup_vs_chain": round(chain / warm, 3),
-                    "speedup_vs_oneshot": round(oneshot / warm, 3),
-                }
-                for kernel, secs, warm, chain, oneshot in rows
-            ],
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json_out}")
-    if os.environ.get("REPRO_BENCH_STRICT"):
-        # The gate compares against the semantically identical baseline
-        # (chain-cold); one-shot is reported for context — it answers a
-        # different, order-insensitive contract.
-        for kernel, _, warm, chain, _oneshot in rows:
-            speedup = chain / warm
-            assert speedup >= 5.0, (
-                f"{kernel}: warm tick only x{speedup:.1f} vs chain-cold "
-                f"(need >=5x)"
-            )
-        print("strict gate ok: every warm tick >=5x the cold re-run")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+        warm, chain, oneshot = run_tick_comparison(8, reps=3)
+        emit("stream-tick", format_table(8, warm, chain, oneshot))
+        # CI smoke keeps a loose floor on a small ladder.
+        assert chain > warm, "warm tick slower than chain-cold"
+        assert oneshot > warm, "warm tick slower than one-shot"

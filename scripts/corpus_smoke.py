@@ -6,13 +6,13 @@ drives the whole corpus loop end to end:
 1. **determinism** — generating the corpus twice yields byte-identical
    manifests, and the canonical (accuracy-only) report is byte-stable
    for the manifest;
-2. **kernel parity** — the reference and fast kernels must produce the
-   *same accuracy table*, class by class, metric by metric;
+2. **one table** — the report carries exactly one accuracy table, keyed
+   by the engine's name;
 3. **structure** — every intermittent scenario surfaces the low-degree
-   nogood signature (``low_degree_rate == 1.0`` on both kernels) and
-   every scenario completes (no failures);
+   nogood signature (``low_degree_rate == 1.0``) and every scenario
+   completes (no failures);
 4. **the floor** — the committed ``benchmarks/corpus_floor.json``
-   minimums hold on both kernels.
+   minimums hold.
 
 Exits non-zero on any violation, so CI can run it as a bare step:
 
@@ -24,6 +24,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.core.diagnosis import FlamesConfig
 from repro.corpus import check_floor, generate_corpus, run_corpus
 
 SEED = 101
@@ -42,26 +43,21 @@ def main():
           f"{len(manifest.classes)} classes, deterministic "
           f"({time.perf_counter() - started:.1f}s)")
 
-    report = run_corpus(manifest, kernels=("reference", "fast"), workers=4)
+    report = run_corpus(manifest, workers=4)
     table = report.to_dict()
     assert table == json.loads(report.to_json()), "report JSON round trip drifted"
 
     kernels = table["kernels"]
-    assert set(kernels) == {"reference", "fast"}, f"kernels missing: {set(kernels)}"
-    assert kernels["reference"] == kernels["fast"], (
-        "kernel accuracy tables diverge:\n"
-        f"reference: {json.dumps(kernels['reference'], sort_keys=True)}\n"
-        f"fast:      {json.dumps(kernels['fast'], sort_keys=True)}"
-    )
-    print("kernel parity ok: reference and fast accuracy tables identical")
+    assert set(kernels) == {FlamesConfig.kernel}, f"unexpected tables: {set(kernels)}"
+    classes = kernels[FlamesConfig.kernel]
+    print(f"one table ok: {len(classes)} rows under {FlamesConfig.kernel!r}")
 
-    for kernel, classes in kernels.items():
-        for name, cell in classes.items():
-            acc = cell["accuracy"]
-            assert acc["failures"] == 0, f"{kernel}/{name}: {acc['failures']} failure(s)"
-        assert classes["intermittent"]["accuracy"]["low_degree_rate"] == 1.0, (
-            f"{kernel}: intermittent scenarios without the low-degree signature"
-        )
+    for name, cell in classes.items():
+        acc = cell["accuracy"]
+        assert acc["failures"] == 0, f"{name}: {acc['failures']} failure(s)"
+    assert classes["intermittent"]["accuracy"]["low_degree_rate"] == 1.0, (
+        "intermittent scenarios without the low-degree signature"
+    )
     print("structure ok: zero failures, low-degree signature on every "
           "intermittent scenario")
 
@@ -70,7 +66,7 @@ def main():
     for breach in breaches:
         print(f"FLOOR BREACH: {breach}", file=sys.stderr)
     assert not breaches, f"{len(breaches)} floor breach(es)"
-    overall = kernels["reference"]["overall"]["accuracy"]
+    overall = classes["overall"]["accuracy"]
     print(f"floor ok: top1 {overall['top1']:.3f} / top3 {overall['top3']:.3f} "
           f"overall vs committed minimums "
           f"({time.perf_counter() - started:.1f}s total)")

@@ -32,7 +32,7 @@ Commands:
   "Streaming mode").
 * ``corpus generate|run`` — corpus mode: generate a seeded scenario
   corpus (large netlists, multi-fault, intermittent, tempco drift,
-  tolerance stackup) and score any kernel against it —
+  tolerance stackup) and score the engine against it —
   rank-of-true-fault accuracy and latency percentiles per scenario
   class, with an optional committed accuracy floor (see README "Corpus
   mode").
@@ -124,11 +124,10 @@ def _parse_probe(spec: str, imprecision: float) -> Measurement:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    from repro.core.diagnosis import FlamesConfig
     from repro.runtime import RunContext, render_trace
 
     circuit = _load_circuit(args.netlist)
-    engine = Flames(circuit, FlamesConfig(kernel=args.kernel))
+    engine = Flames(circuit)
     sanitize_report = None
     if args.sanitize == "repair":
         # Sanitise the raw tuples *before* interval construction so
@@ -214,7 +213,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             tracing=args.trace,
             supervisor=FleetSupervisor() if args.supervise else None,
             fault_plan=fault_plan,
-            verify_kernel=args.verify_kernel,
             store=store,
             maintenance=maintenance,
         )
@@ -288,8 +286,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         forwarded.append("--supervise")
     if args.faults:
         forwarded.extend(["--faults", args.faults])
-    if args.verify_kernel:
-        forwarded.append("--verify-kernel")
     if args.store:
         forwarded.extend(["--store", args.store])
         forwarded.extend(["--checkpoint-interval", str(args.checkpoint_interval)])
@@ -438,7 +434,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         "imprecision": str(args.imprecision),
         "noise": str(args.noise),
         "seed": str(args.seed),
-        "kernel": args.kernel,
         "threshold": str(args.threshold),
         "hysteresis": str(args.hysteresis),
         "epsilon": str(args.epsilon),
@@ -510,26 +505,21 @@ def _cmd_corpus_generate(args: argparse.Namespace) -> int:
 
 
 def _corpus_table(report) -> str:
-    lines = []
-    stats = report.stats()
-    for kernel in sorted(stats):
-        lines.append(f"kernel {kernel}:")
-        lines.append(f"  {'class':<20}{'n':>6}{'top1':>8}{'top3':>8}{'top5':>8}"
-                     f"{'mrank':>8}{'lowdeg':>8}{'p50ms':>9}{'p95ms':>9}")
-        classes = stats[kernel]
-        ordered = sorted(c for c in classes if c != "overall") + ["overall"]
-        for name in ordered:
-            acc = classes[name].accuracy_dict()
-            lat = classes[name].latency_dict()
-            mean_rank = acc["mean_rank"]
-            lines.append(
-                f"  {name:<20}{acc['n']:>6}"
-                f"{acc.get('top1', 0.0):>8.3f}{acc.get('top3', 0.0):>8.3f}"
-                f"{acc.get('top5', 0.0):>8.3f}"
-                f"{(f'{mean_rank:.2f}' if mean_rank is not None else '-'):>8}"
-                f"{acc['low_degree_rate']:>8.3f}"
-                f"{lat['p50_ms']:>9.1f}{lat['p95_ms']:>9.1f}"
-            )
+    lines = [f"  {'class':<20}{'n':>6}{'top1':>8}{'top3':>8}{'top5':>8}"
+             f"{'mrank':>8}{'lowdeg':>8}{'p50ms':>9}{'p95ms':>9}"]
+    classes = report.stats()
+    for name in sorted(classes, key=lambda c: (c == "overall", c)):
+        acc = classes[name].accuracy_dict()
+        lat = classes[name].latency_dict()
+        mean_rank = acc["mean_rank"]
+        lines.append(
+            f"  {name:<20}{acc['n']:>6}"
+            f"{acc.get('top1', 0.0):>8.3f}{acc.get('top3', 0.0):>8.3f}"
+            f"{acc.get('top5', 0.0):>8.3f}"
+            f"{(f'{mean_rank:.2f}' if mean_rank is not None else '-'):>8}"
+            f"{acc['low_degree_rate']:>8.3f}"
+            f"{lat['p50_ms']:>9.1f}{lat['p95_ms']:>9.1f}"
+        )
     return "\n".join(lines)
 
 
@@ -552,7 +542,6 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad corpus recipe: {exc}", file=sys.stderr)
             return 2
-    kernels = tuple(args.kernel) if args.kernel else ("reference", "fast")
     try:
         top_k = tuple(int(k) for k in args.top_k.split(",") if k.strip())
     except ValueError as exc:
@@ -561,7 +550,6 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     report = run_corpus(
         manifest,
-        kernels=kernels,
         workers=args.workers,
         executor=args.executor,
         top_k=top_k or (1, 3, 5),
@@ -582,7 +570,7 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
     else:
         print(f"corpus of {len(manifest)} scenarios "
               f"(seed {manifest.seed}, {len(manifest.classes)} classes) "
-              f"on {'+'.join(kernels)} — {wall:.1f}s wall-clock")
+              f"— {wall:.1f}s wall-clock")
         print(_corpus_table(report))
     for breach in breaches:
         print(f"FLOOR BREACH: {breach}", file=sys.stderr)
@@ -667,13 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a machine-readable JSON result instead of the text report",
     )
     diagnose.add_argument(
-        "--kernel",
-        choices=["reference", "fast"],
-        default="reference",
-        help="implementation substrate: bitmask/memoized fast kernel or the "
-        "reference semantics (identical results; default reference)",
-    )
-    diagnose.add_argument(
         "--deadline",
         type=float,
         default=None,
@@ -738,21 +719,14 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--supervise",
         action="store_true",
-        help="engage the fleet supervisor: poison-job quarantine, worker "
-        "health eviction and the kernel circuit breaker (see README "
-        "'Resilience')",
+        help="engage the fleet supervisor: poison-job quarantine and worker "
+        "health eviction (see README 'Resilience')",
     )
     batch.add_argument(
         "--faults",
         default="",
         help="JSON fault plan armed across the engine and its workers "
         "(deterministic chaos testing; see README 'Resilience')",
-    )
-    batch.add_argument(
-        "--verify-kernel",
-        action="store_true",
-        help="differentially check every fast-kernel run against the "
-        "reference engine (expensive; chaos/soak runs only)",
     )
     batch.add_argument(
         "--store",
@@ -797,15 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--supervise", action="store_true",
-        help="engage the fleet supervisor (quarantine, health, breaker)",
+        help="engage the fleet supervisor (quarantine, worker health)",
     )
     serve.add_argument(
         "--faults", default="",
         help="JSON fault plan armed server-wide (chaos testing only)",
-    )
-    serve.add_argument(
-        "--verify-kernel", action="store_true",
-        help="differentially check every fast-kernel run (chaos/soak only)",
     )
     serve.add_argument(
         "--store", default="",
@@ -1019,10 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="noise RNG seed (default 0)"
     )
     watch.add_argument(
-        "--kernel", choices=["reference", "fast"], default="fast",
-        help="engine substrate (default fast — streaming is latency-bound)",
-    )
-    watch.add_argument(
         "--threshold", type=float, default=0.5,
         help="EWMA discrepancy level that triggers a re-diagnosis (default 0.5)",
     )
@@ -1087,10 +1053,6 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_run.add_argument(
         "--manifest", default="",
         help="run this manifest file instead of generating from the recipe",
-    )
-    corpus_run.add_argument(
-        "--kernel", action="append", choices=["reference", "fast"], default=None,
-        help="kernel(s) to score, repeatable (default: both)",
     )
     corpus_run.add_argument(
         "--workers", type=int, default=4, help="worker pool width (default 4)"

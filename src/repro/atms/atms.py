@@ -42,12 +42,8 @@ class ATMS:
     def __init__(self, t_norm: TNorm = t_norm_min, hard_threshold: float = 1.0) -> None:
         self.t_norm = t_norm
         self.nodes: Dict[str, Node] = {}
-        self.nogoods = self._make_nogood_db(hard_threshold)
+        self.nogoods = NogoodDatabase(hard_threshold)
         self.contradiction = self.create_node("FALSE", contradiction=True)
-
-    def _make_nogood_db(self, hard_threshold: float) -> NogoodDatabase:
-        """Nogood store factory — the fast kernel swaps in a bitmask index."""
-        return NogoodDatabase(hard_threshold)
 
     # ------------------------------------------------------------------
     # Construction

@@ -11,7 +11,7 @@ Routing is **content-sharded**: each request's job spec is hashed
 (:attr:`~repro.service.jobs.DiagnosisJob.content_hash`) onto a
 consistent-hash ring (:class:`~repro.cluster.ring.HashRing`), so one
 circuit's traffic always lands on the same replica and that replica's
-result cache, interned kernel state and learned experience stay hot for
+result cache and learned experience stay hot for
 its shard.  ``/v1/batch`` bodies are split into per-replica sub-batches
 along the same ring and scatter/gathered concurrently, results
 reassembled in job order.

@@ -68,7 +68,6 @@ class ReplicaConfig:
         retries: int = 1,
         supervise: bool = False,
         faults_json: str = "",
-        verify_kernel: bool = False,
         store_path: str = "",
         lifecycle: bool = True,
     ) -> None:
@@ -81,7 +80,6 @@ class ReplicaConfig:
         self.retries = retries
         self.supervise = supervise
         self.faults_json = faults_json
-        self.verify_kernel = verify_kernel
         # One shared store file for the whole fleet: sqlite WAL handles
         # the cross-process writers, and every respawn restores from it.
         self.store_path = store_path
@@ -102,8 +100,6 @@ class ReplicaConfig:
             args.append("--supervise")
         if self.faults_json:
             args.extend(["--faults", self.faults_json])
-        if self.verify_kernel:
-            args.append("--verify-kernel")
         if self.store_path:
             args.extend(["--store", self.store_path])
             if not self.lifecycle:

@@ -2,7 +2,7 @@
 
 The gateway routes every request by its job's ``content_hash`` so that
 one circuit/measurement content always lands on the same replica —
-that replica's interned kernel environments, content-addressed
+that replica's content-addressed
 :class:`~repro.service.cache.ResultCache` and learned
 :class:`~repro.core.learning.ExperienceBase` stay hot for *its shard*
 of the traffic (the locality argument behind the fleet cache, scaled

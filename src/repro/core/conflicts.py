@@ -11,11 +11,10 @@ two supporting environments — which the engine hands to the fuzzy ATMS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Optional
+from typing import FrozenSet, Optional
 
 from repro.core.coincidence import Coincidence, classify
 from repro.core.values import FuzzyValue
-from repro.fuzzy.interval import FuzzyInterval
 from repro.fuzzy.logic import fold, t_norm_min
 
 __all__ = ["RecognizedConflict", "recognize"]
@@ -49,10 +48,7 @@ class RecognizedConflict:
 
 
 def recognize(
-    variable: str,
-    newer: FuzzyValue,
-    older: FuzzyValue,
-    classify_fn: Callable[[FuzzyInterval, FuzzyInterval], Coincidence] = classify,
+    variable: str, newer: FuzzyValue, older: FuzzyValue
 ) -> Optional[RecognizedConflict]:
     """Detect a conflict between a new value and an established one.
 
@@ -67,14 +63,10 @@ def recognize(
     Two observations of the *same* quantity with empty environments that
     disagree indicate contradictory measurements; the conflict is still
     reported (with an empty nogood) so the caller can flag the data.
-
-    ``classify_fn`` lets the fast kernel substitute a memoized
-    coincidence classifier; it must be observationally identical to
-    :func:`~repro.core.coincidence.classify`.
     """
     if newer.environment & older.environment:
         return None
-    coincidence = classify_fn(newer.interval, older.interval)
+    coincidence = classify(newer.interval, older.interval)
     raw = coincidence.conflict_degree
     if raw <= MIN_CONFLICT_DEGREE:
         return None

@@ -11,8 +11,8 @@ sets, plus the per-probe consistency table that figure 7 reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.atms import WeightedNogood
 from repro.atms.candidates import Diagnosis
@@ -28,7 +28,6 @@ from repro.core.propagation import (
 )
 from repro.fuzzy import Consistency, FuzzyInterval
 from repro.fuzzy.logic import TNorm, t_norm_min
-from repro.kernel import resolve_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.context import RunContext
@@ -45,29 +44,18 @@ class FlamesConfig:
     ``max_candidate_size`` bounds the simultaneous-fault cardinality
     considered by the hitting-set step (the paper entertains multiple
     faults but notes the space "grows exponentially").
-    ``kernel`` selects the implementation substrate: ``"reference"`` is
-    the seed's set-based, uncached semantics; ``"fast"`` runs the same
-    algorithms on interned bitmask environments with memoized fuzzy
-    arithmetic and incremental propagation (identical results, verified
-    by the differential suite in ``tests/kernel``).
+    ``kernel`` names the one diagnosis engine (a constant, not a knob);
+    the corpus report keys its accuracy table by it.
     """
+
+    kernel: ClassVar[str] = "reference"
 
     assumable_nodes: bool = False
     conflict_threshold: float = 0.05
     max_candidate_size: int = 3
     t_norm: TNorm = t_norm_min
     hard_threshold: float = 1.0
-    kernel: str = "reference"
     propagator: PropagatorConfig = field(default_factory=PropagatorConfig)
-
-    def __post_init__(self) -> None:
-        resolve_kernel(self.kernel)
-
-    def effective_propagator(self) -> PropagatorConfig:
-        """The propagator config with the engine-level kernel applied."""
-        if self.propagator.kernel == self.kernel:
-            return self.propagator
-        return replace(self.propagator, kernel=self.kernel)
 
 
 @dataclass
@@ -164,7 +152,6 @@ class Flames:
         self,
         measurements: Sequence[Measurement],
         ctx: Optional["RunContext"] = None,
-        propagator: Optional["FuzzyPropagator"] = None,
     ) -> DiagnosisResult:
         """Run the full conflict-recognition + candidate-generation cycle.
 
@@ -174,22 +161,15 @@ class Flames:
         and, when its tracing flag is on, collects a span tree on the
         returned result.  Without a context the call is unbounded and
         byte-identical to the pre-staged engine.
-
-        ``propagator`` (from :meth:`make_propagator`) runs the fixpoint
-        on a warm, reusable propagator: results are observationally
-        identical to a fresh run, but the fast kernel's memo caches
-        survive between calls — the streaming plane's incremental path.
         """
         from repro.runtime.pipeline import DiagnosisPipeline
 
-        return DiagnosisPipeline(self).run(measurements, ctx=ctx, propagator=propagator)
+        return DiagnosisPipeline(self).run(measurements, ctx=ctx)
 
-    def make_propagator(self) -> "FuzzyPropagator":
-        """A reusable propagator over this engine's network.
+    def make_propagator(self) -> FuzzyPropagator:
+        """A propagator over this engine's network and tuning.
 
-        Pass it back into :meth:`diagnose` on every call to keep the
-        kernel warm across a stream of re-diagnoses (see README
-        "Streaming mode"); each run resets its values but keeps the
-        interned intervals and memoized projections.
+        The pipeline's seed stage and the streaming plane's incremental
+        engine (see README "Streaming mode") both build theirs here.
         """
-        return FuzzyPropagator(self.network, config=self.config.effective_propagator())
+        return FuzzyPropagator(self.network, config=self.config.propagator)

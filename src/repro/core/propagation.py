@@ -28,11 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.context import RunContext
 
 from repro.circuit.constraints import Constraint, ConstraintNetwork
-from repro.core.coincidence import classify
 from repro.core.conflicts import RecognizedConflict, recognize
 from repro.core.values import FuzzyValue
 from repro.fuzzy import FuzzyInterval
-from repro.kernel import CachedFuzzyOps, InternTable, ProjectionCache, resolve_kernel
 
 __all__ = [
     "FuzzyPropagator",
@@ -44,9 +42,6 @@ __all__ = [
 #: Sources whose entries are evidence or database predictions, never
 #: merged or narrowed — they must stay pristine for conflict attribution.
 _IMMUTABLE_SOURCES = frozenset({"measurement", "premise", "prediction"})
-
-#: Cached stand-in for a projection that raised ZeroDivisionError.
-_ZERO_DIV = object()
 
 
 @dataclass(frozen=True)
@@ -67,15 +62,6 @@ class PropagatorConfig:
     narrowing_budget: int = 50
     #: Hard cap on processed queue entries (termination backstop).
     max_steps: int = 20000
-    #: ``"reference"`` (set-based, uncached, full refire per run) or
-    #: ``"fast"`` (interned intervals, memoized projections/coincidences,
-    #: dirty-queue incremental re-runs).  Both kernels compute the same
-    #: fixpoint — the differential suite in ``tests/kernel`` enforces it.
-    kernel: str = "reference"
-    #: Bounded-LRU sizes for the fast kernel's caches.
-    projection_cache_size: int = 16384
-    op_cache_size: int = 8192
-    intern_table_size: int = 4096
 
 
 @dataclass
@@ -103,11 +89,9 @@ class PropagatorState:
     the recognised conflicts, the dedup fingerprints and the dirty
     clock.  Stored entries are never mutated in place (merges replace
     list slots), so shallow container copies are sufficient and a
-    checkpoint costs microseconds, not a deep traversal.  The fast
-    kernel's memo caches are deliberately *not* part of the state —
-    they cache pure functions, so sharing them across restores is what
-    makes resumed computation cheap.  The streaming plane's incremental
-    re-diagnosis (see ``repro.stream``) is built on this.
+    checkpoint costs microseconds, not a deep traversal.  The streaming
+    plane's incremental re-diagnosis (see ``repro.stream``) is built on
+    this.
     """
 
     values: Dict[str, tuple]
@@ -131,18 +115,8 @@ class FuzzyPropagator:
         self.network = network
         self.config = config if config is not None else PropagatorConfig()
         self.on_conflict = on_conflict
-        self._fast = resolve_kernel(self.config.kernel) == "fast"
-        if self._fast:
-            self._projections = ProjectionCache(self.config.projection_cache_size)
-            self._ops = CachedFuzzyOps(self.config.op_cache_size)
-            self._interns = InternTable(self.config.intern_table_size)
-        else:
-            self._projections = None
-            self._ops = None
-            self._interns = None
         self._values: Dict[str, List[FuzzyValue]] = {}
         self._watchers: Dict[str, List[Constraint]] = {}
-        self._constraint_ids = {id(c): i for i, c in enumerate(network.constraints)}
         self._watched: Dict[int, tuple] = {}
         for constraint in network.constraints:
             watched = set(constraint.variable_names) | set(constraint.guard_variables)
@@ -159,12 +133,12 @@ class FuzzyPropagator:
         self._values = {}
         self._conflicts: List[RecognizedConflict] = []
         self._conflict_keys = set()
-        # Dirty-tracking for the fast kernel: a monotone change counter,
-        # the tick at which each variable last changed, and the tick at
-        # which each constraint last fired.  A constraint none of whose
-        # watched variables changed since its last firing can only
-        # recompute projections the ``_seen`` dedup would discard, so the
-        # fast kernel skips it without recomputing anything.
+        # Dirty-tracking: a monotone change counter, the tick at which
+        # each variable last changed, and the tick at which each
+        # constraint last fired.  A constraint none of whose watched
+        # variables changed since its last firing can only recompute
+        # projections the ``_seen`` dedup would discard, so :meth:`_apply`
+        # skips it without recomputing anything.
         self._tick = 0
         self._var_tick: Dict[str, int] = {}
         self._fired_at: Dict[int, int] = {}
@@ -202,9 +176,8 @@ class FuzzyPropagator:
         """Resume from a :meth:`checkpoint`.
 
         The restored run is observationally identical to a fresh
-        propagator that replayed the same assertions — the fast
-        kernel's memo caches survive (they are pure-function caches),
-        which is why resuming is much cheaper than replaying.
+        propagator that replayed the same assertions, at the cost of a
+        few container copies instead of a replay.
 
         A state is only meaningful to the propagator that produced it
         (constraint firing stamps are keyed by constraint identity).
@@ -232,8 +205,6 @@ class FuzzyPropagator:
         """
         if name not in self._values:
             raise KeyError(f"unknown variable {name!r}")
-        if self._fast:
-            interval = self._interns.intern(interval)
         before = len(self._conflicts)
         self._record(name, FuzzyValue(interval, environment, degree, source))
         return self._conflicts[before:]
@@ -275,18 +246,18 @@ class FuzzyPropagator:
     ) -> PropagationResult:
         """Propagate to quiescence (or the step cap, or the context's stop).
 
-        Both kernels process the identical work list — the fixpoint is
-        sensitive to firing order (combination caps, value eviction), so
-        the fast kernel must not reorder it.  Instead it skips, at the
-        top of :meth:`_apply`, any constraint none of whose watched
+        The fixpoint is sensitive to firing order (combination caps,
+        value eviction), so the work list is never reordered.  Instead
+        :meth:`_apply` skips any constraint none of whose watched
         variables changed since its last firing: such a firing can only
         reproduce projections the ``_seen`` dedup discards before they
-        have any effect, so the skip is observationally a no-op.  Adding
-        one measurement and re-running therefore recomputes only the
-        affected cone while every result stays bit-identical.
+        have any effect, so the skip is observationally a no-op (the
+        differential suite in ``tests/core/test_tick_skip.py`` pins
+        this).  Adding one measurement and re-running therefore
+        recomputes only the affected cone.
 
         ``ctx`` makes the loop cooperative: it is ticked once per
-        work-list pop (the same count on both kernels), and when it
+        work-list pop (skipped firings included), and when it
         reports expiry — deadline passed, cancellation requested or
         step budget exhausted — the loop winds down immediately and the
         result is flagged ``interrupted``.  Everything established up to
@@ -325,18 +296,17 @@ class FuzzyPropagator:
     # ------------------------------------------------------------------
     def _apply(self, constraint: Constraint) -> List[str]:
         """Project a constraint onto each of its variables."""
-        if self._fast:
-            # Dirty check: unchanged watched variables mean unchanged
-            # pools, guards and projections — every resulting value would
-            # be discarded by the ``_seen`` fingerprint before recognition
-            # or storage, so the whole firing is a provable no-op.
-            cid = id(constraint)
-            last = self._fired_at.get(cid)
-            if last is not None and all(
-                self._var_tick.get(v, 0) <= last for v in self._watched[cid]
-            ):
-                return []
-            self._fired_at[cid] = self._tick
+        # Dirty check: unchanged watched variables mean unchanged pools,
+        # guards and projections — every resulting value would be
+        # discarded by the ``_seen`` fingerprint before recognition or
+        # storage, so the whole firing is a provable no-op.
+        cid = id(constraint)
+        last = self._fired_at.get(cid)
+        if last is not None and all(
+            self._var_tick.get(v, 0) <= last for v in self._watched[cid]
+        ):
+            return []
+        self._fired_at[cid] = self._tick
         activation_env: FrozenSet[str] = frozenset()
         if constraint.guard is not None:
             relevant = set(constraint.guard_variables) | set(constraint.variable_names)
@@ -370,33 +340,7 @@ class FuzzyPropagator:
         return changed
 
     def _project(self, constraint, target, inputs, combo) -> Optional[FuzzyInterval]:
-        """One projection; the fast kernel memoizes it on the exact inputs.
-
-        A projection is a pure function of (constraint, target, input
-        intervals), so the cache key ignores environments and degrees —
-        those are recombined by the caller.  ``ZeroDivisionError``
-        outcomes are cached as failures.
-        """
-        if self._fast:
-            key = (
-                self._constraint_ids[id(constraint)],
-                target.name,
-                tuple(val.interval.as_tuple() for val in combo),
-            )
-            cached = self._projections.lookup(key)
-            if cached is not ProjectionCache.MISS:
-                return None if cached is _ZERO_DIV or cached is None else cached
-            try:
-                projected = constraint.project(
-                    target, {v.name: val.interval for v, val in zip(inputs, combo)}
-                )
-            except ZeroDivisionError:
-                self._projections.store(key, _ZERO_DIV)
-                return None
-            if projected is not None:
-                projected = self._interns.intern(projected)
-            self._projections.store(key, projected)
-            return projected
+        """One projection (``None`` when it divides by zero)."""
         try:
             return constraint.project(
                 target, {v.name: val.interval for v, val in zip(inputs, combo)}
@@ -451,12 +395,7 @@ class FuzzyPropagator:
                 continue
             if existing.is_seed or new.is_seed:
                 continue
-            if self._fast:
-                conflict = recognize(
-                    name, new, existing, classify_fn=self._classify_cached
-                )
-            else:
-                conflict = recognize(name, new, existing)
+            conflict = recognize(name, new, existing)
             if conflict is not None:
                 key = (
                     name,
@@ -486,10 +425,7 @@ class FuzzyPropagator:
                 continue
             if existing.revision >= self.config.narrowing_budget:
                 return False  # frozen: relaxation budget exhausted
-            if self._fast:
-                hull = self._ops.intersection_hull(existing.interval, new.interval)
-            else:
-                hull = existing.interval.intersection_hull(new.interval)
+            hull = existing.interval.intersection_hull(new.interval)
             if hull is None:
                 continue  # frank conflict (already logged); keep both views
             merged = FuzzyValue(
@@ -516,19 +452,6 @@ class FuzzyPropagator:
         """Stamp a variable as changed (advances the dirty clock)."""
         self._tick += 1
         self._var_tick[name] = self._tick
-
-    def _classify_cached(self, a: FuzzyInterval, b: FuzzyInterval):
-        """Coincidence classification through the fast kernel's memo."""
-        return self._ops.call(classify, a, b)
-
-    def kernel_stats(self) -> Dict[str, int]:
-        """Cache effectiveness counters (all zero on the reference kernel)."""
-        if not self._fast:
-            return {}
-        stats = {f"projection_{k}": v for k, v in self._projections.stats().items()}
-        stats.update({f"ops_{k}": v for k, v in self._ops.stats().items()})
-        stats["interned_intervals"] = len(self._interns)
-        return stats
 
     def _append(self, name: str, new: FuzzyValue) -> bool:
         """Add a new entry, honouring the size cap.

@@ -16,7 +16,6 @@ exposed rather than hidden behind a verdict.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.circuit.measurements import Measurement, probe
@@ -45,9 +44,6 @@ class TroubleshootingSession:
         knowledge: the fault-mode/rule base; built with the common
             catalogue by default.
         planner: the best-test strategy unit.
-        kernel: shorthand for ``config.kernel`` — ``"reference"`` or
-            ``"fast"`` (see README "Kernel"); overrides the config's
-            kernel when given.
         sanitize: measurement policy at the observation boundary —
             ``"strict"`` (the default: observations enter verbatim,
             byte-identical to the pre-resilience session) or ``"repair"``
@@ -63,13 +59,10 @@ class TroubleshootingSession:
         experience: Optional[ExperienceBase] = None,
         knowledge: Optional[KnowledgeBase] = None,
         planner: Optional[BestTestPlanner] = None,
-        kernel: Optional[str] = None,
         sanitize: str = "strict",
     ) -> None:
         from repro.resilience.sanitize import POLICIES, SanitizeReport
 
-        if kernel is not None:
-            config = replace(config if config is not None else FlamesConfig(), kernel=kernel)
         if sanitize not in POLICIES:
             raise ValueError(
                 f"unknown sanitize policy {sanitize!r}; choices: {', '.join(POLICIES)}"
@@ -135,11 +128,6 @@ class TroubleshootingSession:
     @property
     def has_observations(self) -> bool:
         return self._result is not None
-
-    @property
-    def kernel(self) -> str:
-        """Which kernel this session's engine runs on."""
-        return self.engine.config.kernel
 
     @property
     def degraded(self) -> bool:

@@ -3,7 +3,7 @@
 The corpus plane turns the paper's handful of validation circuits into
 thousands of deterministic scenarios — multi-fault units, intermittent
 defects, temperature-coefficient drift sweeps, tolerance stackups —
-and scores any kernel against them: rank-of-true-fault accuracy and
+and scores the engine against them: rank-of-true-fault accuracy and
 latency percentiles per scenario class (see README "Corpus mode").
 
 Entry points: :func:`generate_corpus` builds a manifest from a

@@ -1,9 +1,9 @@
 """The corpus benchmark/regression harness.
 
 ``run_corpus`` executes a :class:`~repro.corpus.scenarios.CorpusManifest`
-through the fleet engine on one or more kernels and folds the outcomes
-into a :class:`CorpusReport`: rank-of-true-fault accuracy (hit\\@k and
-mean rank) and latency percentiles, broken down per scenario class.
+through the fleet engine and folds the outcomes into a
+:class:`CorpusReport`: rank-of-true-fault accuracy (hit\\@k and mean
+rank) and latency percentiles, broken down per scenario class.
 
 The *accuracy* half of a report is deterministic — same manifest, same
 numbers, regardless of pool width or executor flavour — and
@@ -30,8 +30,8 @@ from repro.corpus.metrics import (
     rank_of_true_fault,
     scenario_hit,
 )
+from repro.core.diagnosis import FlamesConfig
 from repro.corpus.scenarios import CorpusManifest, Scenario
-from repro.kernel import resolve_kernel
 from repro.service.jobs import DiagnosisJob, JobResult
 from repro.service.pool import FleetEngine
 
@@ -49,11 +49,10 @@ DEFAULT_TOP_K: Tuple[int, ...] = (1, 3, 5)
 
 @dataclass
 class ScenarioOutcome:
-    """One scenario's scored result on one kernel."""
+    """One scenario's scored result."""
 
     id: str
     scenario_class: str
-    kernel: str
     status: str
     rank: Optional[int]
     hits: Dict[int, bool]
@@ -67,7 +66,7 @@ class ScenarioOutcome:
 
 @dataclass
 class ClassStats:
-    """Aggregated accuracy + latency for one (kernel, class) cell."""
+    """Aggregated accuracy + latency for one scenario class."""
 
     n: int = 0
     failures: int = 0
@@ -116,20 +115,18 @@ class ClassStats:
 
 @dataclass
 class CorpusReport:
-    """Everything one corpus run produced, per kernel and scenario class."""
+    """Everything one corpus run produced, per scenario class."""
 
     seed: int
     top_k: Tuple[int, ...]
-    kernels: Tuple[str, ...]
     outcomes: List[ScenarioOutcome] = field(default_factory=list)
 
-    def stats(self) -> Dict[str, Dict[str, ClassStats]]:
-        """``{kernel: {class: ClassStats}}`` plus an ``overall`` row each."""
-        table: Dict[str, Dict[str, ClassStats]] = {}
+    def stats(self) -> Dict[str, ClassStats]:
+        """``{class: ClassStats}`` plus an ``overall`` row."""
+        table: Dict[str, ClassStats] = {}
         for outcome in self.outcomes:
-            per_kernel = table.setdefault(outcome.kernel, {})
-            per_kernel.setdefault(outcome.scenario_class, ClassStats()).fold(outcome)
-            per_kernel.setdefault("overall", ClassStats()).fold(outcome)
+            table.setdefault(outcome.scenario_class, ClassStats()).fold(outcome)
+            table.setdefault("overall", ClassStats()).fold(outcome)
         return table
 
     def to_dict(self, include_latency: bool = False) -> Dict:
@@ -138,42 +135,33 @@ class CorpusReport:
         The default (``include_latency=False``) is the *canonical* form:
         accuracy only, deterministic for a given manifest, suitable for
         byte-for-byte diffing and floor checks.  Latency percentiles are
-        wall-clock noise and only appear when asked for.
+        wall-clock noise and only appear when asked for.  The table
+        sits under ``"kernels"``, keyed by the engine's name
+        (``FlamesConfig.kernel``), so the report schema is unchanged.
         """
-        kernels: Dict[str, Dict] = {}
-        for kernel, classes in sorted(self.stats().items()):
-            cell: Dict[str, Dict] = {}
-            for name, stats in sorted(classes.items()):
-                entry = {"accuracy": stats.accuracy_dict()}
-                if include_latency:
-                    entry["latency"] = stats.latency_dict()
-                cell[name] = entry
-            kernels[kernel] = cell
-        scenario_count = (
-            max(len([o for o in self.outcomes if o.kernel == k]) for k in self.kernels)
-            if self.outcomes
-            else 0
-        )
+        cell: Dict[str, Dict] = {}
+        for name, stats in sorted(self.stats().items()):
+            entry = {"accuracy": stats.accuracy_dict()}
+            if include_latency:
+                entry["latency"] = stats.latency_dict()
+            cell[name] = entry
         return {
             "version": 1,
             "seed": self.seed,
             "top_k": list(self.top_k),
-            "scenarios": scenario_count,
-            "kernels": kernels,
+            "scenarios": len(self.outcomes),
+            "kernels": {FlamesConfig.kernel: cell} if self.outcomes else {},
         }
 
     def to_json(self, include_latency: bool = False) -> str:
         return json.dumps(self.to_dict(include_latency), indent=2, sort_keys=True) + "\n"
 
 
-def _score(
-    scenario: Scenario, result: JobResult, kernel: str, top_k: Sequence[int]
-) -> ScenarioOutcome:
+def _score(scenario: Scenario, result: JobResult, top_k: Sequence[int]) -> ScenarioOutcome:
     diagnosis = result.diagnosis if result.completed else {}
     return ScenarioOutcome(
         id=scenario.id,
         scenario_class=scenario.scenario_class,
-        kernel=kernel,
         status=result.status,
         rank=rank_of_true_fault(diagnosis, scenario.expected),
         hits={k: result.completed and scenario_hit(scenario.expected, diagnosis, k)
@@ -185,37 +173,35 @@ def _score(
 
 def run_corpus(
     manifest: CorpusManifest,
-    kernels: Sequence[str] = ("reference", "fast"),
+    kernels: Sequence[str] = (FlamesConfig.kernel,),
     workers: int = 4,
     executor: str = "process",
     top_k: Sequence[int] = DEFAULT_TOP_K,
     engine: Optional[FleetEngine] = None,
 ) -> CorpusReport:
-    """Execute every scenario on every kernel and score the outcomes.
+    """Execute every scenario and score the outcomes.
 
-    A caller-supplied ``engine`` (the fleet/server layers' resident one)
+    ``kernels`` may only name the one engine (``FlamesConfig.kernel``);
+    it is kept so existing callers keep working.  A
+    caller-supplied ``engine`` (the fleet/server layers' resident one)
     is reused as-is; otherwise a throwaway pool of ``workers`` is spun
-    up per kernel.  Scenario content is unique by construction, so the
-    result cache never short-circuits a measurement.
+    up.  Scenario content is unique by construction, so the result
+    cache never short-circuits a measurement.
     """
-    resolved = tuple(resolve_kernel(k) for k in kernels)
-    report = CorpusReport(seed=manifest.seed, top_k=tuple(top_k), kernels=resolved)
-    for kernel in resolved:
-        jobs = [
-            DiagnosisJob(
-                unit=s.id,
-                netlist_text=s.netlist_text,
-                measurements=s.measurements,
-                config=(("kernel", kernel),),
-            )
-            for s in manifest.scenarios
-        ]
-        owner = engine if engine is not None else FleetEngine(
-            workers=workers, executor=executor, cache_size=16
-        )
-        batch = owner.run_batch(jobs)
-        for scenario, result in zip(manifest.scenarios, batch.results):
-            report.outcomes.append(_score(scenario, result, kernel, top_k))
+    for kernel in kernels:
+        if kernel != FlamesConfig.kernel:
+            raise ValueError(f"unknown kernel {kernel!r}; the engine is {FlamesConfig.kernel!r}")
+    report = CorpusReport(seed=manifest.seed, top_k=tuple(top_k))
+    jobs = [
+        DiagnosisJob(unit=s.id, netlist_text=s.netlist_text, measurements=s.measurements)
+        for s in manifest.scenarios
+    ]
+    owner = engine if engine is not None else FleetEngine(
+        workers=workers, executor=executor, cache_size=16
+    )
+    batch = owner.run_batch(jobs)
+    for scenario, result in zip(manifest.scenarios, batch.results):
+        report.outcomes.append(_score(scenario, result, top_k))
     return report
 
 
@@ -223,26 +209,23 @@ def check_floor(report: CorpusReport, floor: Dict) -> List[str]:
     """Compare a report against a committed accuracy floor.
 
     ``floor`` holds minimum acceptable rates — ``{"top1": {"<class>":
-    0.8, ..., "overall": 0.85}}`` — enforced on *every* kernel the
-    report covers.  Returns human-readable breach descriptions (empty =
-    the floor holds).
+    0.8, ..., "overall": 0.85}}``.  Returns human-readable breach
+    descriptions (empty = the floor holds).
     """
     breaches: List[str] = []
-    table = report.to_dict()["kernels"]
+    stats = report.stats()
     for metric, minimums in sorted((floor.get("floors") or floor).items()):
         if not isinstance(minimums, dict):
             continue
         for name, minimum in sorted(minimums.items()):
-            for kernel, classes in sorted(table.items()):
-                cell = classes.get(name)
-                if cell is None:
-                    breaches.append(f"{kernel}/{name}: class missing from report")
-                    continue
-                actual = cell["accuracy"].get(metric)
-                if actual is None:
-                    breaches.append(f"{kernel}/{name}: metric {metric!r} missing")
-                elif actual < float(minimum) - 1e-9:
-                    breaches.append(
-                        f"{kernel}/{name}: {metric} {actual:.3f} < floor {float(minimum):.3f}"
-                    )
+            if name not in stats:
+                breaches.append(f"{name}: class missing from report")
+                continue
+            actual = stats[name].accuracy_dict().get(metric)
+            if actual is None:
+                breaches.append(f"{name}: metric {metric!r} missing")
+            elif actual < float(minimum) - 1e-9:
+                breaches.append(
+                    f"{name}: {metric} {actual:.3f} < floor {float(minimum):.3f}"
+                )
     return breaches

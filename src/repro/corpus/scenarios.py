@@ -5,7 +5,7 @@ the golden design (netlist text), the fuzzy bench readings, the injected
 ground-truth defects and the scenario-class label.  A
 :class:`CorpusManifest` is an ordered collection of scenarios plus the
 ``(seed, scenario classes)`` recipe that produced it — everything the
-harness needs to re-run the corpus on any kernel, and everything a
+harness needs to re-run the corpus, and everything a
 reviewer needs to see exactly what changed when the generator changes.
 
 Determinism contract: building a manifest twice from the same recipe

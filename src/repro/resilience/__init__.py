@@ -4,12 +4,10 @@ Three cooperating pieces (see README "Resilience"):
 
 * :mod:`repro.resilience.faults` — a seeded, deterministic
   :class:`FaultPlan` with named injection points threaded through the
-  worker pool, result cache, kernel dispatch and server I/O, so chaos
+  worker pool, result cache, server I/O, cluster and stream, so chaos
   tests exercise real failure paths reproducibly;
 * :mod:`repro.resilience.supervisor` — :class:`FleetSupervisor`:
-  poison-job quarantine, worker health scoring with pool eviction, and
-  the :class:`CircuitBreaker` that trips the fast kernel back to the
-  reference engine on exception or differential mismatch;
+  poison-job quarantine and worker health scoring with pool eviction;
 * :mod:`repro.resilience.sanitize` — the measurement sanitizer that
   drops or widens non-finite / out-of-range observations and lets a
   degraded-mode diagnosis run, flagged in the report — the paper's
@@ -32,12 +30,7 @@ from repro.resilience.sanitize import (
     sanitize_measurements,
     sanitize_tuples,
 )
-from repro.resilience.supervisor import (
-    CircuitBreaker,
-    EwmaHealth,
-    FleetSupervisor,
-    worker_breaker,
-)
+from repro.resilience.supervisor import EwmaHealth, FleetSupervisor
 
 __all__ = [
     "POINTS",
@@ -45,7 +38,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
-    "CircuitBreaker",
     "EwmaHealth",
     "FleetSupervisor",
     "SanitizeAction",
@@ -55,5 +47,4 @@ __all__ = [
     "uninstall_plan",
     "sanitize_measurements",
     "sanitize_tuples",
-    "worker_breaker",
 ]

@@ -1,8 +1,8 @@
 """Deterministic fault injection — the resilience plane's chaos source.
 
 A production diagnosis fleet fails in ways the paper never had to model:
-workers crash or hang, cache entries rot, the fast kernel hits an edge
-case, a bench feeds the server NaN volts.  :class:`FaultPlan` lets the
+workers crash or hang, cache entries rot, a bench feeds the server NaN
+volts.  :class:`FaultPlan` lets the
 chaos suite (and ``bench_*`` / the smoke scripts) exercise *exactly*
 those paths, reproducibly:
 
@@ -33,9 +33,6 @@ The recognised injection points:
 ``pool.slow_response``    sleep ``seconds`` before answering (latency chaos)
 ``cache.corrupt``         flip a byte of the stored cache blob before the
                           integrity check (→ counted miss, never a crash)
-``kernel.exception``      raise from inside the fast kernel's propagate stage
-                          (→ circuit breaker falls back to the reference
-                          engine)
 ``measurement.malformed`` replace one measurement with a non-finite reading
                           before parsing (→ sanitizer drop / structured 400)
 ``server.io``             raise inside the server's dispatch (→ structured
@@ -91,7 +88,6 @@ POINTS = (
     "pool.worker_hang",
     "pool.slow_response",
     "cache.corrupt",
-    "kernel.exception",
     "measurement.malformed",
     "server.io",
     "cluster.replica_kill",
@@ -298,9 +294,9 @@ def key_scope(key: str) -> _KeyScope:
     """Bind ``key`` as the injection key for the enclosed work.
 
     ``execute_job`` binds the job's content hash around the whole
-    diagnosis, so deeper layers (the pipeline's ``kernel.exception``
-    point) fire deterministically per *job content* rather than per
-    ephemeral trace id.
+    diagnosis, so its injection points (``measurement.malformed``
+    among them) fire deterministically per *job content* rather than
+    per ephemeral trace id.
     """
     return _KeyScope(key)
 

@@ -3,8 +3,8 @@
 The paper's engine ran one diagnosis at a time and could simply crash;
 a fleet serving heavy traffic needs the failure-handling policy FLAMES
 applies to *measurements* — tolerate partial conflict, keep producing
-ranked answers — applied to its own *infrastructure*.  Three mechanisms,
-all deterministic (counted in events, never in wall-clock time):
+ranked answers — applied to its own *infrastructure*.  Two mechanisms,
+both deterministic (counted in events, never in wall-clock time):
 
 * **poison-job quarantine** — a job whose content keeps failing is
   eventually the job's fault, not the fleet's.  After
@@ -16,13 +16,7 @@ all deterministic (counted in events, never in wall-clock time):
   per pool; sustained crashes/hangs drive the score below
   ``health_floor`` and the engine proactively evicts and restarts the
   pool (the ``concurrent.futures`` granularity of "restart the sick
-  worker");
-* **kernel circuit breaker** — the fast kernel must never be a
-  liability: an exception (or a differential mismatch, when kernel
-  verification is on) counts against the breaker, and once it trips the
-  engine routes every diagnosis through the reference kernel until
-  ``probe_after`` successful reference runs allow a half-open probe.
-  Every trip is recorded in telemetry.
+  worker").
 """
 
 from __future__ import annotations
@@ -33,22 +27,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.service.telemetry import Telemetry
 
-__all__ = ["CircuitBreaker", "EwmaHealth", "FleetSupervisor", "worker_breaker"]
-
-#: Process-local breaker adopted by pool *worker processes*, where the
-#: engine's supervisor (and its locks) cannot cross the pickle boundary.
-_worker_breaker: Optional["CircuitBreaker"] = None
-_worker_breaker_lock = threading.Lock()
-
-
-def worker_breaker() -> "CircuitBreaker":
-    """The process-local kernel breaker (created on first use)."""
-    global _worker_breaker
-    if _worker_breaker is None:
-        with _worker_breaker_lock:
-            if _worker_breaker is None:
-                _worker_breaker = CircuitBreaker()
-    return _worker_breaker
+__all__ = ["EwmaHealth", "FleetSupervisor"]
 
 
 class EwmaHealth:
@@ -94,106 +73,18 @@ class EwmaHealth:
             self._score = 1.0
 
 
-class CircuitBreaker:
-    """A deterministic closed → open → half-open breaker.
-
-    States:
-
-    * **closed** — the protected path (the fast kernel) is used;
-      failures accumulate, ``threshold`` consecutive-window failures
-      trip the breaker;
-    * **open** — the protected path is bypassed; after ``probe_after``
-      :meth:`record_bypass` calls the breaker half-opens;
-    * **half-open** — one probe is allowed through; success closes the
-      breaker, failure re-opens it.
-
-    All transitions are counted in events — no clocks — so chaos tests
-    replay identically.
-    """
-
-    def __init__(self, threshold: int = 3, probe_after: int = 50) -> None:
-        if threshold < 1:
-            raise ValueError("breaker threshold must be >= 1")
-        if probe_after < 1:
-            raise ValueError("probe_after must be >= 1")
-        self.threshold = threshold
-        self.probe_after = probe_after
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._failures = 0
-        self._bypasses = 0
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def allow(self) -> bool:
-        """May the protected path be used for the next call?"""
-        with self._lock:
-            if self._state == "closed":
-                return True
-            if self._state == "half-open":
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            if self._state == "half-open":
-                self._state = "closed"
-            self._failures = 0
-
-    def record_failure(self) -> bool:
-        """Count a failure; returns True when this call *trips* the breaker."""
-        with self._lock:
-            if self._state == "half-open":
-                self._state = "open"
-                self._bypasses = 0
-                self.trips += 1
-                return True
-            self._failures += 1
-            if self._state == "closed" and self._failures >= self.threshold:
-                self._state = "open"
-                self._bypasses = 0
-                self.trips += 1
-                return True
-            return False
-
-    def record_bypass(self) -> None:
-        """Count one bypassed call; half-opens after ``probe_after`` of them."""
-        with self._lock:
-            if self._state != "open":
-                return
-            self._bypasses += 1
-            if self._bypasses >= self.probe_after:
-                self._state = "half-open"
-
-    def snapshot(self) -> Dict:
-        with self._lock:
-            return {
-                "state": self._state,
-                "failures": self._failures,
-                "trips": self.trips,
-            }
-
-
 class FleetSupervisor:
-    """Health scoring, quarantine and the kernel breaker for one engine.
+    """Health scoring and quarantine for one engine.
 
     Thread-safe; one instance is shared by every execution path of a
     :class:`~repro.service.pool.FleetEngine` (serial, thread pool, the
-    server's ``run_job``).  Process-pool workers keep their own
-    process-local breaker (state cannot cross the pickle boundary), but
-    quarantine and health are scored engine-side from the results coming
-    back, so they cover every executor kind.
+    server's ``run_job``).  Quarantine and health are scored engine-side
+    from the results coming back, so they cover every executor kind.
     """
 
     def __init__(
         self,
         quarantine_after: int = 3,
-        breaker_threshold: int = 3,
-        breaker_probe_after: int = 50,
         health_floor: float = 0.3,
         health_decay: float = 0.7,
         telemetry: Optional["Telemetry"] = None,
@@ -208,7 +99,6 @@ class FleetSupervisor:
         self.health_floor = health_floor
         self.health_decay = health_decay
         self.telemetry = telemetry
-        self.breaker = CircuitBreaker(breaker_threshold, breaker_probe_after)
         self._lock = threading.Lock()
         self._failures: Dict[str, int] = {}
         self._quarantined: Dict[str, str] = {}  # content hash -> first error
@@ -300,5 +190,4 @@ class FleetSupervisor:
             "health": round(health, 4),
             "evictions": self.evictions,
             "quarantined": quarantined,
-            "breaker": self.breaker.snapshot(),
         }

@@ -11,8 +11,8 @@ carries:
 * a **cooperative cancellation token** — thread-safe and sharable, so
   the server's event loop can cancel the worker thread it timed out;
 * a **step budget** — a deterministic work bound counted in propagator
-  queue pops, identical across kernels (both process the same work
-  list), which is what makes interruption reproducible in tests;
+  queue pops (skipped no-op firings included), which is what makes
+  interruption reproducible in tests;
 * a **trace id** and a hierarchical :class:`~repro.runtime.spans.Span`
   collector (off by default; spans cost nothing when tracing is off).
 
@@ -108,8 +108,7 @@ class RunContext:
         deadline: absolute instant (on ``clock``'s timeline) after which
             the run must wind down; ``None`` = unbounded.
         step_budget: maximum cooperative :meth:`tick` charges before the
-            run must stop; deterministic across kernels.  ``None`` =
-            unbounded.
+            run must stop; deterministic.  ``None`` = unbounded.
         trace_id: correlates the run across layers and log lines; a
             fresh id is minted when omitted.
         tracing: collect :class:`Span` trees (off by default — span

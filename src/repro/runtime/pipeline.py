@@ -33,9 +33,7 @@ from repro.atms import FuzzyATMS, minimal_diagnoses, suspicion_scores
 from repro.atms.nodes import Node
 from repro.circuit.measurements import Measurement
 from repro.core.conflicts import RecognizedConflict
-from repro.core.propagation import FuzzyPropagator
 from repro.fuzzy import consistency
-from repro.kernel import FastFuzzyATMS
 from repro.runtime.context import RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> runtime)
@@ -65,18 +63,8 @@ class DiagnosisPipeline:
         self,
         measurements: Sequence[Measurement],
         ctx: Optional[RunContext] = None,
-        propagator: Optional[FuzzyPropagator] = None,
     ) -> "DiagnosisResult":
-        """Run every stage; always returns a well-formed result.
-
-        ``propagator`` reuses a warm :class:`FuzzyPropagator` built by
-        :meth:`Flames.make_propagator` instead of constructing a fresh
-        one: the seed stage resets its *values* (so the run is
-        observationally identical to a cold run — the differential suite
-        in ``tests/stream`` pins this) while the fast kernel's
-        projection/op/intern memo caches persist across runs, which is
-        what makes streaming re-diagnosis incremental in compute.
-        """
+        """Run every stage; always returns a well-formed result."""
         from repro.core.diagnosis import DiagnosisResult
 
         engine = self.engine
@@ -84,18 +72,13 @@ class DiagnosisPipeline:
         if ctx is None:
             ctx = RunContext.background()
 
-        with ctx.span(
-            "diagnose", circuit=engine.circuit.name, kernel=config.kernel
-        ):
+        with ctx.span("diagnose", circuit=engine.circuit.name):
             with ctx.span("nominal"):
                 engine._ensure_nominal()
             nominal = engine._nominal
             assert nominal is not None
 
-            atms_cls = FastFuzzyATMS if config.kernel == "fast" else FuzzyATMS
-            atms = atms_cls(
-                t_norm=config.t_norm, hard_threshold=config.hard_threshold
-            )
+            atms = FuzzyATMS(t_norm=config.t_norm, hard_threshold=config.hard_threshold)
             assumption_nodes: Dict[str, Node] = {}
 
             def node_for(name: str) -> Node:
@@ -118,19 +101,8 @@ class DiagnosisPipeline:
                 )
 
             with ctx.span("seed"):
-                if propagator is None:
-                    propagator = FuzzyPropagator(
-                        engine.network,
-                        on_conflict=on_conflict,
-                        config=config.effective_propagator(),
-                    )
-                else:
-                    if propagator.network is not engine.network:
-                        raise ValueError(
-                            "reused propagator was built for a different network"
-                        )
-                    propagator.reset()
-                    propagator.on_conflict = on_conflict
+                propagator = engine.make_propagator()
+                propagator.on_conflict = on_conflict
                 # Database predictions first (so mode guards and coincidence
                 # checks see them), then the observations.
                 for name, prediction in nominal.items():
@@ -147,14 +119,6 @@ class DiagnosisPipeline:
                     propagator.set_value(m.point, m.value)
 
             with ctx.span("propagate") as span:
-                if config.kernel == "fast":
-                    # Chaos hook: the resilience plane's kernel.exception
-                    # point fires here, where a real fast-kernel edge case
-                    # would surface — the fleet's circuit breaker catches
-                    # it and re-runs on the reference engine.
-                    from repro.resilience import faults
-
-                    faults.maybe_raise("kernel.exception")
                 outcome = propagator.run(ctx=ctx)
                 if span is not None:
                     span.meta["steps"] = outcome.steps

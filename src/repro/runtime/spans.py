@@ -94,7 +94,7 @@ def render_trace(trace: Dict) -> str:
     ::
 
         trace 7f3a9c12 [interrupted: deadline]
-          diagnose                      142.10ms  circuit=amp kernel=fast
+          diagnose                      142.10ms  circuit=amp
             nominal                       0.01ms
             seed                          3.20ms
             propagate                   131.07ms

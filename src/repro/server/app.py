@@ -32,8 +32,8 @@ diagnosis over HTTP/JSON (stdlib asyncio only):
 **Tenancy** (requires ``--store``, see :mod:`repro.store`): requests
 may authenticate with ``Authorization: Bearer <key>`` or ``X-Api-Key``.
 A resolved tenant gets isolated cache/experience namespaces threaded
-through the engine and a fixed-window request quota (breach → ``429``
-with ``Retry-After``); an unknown key is a ``401``; requests without
+through the engine and a store-backed token-bucket request quota
+(breach → ``429`` with ``Retry-After``); an unknown key is a ``401``; requests without
 credentials stay in the shared public namespace, byte-identical to the
 pre-tenant behavior.
 
@@ -124,9 +124,8 @@ class ServerConfig:
     drain_grace: float = 30.0  # seconds to wait for in-flight work on shutdown
     max_streams: int = 4  # concurrent /v1/stream connections
     heartbeat: float = 5.0  # SSE keep-alive cadence during quiet stretches, seconds
-    supervise: bool = False  # engage the FleetSupervisor (quarantine + breaker)
+    supervise: bool = False  # engage the FleetSupervisor (quarantine + health)
     faults: str = ""  # JSON FaultPlan armed server-wide (chaos testing only)
-    verify_kernel: bool = False  # differential-check every fast-kernel run
     store: str = ""  # sqlite persistence-plane path; "" = in-memory only
     disk_cache_size: int = 4096  # store cache-table row bound
     lifecycle: bool = True  # run StoreMaintenance (cluster replicas turn it off)
@@ -168,8 +167,7 @@ class DiagnosisServer:
             self.store = DiagnosisStore(config.store)
             self.tenants = TenantRegistry(self.store)
             # Store-backed token buckets: every replica sharing the file
-            # debits the same per-tenant budget (vs. the per-process
-            # fixed window of the storeless QuotaTracker).
+            # debits the same per-tenant budget.
             self.quotas = TokenBucketQuota(self.store)
             if config.lifecycle:
                 from repro.store import (
@@ -196,7 +194,6 @@ class DiagnosisServer:
             cache_size=config.cache_size,
             supervisor=FleetSupervisor() if config.supervise else None,
             fault_plan=FaultPlan.from_json(config.faults) if config.faults else None,
-            verify_kernel=config.verify_kernel,
             store=self.store,
             disk_cache_size=config.disk_cache_size,
         )
@@ -897,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--supervise", action="store_true",
         help="engage the fleet supervisor (poison-job quarantine, worker "
-        "health eviction, kernel circuit breaker)",
+        "health eviction)",
     )
     parser.add_argument(
         "--faults", default="",
@@ -911,11 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--heartbeat", type=float, default=5.0,
         help="SSE keep-alive cadence in seconds (default 5)",
-    )
-    parser.add_argument(
-        "--verify-kernel", action="store_true",
-        help="differentially check every fast-kernel run against the "
-        "reference engine (expensive; chaos/soak runs only)",
     )
     parser.add_argument(
         "--store", default="",
@@ -960,7 +952,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             retries=args.retries,
             supervise=args.supervise,
             faults=args.faults,
-            verify_kernel=args.verify_kernel,
             max_streams=args.max_streams,
             heartbeat=args.heartbeat,
             store=args.store,

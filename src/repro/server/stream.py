@@ -25,7 +25,7 @@ from repro.circuit.generators import resistor_ladder
 from repro.circuit.library import rc_lowpass
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import step_waveform
-from repro.core.diagnosis import Flames, FlamesConfig
+from repro.core.diagnosis import Flames
 from repro.server.http import HttpError
 from repro.service.telemetry import Telemetry
 from repro.stream.detector import DetectorConfig, DriftDetector
@@ -96,7 +96,6 @@ class StreamSpec:
     imprecision: float = 0.05
     noise: float = 0.0
     seed: int = 0
-    kernel: str = "fast"
     threshold: float = 0.5
     hysteresis: float = 0.2
     alpha: float = 0.4
@@ -110,9 +109,6 @@ class StreamSpec:
         circuit = query.get("circuit", "ladder")
         if circuit not in ("ladder", "rc"):
             raise HttpError(400, f"unknown circuit family {circuit!r}; use ladder or rc")
-        kernel = query.get("kernel", "fast")
-        if kernel not in ("reference", "fast"):
-            raise HttpError(400, f"unknown kernel {kernel!r}; use reference or fast")
         size = _int(query, "size", 6)
         if not 1 <= size <= 64:
             raise HttpError(400, "size must be in [1, 64]")
@@ -137,7 +133,6 @@ class StreamSpec:
                 imprecision=_float(query, "imprecision", 0.05),
                 noise=_float(query, "noise", 0.0),
                 seed=_int(query, "seed", 0),
-                kernel=kernel,
                 threshold=_float(query, "threshold", 0.5),
                 hysteresis=_float(query, "hysteresis", 0.2),
                 alpha=_float(query, "alpha", 0.4),
@@ -197,7 +192,7 @@ class StreamSpec:
         )
         if dry_run:
             return None
-        engine = Flames(circuit, FlamesConfig(kernel=self.kernel))
+        engine = Flames(circuit)
         detector = DriftDetector(
             DetectorConfig(
                 threshold=self.threshold, hysteresis=self.hysteresis, alpha=self.alpha

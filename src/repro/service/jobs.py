@@ -42,7 +42,6 @@ from repro.circuit.spice import parse_netlist, write_netlist
 from repro.core.diagnosis import DiagnosisResult, FlamesConfig
 from repro.core.knowledge import ModeMatch
 from repro.fuzzy import FuzzyInterval
-from repro.kernel import resolve_kernel
 
 __all__ = [
     "CONFIG_FIELDS",
@@ -58,18 +57,13 @@ __all__ = [
 
 #: FlamesConfig knobs a job may override — plain scalars only, so jobs
 #: stay JSON- and pickle-safe (the t-norm and propagator tuning stay at
-#: engine defaults).  ``kernel`` selects the implementation substrate
-#: ("reference" or "fast" — identical results, see README "Kernel").
+#: engine defaults).
 CONFIG_FIELDS = (
     "assumable_nodes",
     "conflict_threshold",
     "max_candidate_size",
     "hard_threshold",
-    "kernel",
 )
-
-#: Config fields carrying strings rather than numbers.
-_STRING_FIELDS = frozenset({"kernel"})
 
 #: One fuzzy measurement as plain data: (point, m1, m2, alpha, beta).
 MeasurementTuple = Tuple[str, float, float, float, float]
@@ -92,24 +86,18 @@ def _resolve_sanitize(policy: str) -> str:
 
 def _config_overrides(
     config: Optional[Dict[str, float]],
-) -> Tuple[Tuple[str, Union[float, str]], ...]:
+) -> Tuple[Tuple[str, float], ...]:
     """Validate config overrides into the job's sorted-tuple form."""
-    overrides: Dict[str, Union[float, str]] = {}
+    overrides: Dict[str, float] = {}
     for key, value in (config or {}).items():
         if key not in CONFIG_FIELDS:
             raise ManifestError(
                 f"unknown config field {key!r}; choices: {', '.join(CONFIG_FIELDS)}"
             )
-        if key in _STRING_FIELDS:
-            try:
-                overrides[key] = resolve_kernel(str(value))
-            except ValueError as exc:
-                raise ManifestError(str(exc)) from None
-        else:
-            try:
-                overrides[key] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise ManifestError(f"bad config value for {key!r}: {exc}") from None
+        try:
+            overrides[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"bad config value for {key!r}: {exc}") from None
     return tuple(sorted(overrides.items()))
 
 
@@ -142,8 +130,7 @@ class DiagnosisJob:
         unit: free-form label for reporting (not part of the hash).
         netlist_text: the golden design in the SPICE-subset card format.
         measurements: fuzzy readings as plain tuples.
-        config: sorted ``(field, value)`` FlamesConfig overrides (values
-            are floats, except the ``kernel`` name which is a string).
+        config: sorted ``(field, value)`` FlamesConfig overrides (floats).
         confirm: optional ``(component, mode)`` the expert has verified
             on this unit — feeds the shared experience base after the
             batch (not part of the hash either).
@@ -158,7 +145,7 @@ class DiagnosisJob:
     unit: str
     netlist_text: str
     measurements: Tuple[MeasurementTuple, ...]
-    config: Tuple[Tuple[str, Union[float, str]], ...] = ()
+    config: Tuple[Tuple[str, float], ...] = ()
     confirm: Optional[Tuple[str, str]] = None
     sanitize: str = "strict"
 
@@ -208,8 +195,6 @@ class DiagnosisJob:
             overrides["assumable_nodes"] = bool(overrides["assumable_nodes"])
         if "max_candidate_size" in overrides:
             overrides["max_candidate_size"] = int(overrides["max_candidate_size"])
-        if "kernel" in overrides:
-            overrides["kernel"] = str(overrides["kernel"])
         return FlamesConfig(**overrides)  # type: ignore[arg-type]
 
     @property

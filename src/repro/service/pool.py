@@ -23,11 +23,8 @@ picklable payloads ever crosses a process boundary.
 "Resilience"): an optional :class:`FleetSupervisor` quarantines
 poison jobs after repeated failures (a quarantined job returns a
 structured ``quarantined`` result and never re-enters the retry loop),
-scores worker health and proactively evicts/restarts a sick pool; the
-kernel **circuit breaker** falls back from the fast kernel to the
-reference engine on any exception (or differential mismatch, with
-``verify_kernel``), recording the trip in telemetry; and a seeded
-:class:`~repro.resilience.faults.FaultPlan` injects worker crashes,
+scores worker health and proactively evicts/restarts a sick pool; and a
+seeded :class:`~repro.resilience.faults.FaultPlan` injects worker crashes,
 hangs, slow responses and malformed measurements at named points so
 chaos tests exercise every one of those paths deterministically.
 """
@@ -45,7 +42,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,7 +56,7 @@ from repro.fuzzy import FuzzyInterval
 from repro.circuit.measurements import Measurement
 from repro.resilience import faults
 from repro.resilience.sanitize import SanitizeReport, sanitize_tuples
-from repro.resilience.supervisor import CircuitBreaker, FleetSupervisor, worker_breaker
+from repro.resilience.supervisor import FleetSupervisor
 from repro.runtime.context import RunContext
 from repro.service.cache import ResultCache
 from repro.service.jobs import DiagnosisJob, JobResult, diagnosis_to_dict
@@ -72,72 +69,12 @@ log = logging.getLogger("repro.service")
 EXECUTORS = ("process", "thread", "serial")
 
 
-def _diagnose_with_breaker(
-    job: DiagnosisJob,
-    circuit,
-    measurements: List[Measurement],
-    ctx: Optional[RunContext],
-    breaker: Optional[CircuitBreaker],
-    verify_kernel: bool,
-    payload: Dict,
-):
-    """Run the diagnosis, routing the fast kernel through its breaker.
-
-    The reference kernel is the trusted substrate; the fast kernel is an
-    optimisation that must never be a liability.  Any exception raised
-    while the fast kernel is engaged counts against the breaker and the
-    job transparently re-runs on the reference engine; with
-    ``verify_kernel`` a completed fast run is additionally replayed on
-    the reference engine and a differential mismatch counts as a breaker
-    failure too (the reference result wins).  Breaker state transitions
-    are annotated onto ``payload`` so the engine folds them into
-    telemetry from any executor kind.
-    """
-    config = job.flames_config()
-    if config.kernel != "fast":
-        return Flames(circuit, config).diagnose(measurements, ctx=ctx)
-    if breaker is None:
-        breaker = worker_breaker()
-    if not breaker.allow():
-        # Breaker open: bypass the fast kernel entirely.
-        breaker.record_bypass()
-        payload["kernel"] = "reference"
-        payload["kernel_fallback"] = "breaker-open"
-        config = replace(config, kernel="reference")
-        return Flames(circuit, config).diagnose(measurements, ctx=ctx)
-    try:
-        result = Flames(circuit, config).diagnose(measurements, ctx=ctx)
-    except Exception as exc:
-        tripped = breaker.record_failure()
-        payload["kernel"] = "reference"
-        payload["kernel_fallback"] = f"exception: {type(exc).__name__}: {exc}"
-        if tripped:
-            payload["kernel_tripped"] = True
-        config = replace(config, kernel="reference")
-        return Flames(circuit, config).diagnose(measurements, ctx=ctx)
-    if verify_kernel and not result.interrupted:
-        reference = Flames(circuit, replace(config, kernel="reference")).diagnose(
-            measurements, ctx=None
-        )
-        if diagnosis_to_dict(result) != diagnosis_to_dict(reference):
-            tripped = breaker.record_failure()
-            payload["kernel"] = "reference"
-            payload["kernel_fallback"] = "differential-mismatch"
-            if tripped:
-                payload["kernel_tripped"] = True
-            return reference
-    breaker.record_success()
-    return result
-
-
 def execute_job(
     job: DiagnosisJob,
     deadline_seconds: Optional[float] = None,
     tracing: bool = False,
     ctx: Optional[RunContext] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
-    breaker: Optional[CircuitBreaker] = None,
-    verify_kernel: bool = False,
 ) -> Dict:
     """Run one job to a plain-dict outcome (the worker entry point).
 
@@ -152,16 +89,13 @@ def execute_job(
     result, not a dead pool.
 
     ``fault_plan`` (plain data, so it crosses the pickle boundary) arms
-    the worker's deterministic injection points; ``breaker`` routes the
-    fast kernel through the caller's circuit breaker (worker processes,
-    which cannot share one, fall back to a process-local breaker).
+    the worker's deterministic injection points.
     """
     start = time.perf_counter()
     if fault_plan is not None and faults.active_plan() != fault_plan:
         faults.install_plan(fault_plan)
     if ctx is None and (deadline_seconds is not None or tracing):
         ctx = RunContext.with_timeout(deadline_seconds, tracing=tracing)
-    payload: Dict = {}
     try:
         with faults.key_scope(job.content_hash):
             # --- chaos: the worker-level injection points -------------
@@ -192,9 +126,7 @@ def execute_job(
                 Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
                 for point, m1, m2, alpha, beta in raw
             ]
-            result = _diagnose_with_breaker(
-                job, circuit, measurements, ctx, breaker, verify_kernel, payload
-            )
+            result = Flames(circuit, job.flames_config()).diagnose(measurements, ctx=ctx)
             refinements = None
             if not result.is_consistent and not result.interrupted:
                 refinements = KnowledgeBase(circuit).refine(
@@ -206,13 +138,11 @@ def execute_job(
                 status = "degraded"
             else:
                 status = "ok"
-            payload.update(
-                {
-                    "status": status,
-                    "diagnosis": diagnosis_to_dict(result, refinements),
-                    "elapsed": time.perf_counter() - start,
-                }
-            )
+            payload: Dict = {
+                "status": status,
+                "diagnosis": diagnosis_to_dict(result, refinements),
+                "elapsed": time.perf_counter() - start,
+            }
             if report.degraded:
                 payload["diagnosis"]["degraded"] = report.to_dict()
             if result.interrupted and ctx is not None:
@@ -222,14 +152,11 @@ def execute_job(
             return payload
     except Exception as exc:
         tail = traceback.format_exc(limit=3)
-        payload.update(
-            {
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}\n{tail}",
-                "elapsed": time.perf_counter() - start,
-            }
-        )
-        return payload
+        return {
+            "status": "error",
+            "error": f"{type(exc).__name__}: {exc}\n{tail}",
+            "elapsed": time.perf_counter() - start,
+        }
 
 
 @dataclass
@@ -296,16 +223,12 @@ class FleetEngine:
         experience: the shared fleet :class:`ExperienceBase` that
             confirmed repairs merge into after every batch.
         supervisor: the resilience plane's :class:`FleetSupervisor`
-            (quarantine + worker health + kernel breaker).  ``None``
+            (quarantine + worker health).  ``None``
             (the default) preserves the pre-resilience retry semantics
             exactly; pass ``FleetSupervisor()`` — or use
             ``supervise=True`` on the CLI — to engage it.
         fault_plan: a deterministic :class:`~repro.resilience.faults.
             FaultPlan` armed in every worker (chaos testing only).
-        verify_kernel: differentially check every completed fast-kernel
-            run against the reference engine; a mismatch counts as a
-            breaker failure and the reference result wins.  Expensive —
-            chaos/soak runs only.
         store: an optional :class:`~repro.store.db.DiagnosisStore` — the
             persistence plane.  When armed (and no explicit ``cache``
             was passed) the result cache becomes the two-tier
@@ -339,7 +262,6 @@ class FleetEngine:
         tracing: bool = False,
         supervisor: Optional[FleetSupervisor] = None,
         fault_plan: Optional[faults.FaultPlan] = None,
-        verify_kernel: bool = False,
         store: "Optional[DiagnosisStore]" = None,
         disk_cache_size: int = 4096,
         maintenance: "Optional[StoreMaintenance]" = None,
@@ -394,7 +316,6 @@ class FleetEngine:
             # the cache's corruption point); workers re-arm from the
             # pickled plan in execute_job.
             faults.install_plan(fault_plan)
-        self.verify_kernel = bool(verify_kernel)
 
     # ------------------------------------------------------------------
     # The pipeline
@@ -521,8 +442,6 @@ class FleetEngine:
                     tracing=self.tracing,
                     ctx=ctx,
                     fault_plan=self.fault_plan,
-                    breaker=self._breaker(),
-                    verify_kernel=self.verify_kernel,
                 )
                 quarantined = self._note_attempt(key, payload)
                 if quarantined or payload["status"] != "error" or attempts > self.retries:
@@ -546,10 +465,6 @@ class FleetEngine:
         from repro.store.cache import namespaced_key
 
         return namespaced_key(content_hash, tenant)
-
-    def _breaker(self) -> Optional[CircuitBreaker]:
-        """The in-process kernel breaker (None without a supervisor)."""
-        return self.supervisor.breaker if self.supervisor is not None else None
 
     def _quarantined_result(
         self, job: DiagnosisJob, key: str, attempts: int = 0
@@ -641,8 +556,6 @@ class FleetEngine:
                     deadline_seconds=self.timeout,
                     tracing=self.tracing,
                     fault_plan=self.fault_plan,
-                    breaker=self._breaker(),
-                    verify_kernel=self.verify_kernel,
                 )
                 if self._note_attempt(key, payload):
                     results[key] = self._quarantined_result(job, key, attempts=attempts)
@@ -657,9 +570,6 @@ class FleetEngine:
         results: Dict[str, JobResult] = {}
         attempts = {key: 0 for key in pending}
         executor = self._make_executor()
-        # Worker processes cannot share the supervisor's breaker object;
-        # they fall back to a process-local one inside execute_job.
-        breaker = self._breaker() if self.executor_kind == "thread" else None
         # The deadline travels in-band (the worker winds down on its own);
         # the pool-side wait adds a grace period and acts as a hard-kill
         # backstop for jobs hung outside the cooperative loop.
@@ -676,13 +586,13 @@ class FleetEngine:
                     try:
                         futures[key] = executor.submit(
                             execute_job, job, self.timeout, self.tracing,
-                            None, self.fault_plan, breaker, self.verify_kernel,
+                            None, self.fault_plan,
                         )
                     except (BrokenExecutor, RuntimeError):
                         executor = self._revive(executor)
                         futures[key] = executor.submit(
                             execute_job, job, self.timeout, self.tracing,
-                            None, self.fault_plan, breaker, self.verify_kernel,
+                            None, self.fault_plan,
                         )
                 retry: Dict[str, DiagnosisJob] = {}
                 for key, future in futures.items():
@@ -772,14 +682,6 @@ class FleetEngine:
             cache_hit=False,
             trace=dict(payload.get("trace") or {}),
         )
-        fallback = payload.get("kernel_fallback")
-        if fallback:
-            self.telemetry.incr("kernel_fallbacks")
-            if payload.get("kernel_tripped"):
-                self.telemetry.incr("kernel_breaker_trips")
-                self.telemetry.event(
-                    "kernel_breaker_trip", unit=job.unit, reason=str(fallback)
-                )
         if result.status == "degraded":
             self.telemetry.event(
                 "job_degraded",

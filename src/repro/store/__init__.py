@@ -9,8 +9,7 @@ isolated per tenant:
   diagnosis history (:mod:`repro.store.db`);
 * :class:`PersistentResultCache` — the two-tier result cache the fleet
   engine swaps in when a store is armed (:mod:`repro.store.cache`);
-* :class:`TenantRegistry` / :class:`QuotaTracker` — auth resolution
-  and fixed-window quotas at the server boundary
+* :class:`TenantRegistry` — auth resolution at the server boundary
   (:mod:`repro.store.tenants`);
 * :class:`TokenBucketQuota` — store-backed token buckets so a whole
   replica fleet shares one budget per tenant (:mod:`repro.store.quota`);
@@ -30,7 +29,7 @@ from repro.store.db import PUBLIC_TENANT, DiagnosisStore, StoreError, TenantReco
 from repro.store.lifecycle import LifecycleConfig, RetentionPolicy, StoreMaintenance
 from repro.store.quota import TokenBucketQuota
 from repro.store.reports import build_report
-from repro.store.tenants import QuotaDecision, QuotaTracker, TenantRegistry
+from repro.store.tenants import QuotaDecision, TenantRegistry
 
 __all__ = [
     "DiagnosisStore",
@@ -41,7 +40,6 @@ __all__ = [
     "NAMESPACE_SEP",
     "namespaced_key",
     "TenantRegistry",
-    "QuotaTracker",
     "QuotaDecision",
     "TokenBucketQuota",
     "LifecycleConfig",

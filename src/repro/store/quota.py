@@ -1,8 +1,8 @@
 """Store-backed token-bucket quotas: one budget per tenant, fleet-wide.
 
-:class:`~repro.store.tenants.QuotaTracker` counts requests per process
-— a cluster of R replicas quietly admits R×N per window.  This module
-moves the budget into the store file itself: one ``quota_buckets`` row
+A per-process request counter would let a cluster of R replicas
+quietly admit R×N per window, so the budget lives in the store file
+itself: one ``quota_buckets`` row
 per tenant, refilled and debited atomically inside a single ``BEGIN
 IMMEDIATE`` transaction (:meth:`DiagnosisStore.quota_debit`).  Every
 replica sharing the file — and every thread inside each replica —
@@ -12,8 +12,9 @@ per interval gets N across the whole fleet, not N per process.
 Bucket semantics: capacity ``quota_limit`` tokens, continuous refill at
 ``quota_limit / quota_interval`` tokens per second.  A rejection
 reports the float seconds until the next token accrues at that rate —
-which the server surfaces verbatim as ``Retry-After`` — instead of the
-fixed window's "wait for the epoch to roll over".
+which the server surfaces verbatim as ``Retry-After``.  Limit 0 means
+unlimited, and anonymous (public) traffic is never quota-limited —
+quotas are a property of *provisioned* tenants.
 
 Failure posture: a sqlite error during a debit *admits* the request
 and counts the error.  Quota is a fairness mechanism, not a security
@@ -36,9 +37,8 @@ __all__ = ["TokenBucketQuota"]
 class TokenBucketQuota:
     """Per-tenant token buckets persisted in the store (cluster-shared).
 
-    Drop-in for :class:`QuotaTracker` at the server boundary: same
-    ``check(tenant) -> QuotaDecision`` shape, same "limit 0 means
-    unlimited" rule.  The clock is injectable but defaults to wall
+    The server boundary calls ``check(tenant) -> QuotaDecision`` once
+    per request.  The clock is injectable but defaults to wall
     time — replicas in separate processes must agree on the refill
     timeline, and wall clocks are what they share.
     """

@@ -1,4 +1,4 @@
-"""Tenant resolution and request quotas at the serving boundary.
+"""Tenant resolution at the serving boundary.
 
 The store owns tenant *identity* (API-key digests, quota parameters);
 this module owns the hot-path mechanics the server needs per request:
@@ -8,22 +8,15 @@ this module owns the hot-path mechanics the server needs per request:
   through a small TTL cache, so steady-state auth costs a dict lookup,
   not a sqlite query, while re-provisioning still takes effect within
   the TTL;
-* :class:`QuotaTracker` — fixed-window request counting per tenant.
-  A tenant provisioned with ``quota_limit N`` per ``quota_interval``
-  seconds gets N admissions per window; the N+1-th is rejected with
-  the seconds remaining in the window, which the server surfaces as
-  ``429`` + ``Retry-After``.  Limit 0 means unlimited, and anonymous
-  (public) traffic is never quota-limited — quotas are a property of
-  *provisioned* tenants.
+* :class:`QuotaDecision` — one admission verdict of the store-backed
+  :class:`repro.store.quota.TokenBucketQuota`, whose bucket lives in
+  the store file so a whole replica fleet shares one budget per tenant.
 
-Both are process-local by design; the auth cache is just a
-read-through memo over the shared store.  Its TTL doubles as the
-advertised revocation latency: a rotated-away or revoked key keeps
-working from the cache for at most ``ttl`` seconds before the next
-store read rejects it.  :class:`QuotaTracker`'s fixed window is the
-store-free fallback — when ``--store`` is armed the server swaps in
-:class:`repro.store.quota.TokenBucketQuota`, whose bucket lives in the
-store file so a whole replica fleet shares one budget per tenant.
+The auth cache is process-local by design: it is just a read-through
+memo over the shared store.  Its TTL doubles as the advertised
+revocation latency: a rotated-away or revoked key keeps working from
+the cache for at most ``ttl`` seconds before the next store read
+rejects it.
 """
 
 from __future__ import annotations
@@ -34,7 +27,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.store.db import DiagnosisStore, TenantRecord
 
-__all__ = ["TenantRegistry", "QuotaTracker", "QuotaDecision"]
+__all__ = ["TenantRegistry", "QuotaDecision"]
 
 
 class QuotaDecision:
@@ -49,41 +42,6 @@ class QuotaDecision:
 
     def __bool__(self) -> bool:
         return self.allowed
-
-
-class QuotaTracker:
-    """Fixed-window per-tenant request counting (process-local)."""
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
-        self._lock = threading.Lock()
-        # tenant -> [window_start, count]
-        self._windows: Dict[str, list] = {}
-        self.rejections = 0
-
-    def check(self, tenant: TenantRecord) -> QuotaDecision:
-        """Admit or reject one request for ``tenant`` (counts it if admitted)."""
-        if tenant.quota_limit <= 0:
-            return QuotaDecision(True, remaining=-1)
-        now = self._clock()
-        with self._lock:
-            window = self._windows.get(tenant.tenant_id)
-            if window is None or now - window[0] >= tenant.quota_interval:
-                window = [now, 0]
-                self._windows[tenant.tenant_id] = window
-            if window[1] >= tenant.quota_limit:
-                self.rejections += 1
-                remaining_s = max(0.0, tenant.quota_interval - (now - window[0]))
-                return QuotaDecision(False, retry_after=remaining_s)
-            window[1] += 1
-            return QuotaDecision(True, remaining=tenant.quota_limit - window[1])
-
-    def snapshot(self) -> Dict:
-        with self._lock:
-            return {
-                "tenants_tracked": len(self._windows),
-                "rejections": self.rejections,
-            }
 
 
 class TenantRegistry:

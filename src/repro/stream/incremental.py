@@ -18,11 +18,11 @@ costs one propagation step instead of N.
 Semantics: the chain computes the fixpoint of an *arrival-ordered*
 absorption sequence.  That is deterministic and observationally
 identical to a cold engine replaying the same sequence in the same
-order (the differential suite in ``tests/stream`` pins this on both
-kernels), but it is **not** guaranteed to match a one-shot
-:meth:`Flames.diagnose` of the final set, because the propagator's
-fixpoint is order-sensitive (narrowing budgets and subsumption slack
-make intermediate merge order observable).  Streaming consumers see a
+order (the differential suite in ``tests/stream`` pins this), but it is
+**not** guaranteed to match a one-shot :meth:`Flames.diagnose` of the
+final set, because the propagator's fixpoint is order-sensitive
+(narrowing budgets and subsumption slack make intermediate merge order
+observable).  Streaming consumers see a
 consistent, reproducible trajectory; batch consumers keep the one-shot
 semantics they always had.
 
@@ -46,7 +46,6 @@ from repro.core.conflicts import RecognizedConflict
 from repro.core.diagnosis import DiagnosisResult, Flames
 from repro.core.propagation import PropagationResult, PropagatorState
 from repro.fuzzy import consistency
-from repro.kernel import FastFuzzyATMS
 from repro.runtime.context import RunContext
 
 __all__ = ["IncrementalDiagnosisEngine", "TickStats"]
@@ -103,8 +102,7 @@ class IncrementalDiagnosisEngine:
     # ATMS plumbing (mirrors DiagnosisPipeline's seed stage)
     # ------------------------------------------------------------------
     def _fresh_atms(self) -> None:
-        atms_cls = FastFuzzyATMS if self.config.kernel == "fast" else FuzzyATMS
-        self._atms = atms_cls(
+        self._atms = FuzzyATMS(
             t_norm=self.config.t_norm, hard_threshold=self.config.hard_threshold
         )
         self._nodes = {}
@@ -227,9 +225,7 @@ class IncrementalDiagnosisEngine:
             ctx = RunContext.background()
 
         engine = self.engine
-        with ctx.span(
-            "stream.tick", circuit=engine.circuit.name, kernel=self.config.kernel
-        ):
+        with ctx.span("stream.tick", circuit=engine.circuit.name):
             for m in measurements:
                 if m.point not in engine.network.variables:
                     raise KeyError(f"no variable {m.point!r} in the model")

@@ -2,14 +2,12 @@
 
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atms import ATMS, Environment, FuzzyATMS, NogoodDatabase, minimal_hitting_sets
 from repro.atms.assumptions import Assumption, minimal_antichain
 from repro.atms.interpretations import interpretations
-from repro.kernel import FastFuzzyATMS
 
 _names = st.sampled_from(["a", "b", "c", "d", "e"])
 _sets = st.sets(_names, min_size=1, max_size=4).map(
@@ -119,14 +117,13 @@ class TestInterpretationProperties:
 
 
 class TestLabelInvariantsAfterNogoods:
-    """Label soundness after nogood installation, on both kernels.
+    """Label soundness after nogood installation.
 
     Whatever sequence of justifications and (soft or hard) nogoods is
     installed, every node label must stay a degree-consistent minimal
     antichain of environments none of which is hard-inconsistent.
     """
 
-    @pytest.mark.parametrize("atms_cls", [FuzzyATMS, FastFuzzyATMS])
     @given(
         rules=st.lists(
             st.tuples(st.sets(_names, min_size=1, max_size=3), _names),
@@ -143,8 +140,8 @@ class TestLabelInvariantsAfterNogoods:
         ),
     )
     @settings(max_examples=40, deadline=None)
-    def test_labels_stay_sound(self, atms_cls, rules, nogoods):
-        atms = atms_cls()
+    def test_labels_stay_sound(self, rules, nogoods):
+        atms = FuzzyATMS()
         assumptions = {}
 
         def assume(name):
@@ -174,7 +171,6 @@ class TestLabelInvariantsAfterNogoods:
                 if e2.is_proper_subset(e1):
                     assert label[e2] < label[e1]
 
-    @pytest.mark.parametrize("atms_cls", [FuzzyATMS, FastFuzzyATMS])
     @given(
         nogoods=st.lists(
             st.tuples(
@@ -186,9 +182,9 @@ class TestLabelInvariantsAfterNogoods:
         )
     )
     @settings(max_examples=40, deadline=None)
-    def test_nogood_degrees_monotone_under_weighting(self, atms_cls, nogoods):
+    def test_nogood_degrees_monotone_under_weighting(self, nogoods):
         """Installing more nogoods never weakens an existing one."""
-        atms = atms_cls()
+        atms = FuzzyATMS()
         assumptions = {
             n: atms.create_assumption(f"ok({n})", n) for n in ["a", "b", "c", "d", "e"]
         }

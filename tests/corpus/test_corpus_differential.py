@@ -1,8 +1,10 @@
-"""Cross-kernel differential over every corpus scenario class.
+"""Tick-skip differential over every corpus scenario class.
 
-One small seeded corpus (two scenarios per class) runs through both
-kernels scenario by scenario; the full ranked candidate list, suspicion
-degrees and weighted-nogood structure must agree to 1e-9.  Intermittent
+One small seeded corpus (two scenarios per class) runs scenario by
+scenario with the propagator's change-tick skip on and off (see
+``tests/core/test_tick_skip.py``); the full ranked candidate list,
+suspicion degrees and weighted-nogood structure must agree to 1e-9.
+Intermittent
 scenarios additionally assert the fuzzy-ATMS signature the corpus
 generator promises: at least one *low-degree* nogood — a weighted
 nogood whose inconsistency degree is strictly inside (0, 1) — with the
@@ -13,9 +15,9 @@ import math
 
 import pytest
 
-from repro.core.diagnosis import Flames, FlamesConfig
 from repro.corpus import CERTAIN, CLASSES, generate_corpus, ranking_from_payload
 from repro.service.jobs import diagnosis_to_dict
+from tests.core.test_tick_skip import ENGINES
 
 SEED = 29
 PER_CLASS = 2
@@ -24,14 +26,13 @@ TOL = 1e-9
 
 @pytest.fixture(scope="module")
 def payloads():
-    """{(scenario id, kernel): diagnosis payload} for the whole corpus."""
+    """{(scenario id, engine): diagnosis payload} for the whole corpus."""
     manifest = generate_corpus(SEED, PER_CLASS)
     table = {}
     for scenario in manifest.scenarios:
-        for kernel in ("reference", "fast"):
-            engine = Flames(scenario.circuit(), FlamesConfig(kernel=kernel))
-            result = engine.diagnose(scenario.to_measurements())
-            table[(scenario.id, kernel)] = diagnosis_to_dict(result)
+        for name, engine_cls in ENGINES.items():
+            result = engine_cls(scenario.circuit()).diagnose(scenario.to_measurements())
+            table[(scenario.id, name)] = diagnosis_to_dict(result)
     return manifest, table
 
 
@@ -41,44 +42,44 @@ def test_identical_ranked_candidates(scenario_class, payloads):
     scenarios = manifest.by_class()[scenario_class]
     assert len(scenarios) == PER_CLASS
     for scenario in scenarios:
-        ref = table[(scenario.id, "reference")]
-        fast = table[(scenario.id, "fast")]
-        assert ref["status"] == fast["status"], scenario.id
+        ref = table[(scenario.id, "noskip")]
+        skip = table[(scenario.id, "skip")]
+        assert ref["status"] == skip["status"], scenario.id
 
         ranked_ref = ranking_from_payload(ref)
-        ranked_fast = ranking_from_payload(fast)
-        assert [c for c, _ in ranked_ref] == [c for c, _ in ranked_fast], scenario.id
-        for (_, dr), (_, df) in zip(ranked_ref, ranked_fast):
+        ranked_skip = ranking_from_payload(skip)
+        assert [c for c, _ in ranked_ref] == [c for c, _ in ranked_skip], scenario.id
+        for (_, dr), (_, df) in zip(ranked_ref, ranked_skip):
             assert math.isclose(dr, df, rel_tol=0, abs_tol=TOL), scenario.id
 
         ng_ref = sorted((tuple(ng["components"]), ng["degree"]) for ng in ref["nogoods"])
-        ng_fast = sorted((tuple(ng["components"]), ng["degree"]) for ng in fast["nogoods"])
-        assert [k for k, _ in ng_ref] == [k for k, _ in ng_fast], scenario.id
-        for (_, dr), (_, df) in zip(ng_ref, ng_fast):
+        ng_skip = sorted((tuple(ng["components"]), ng["degree"]) for ng in skip["nogoods"])
+        assert [k for k, _ in ng_ref] == [k for k, _ in ng_skip], scenario.id
+        for (_, dr), (_, df) in zip(ng_ref, ng_skip):
             assert math.isclose(dr, df, rel_tol=0, abs_tol=TOL), scenario.id
 
         cand_ref = [(tuple(c["components"]), c["degree"]) for c in ref["candidates"]]
-        cand_fast = [(tuple(c["components"]), c["degree"]) for c in fast["candidates"]]
-        assert [k for k, _ in cand_ref] == [k for k, _ in cand_fast], scenario.id
-        for (_, dr), (_, df) in zip(cand_ref, cand_fast):
+        cand_skip = [(tuple(c["components"]), c["degree"]) for c in skip["candidates"]]
+        assert [k for k, _ in cand_ref] == [k for k, _ in cand_skip], scenario.id
+        for (_, dr), (_, df) in zip(cand_ref, cand_skip):
             assert math.isclose(dr, df, rel_tol=0, abs_tol=TOL), scenario.id
 
 
 def test_intermittent_scenarios_surface_low_degree_nogoods(payloads):
     manifest, table = payloads
     for scenario in manifest.by_class()["intermittent"]:
-        for kernel in ("reference", "fast"):
-            payload = table[(scenario.id, kernel)]
+        for engine in ENGINES:
+            payload = table[(scenario.id, engine)]
             degrees = [ng["degree"] for ng in payload["nogoods"]]
-            assert degrees, f"{scenario.id}/{kernel}: no nogoods at all"
+            assert degrees, f"{scenario.id}/{engine}: no nogoods at all"
             partial = [d for d in degrees if 1e-6 < d < CERTAIN]
             assert partial, (
-                f"{scenario.id}/{kernel}: no low-degree nogood "
+                f"{scenario.id}/{engine}: no low-degree nogood "
                 f"(degrees: {[round(d, 6) for d in degrees]})"
             )
             culprit = scenario.expected[0]
             assert culprit in payload["suspicions"], (
-                f"{scenario.id}/{kernel}: culprit {culprit} not among suspects"
+                f"{scenario.id}/{engine}: culprit {culprit} not among suspects"
             )
 
 
@@ -87,12 +88,12 @@ def test_persistent_hard_faults_pin_full_degree(payloads):
     defect produces at least one frankly inconsistent (degree 1) nogood."""
     manifest, table = payloads
     for scenario in manifest.by_class()["single-hard"]:
-        for kernel in ("reference", "fast"):
+        for engine in ENGINES:
             degrees = [
-                ng["degree"] for ng in table[(scenario.id, kernel)]["nogoods"]
+                ng["degree"] for ng in table[(scenario.id, engine)]["nogoods"]
             ]
-            assert degrees, f"{scenario.id}/{kernel}: no nogoods at all"
+            assert degrees, f"{scenario.id}/{engine}: no nogoods at all"
             assert any(d >= CERTAIN for d in degrees), (
-                f"{scenario.id}/{kernel}: persistent defect without a "
+                f"{scenario.id}/{engine}: persistent defect without a "
                 f"full-degree nogood (degrees: {[round(d, 6) for d in degrees]})"
             )

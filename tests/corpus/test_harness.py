@@ -68,11 +68,10 @@ class TestMetrics:
         assert math.isclose(percentile([4.0, 1.0, 3.0, 2.0], 100), 4.0)
 
 
-def _outcome(cls, kernel, rank, top1, elapsed=0.01, status="ok"):
+def _outcome(cls, rank, top1, elapsed=0.01, status="ok"):
     return ScenarioOutcome(
         id=f"{cls}-x",
         scenario_class=cls,
-        kernel=kernel,
         status=status,
         rank=rank,
         hits={1: top1, 3: True},
@@ -82,9 +81,9 @@ def _outcome(cls, kernel, rank, top1, elapsed=0.01, status="ok"):
 
 
 def _report(top1_hits):
-    report = CorpusReport(seed=1, top_k=(1, 3), kernels=("reference",))
+    report = CorpusReport(seed=1, top_k=(1, 3))
     for hit in top1_hits:
-        report.outcomes.append(_outcome("single-hard", "reference", 1, hit))
+        report.outcomes.append(_outcome("single-hard", 1, hit))
     return report
 
 
@@ -132,10 +131,10 @@ class TestRunCorpus:
     def tiny(self):
         return generate_corpus(13, 1, ["single-hard", "tolerance-stackup"])
 
-    def test_serial_run_reports_both_kernels(self, tiny):
+    def test_serial_run_reports_one_engine(self, tiny):
         report = run_corpus(tiny, workers=1, executor="serial")
-        assert set(report.to_dict()["kernels"]) == {"reference", "fast"}
-        assert len(report.outcomes) == 2 * len(tiny)
+        assert set(report.to_dict()["kernels"]) == {"reference"}
+        assert len(report.outcomes) == len(tiny)
         assert all(o.completed for o in report.outcomes)
 
     def test_report_byte_stable_across_runs(self, tiny):
@@ -144,5 +143,6 @@ class TestRunCorpus:
         assert first.to_json() == second.to_json()
 
     def test_unknown_kernel_rejected(self, tiny):
-        with pytest.raises(ValueError):
-            run_corpus(tiny, kernels=("warp",), workers=1, executor="serial")
+        for name in ("warp", "fast"):
+            with pytest.raises(ValueError):
+                run_corpus(tiny, kernels=(name,), workers=1, executor="serial")

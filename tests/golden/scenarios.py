@@ -5,7 +5,7 @@ Shared between the snapshot test and the regeneration entry point:
     PYTHONPATH=src python tests/golden/scenarios.py   # rewrite *.json
 
 Regenerate only when an intentional semantic change lands — the
-snapshots are the reference kernel's word on what a diagnosis says.
+snapshots are the engine's word on what a diagnosis says.
 """
 
 import json
@@ -19,7 +19,7 @@ from repro.circuit.library import (
 )
 from repro.circuit.measurements import probe_all
 from repro.circuit.simulate import DCSolver
-from repro.core.diagnosis import Flames, FlamesConfig
+from repro.core.diagnosis import Flames
 from repro.service.jobs import diagnosis_to_dict
 
 GOLDEN_DIR = Path(__file__).parent
@@ -43,13 +43,13 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name, kernel="reference"):
+def run_scenario(name):
     """The diagnosis_to_dict payload for one named scenario."""
     maker, fault, nets = SCENARIOS[name]
     golden = maker()
     op = DCSolver(apply_fault(golden, fault)).solve()
     measurements = probe_all(op, nets, imprecision=0.02)
-    result = Flames(golden, FlamesConfig(kernel=kernel)).diagnose(measurements)
+    result = Flames(golden).diagnose(measurements)
     return diagnosis_to_dict(result)
 
 

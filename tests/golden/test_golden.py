@@ -1,11 +1,11 @@
 """Golden-file snapshots of full diagnoses on three library circuits.
 
 Each snapshot is the complete ``diagnosis_to_dict`` payload recorded by
-the reference kernel (regenerate with ``python tests/golden/scenarios.py``
-after an intentional semantic change).  The test replays every scenario
-through *both* kernels and compares field by field — exact for
-structure, 1e-9 for floats — so a silent behaviour drift in either
-kernel shows up as a named-field diff, not a blob mismatch.
+the engine (regenerate with ``python tests/golden/scenarios.py`` after
+an intentional semantic change).  The test replays every scenario and
+compares field by field — exact for structure, 1e-9 for floats — so a
+silent behaviour drift shows up as a named-field diff, not a blob
+mismatch.
 """
 
 import json
@@ -39,8 +39,7 @@ def _assert_matches(actual, expected, path=""):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-@pytest.mark.parametrize("kernel", ["reference", "fast"])
-def test_diagnosis_matches_golden(name, kernel):
+def test_diagnosis_matches_golden(name):
     expected = json.loads(golden_path(name).read_text())
-    actual = run_scenario(name, kernel=kernel)
+    actual = run_scenario(name)
     _assert_matches(actual, expected, path=name)

@@ -2,17 +2,15 @@
 
 Every test arms a seeded :class:`FaultPlan` and asserts the engine
 degrades the way the resilience plane promises: structured results for
-every job, quarantine instead of retry loops, breaker fallback with
-reference-identical answers, corruption counted as misses — and, with
-no plan armed, byte-identical behaviour to the pre-resilience engine.
+every job, quarantine instead of retry loops, fault-free-identical
+answers for every job that succeeds, corruption counted as misses —
+and, with no plan armed, byte-identical behaviour to the
+pre-resilience engine.
 """
-
-import pytest
 
 from repro.circuit.measurements import Measurement
 from repro.fuzzy import FuzzyInterval
 from repro.resilience import FaultPlan, FaultRule, FleetSupervisor, faults
-from repro.resilience import supervisor as supervisor_mod
 from repro.service.jobs import DiagnosisJob
 from repro.service.pool import FleetEngine
 
@@ -24,16 +22,7 @@ NETLIST = (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_worker_breaker():
-    """Tests that trip the process-local breaker must not leak state."""
-    supervisor_mod._worker_breaker = None
-    yield
-    supervisor_mod._worker_breaker = None
-
-
-def _job(unit, volts=7.5, sanitize="strict", kernel=None, points=("mid",)):
-    config = {"kernel": kernel} if kernel else None
+def _job(unit, volts=7.5, sanitize="strict", points=("mid",)):
     return DiagnosisJob.build(
         unit,
         NETLIST,
@@ -41,7 +30,6 @@ def _job(unit, volts=7.5, sanitize="strict", kernel=None, points=("mid",)):
             Measurement(f"V({p})", FuzzyInterval.number(v, 0.02))
             for p, v in zip(points, (volts, 12.0))
         ],
-        config=config,
         sanitize=sanitize,
     )
 
@@ -126,57 +114,6 @@ class TestWorkerExit:
         assert engine.telemetry.counter("pool_restarts") >= 1
 
 
-class TestKernelBreaker:
-    def _plan(self):
-        return FaultPlan.build(seed=0, kernel_exception=1.0)
-
-    def test_exception_falls_back_to_reference_identical_result(self):
-        chaotic = FleetEngine(
-            workers=1, executor="serial", supervisor=FleetSupervisor(),
-            fault_plan=self._plan(),
-        )
-        clean = FleetEngine(workers=1, executor="serial")
-        job = _job("u1", kernel="fast")
-        hit = chaotic.run_batch([job]).results[0]
-        ref = clean.run_batch([job]).results[0]
-        assert hit.status == "ok"
-        assert hit.diagnosis == ref.diagnosis  # the reference result won
-        assert chaotic.telemetry.counter("kernel_fallbacks") == 1
-
-    def test_breaker_trips_then_bypasses(self):
-        sup = FleetSupervisor(breaker_threshold=3, breaker_probe_after=1000)
-        engine = FleetEngine(
-            workers=1, executor="serial", supervisor=sup, fault_plan=self._plan(),
-        )
-        jobs = [_job(f"u{i}", 5.0 + i * 0.1, kernel="fast") for i in range(6)]
-        report = engine.run_batch(jobs)
-        assert all(r.status == "ok" for r in report.results)
-        assert sup.breaker.state == "open"
-        assert engine.telemetry.counter("kernel_breaker_trips") == 1
-        # After the trip the fast kernel is bypassed outright — no more
-        # injected exceptions reach it, but the fallback is still counted.
-        assert engine.telemetry.counter("kernel_fallbacks") == 6
-
-    def test_reference_jobs_never_touch_the_breaker(self):
-        sup = FleetSupervisor()
-        engine = FleetEngine(
-            workers=1, executor="serial", supervisor=sup, fault_plan=self._plan(),
-        )
-        res = engine.run_batch([_job("u1")]).results[0]  # reference kernel
-        assert res.status == "ok"
-        assert sup.breaker.state == "closed"
-        assert engine.telemetry.counter("kernel_fallbacks") == 0
-
-    def test_verify_kernel_differential_is_clean_without_faults(self):
-        engine = FleetEngine(
-            workers=1, executor="serial", supervisor=FleetSupervisor(),
-            verify_kernel=True,
-        )
-        res = engine.run_batch([_job("u1", kernel="fast")]).results[0]
-        assert res.status == "ok"
-        assert engine.telemetry.counter("kernel_fallbacks") == 0
-
-
 class TestMalformedMeasurements:
     def _plan(self):
         return FaultPlan.build(seed=0, measurement_malformed=1.0)
@@ -233,10 +170,7 @@ class TestCacheCorruption:
 
 class TestFaultFreeParity:
     def test_resilience_machinery_is_byte_identical_when_disarmed(self):
-        jobs = [
-            _job(f"u{i}", 5.0 + i * 0.25, kernel="fast" if i % 2 else None)
-            for i in range(6)
-        ]
+        jobs = [_job(f"u{i}", 5.0 + i * 0.25) for i in range(6)]
         plain = FleetEngine(workers=1, executor="serial")
         armed = FleetEngine(
             workers=1, executor="serial", supervisor=FleetSupervisor(),
@@ -262,7 +196,6 @@ class TestChaosAcceptance:
                 f"unit-{i:03d}",
                 5.0 + (i % 40) * 0.05 + i * 1e-4,
                 sanitize="repair",
-                kernel="fast",
                 points=("mid", "top"),
             )
             for i in range(n)
@@ -277,7 +210,6 @@ class TestChaosAcceptance:
                 FaultRule("pool.worker_hang", rate=0.008, seconds=2.0),
                 FaultRule("pool.slow_response", rate=0.05, seconds=0.02),
                 FaultRule("cache.corrupt", rate=0.3),
-                FaultRule("kernel.exception", rate=0.2),
                 FaultRule("measurement.malformed", rate=0.08),
             ),
         )
@@ -309,18 +241,12 @@ class TestChaosAcceptance:
         # 2. The chaos actually happened.
         tel = report.telemetry["counters"]
         assert tel.get("jobs_quarantined_total", 0) >= 1
-        # Breaker *trips* need a consecutive-failure streak on the shared
-        # breaker, which thread interleaving decides — TestKernelBreaker
-        # covers tripping deterministically; here we pin the per-fire
-        # fallback counter, which is scheduling-independent.
-        assert tel.get("kernel_fallbacks", 0) >= 1
         counts = faults.fire_counts()
         assert counts.get("pool.worker_crash", 0) >= 1
-        assert counts.get("kernel.exception", 0) >= 1
         assert counts.get("measurement.malformed", 0) >= 1
 
-        # 3. Breaker fallback is sound: every ok result matches the
-        #    fault-free engine bit for bit (golden parity).
+        # 3. Every ok result matches the fault-free engine bit for bit
+        #    (golden parity).
         clean = FleetEngine(workers=4, executor="thread", cache_size=512)
         faults.uninstall_plan()  # the clean engine runs genuinely clean
         reference = clean.run_batch(jobs)

@@ -112,20 +112,20 @@ class TestInjectionHelpers:
         assert faults.fire_counts()["pool.worker_crash"] == 2
 
     def test_key_scope_binds_the_key(self):
-        plan = FaultPlan.build(seed=0, kernel_exception=0.5)
+        plan = FaultPlan.build(seed=0, measurement_malformed=0.5)
         faults.install_plan(plan)
         hot = next(
-            f"k{i}" for i in range(64) if plan.decide("kernel.exception", f"k{i}")
+            f"k{i}" for i in range(64) if plan.decide("measurement.malformed", f"k{i}")
         )
         cold = next(
             f"k{i}"
             for i in range(64)
-            if plan.decide("kernel.exception", f"k{i}") is None
+            if plan.decide("measurement.malformed", f"k{i}") is None
         )
         with faults.key_scope(hot):
-            assert faults.maybe_fire("kernel.exception") is not None
+            assert faults.maybe_fire("measurement.malformed") is not None
             with faults.key_scope(cold):  # nesting restores on exit
-                assert faults.maybe_fire("kernel.exception") is None
+                assert faults.maybe_fire("measurement.malformed") is None
             assert faults.current_key() == hot
 
     def test_maybe_exit_refuses_in_main_process(self):

@@ -148,7 +148,7 @@ class TestSupervisedServer:
                 metrics = client.metrics()
                 sup = metrics["supervisor"]
                 assert sup["health"] == 1.0
-                assert sup["breaker"]["state"] == "closed"
+                assert sup["quarantined"] == 0
 
     def test_unsupervised_metrics_say_so(self):
         with RunningServer() as rs:

@@ -1,60 +1,9 @@
-"""Breaker and supervisor state machines, plus cache-corruption handling."""
+"""Supervisor state machines, plus cache-corruption handling."""
 
-import pytest
-
-from repro.resilience import CircuitBreaker, FleetSupervisor
+from repro.resilience import FleetSupervisor
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobResult
 from repro.service.telemetry import Telemetry
-
-
-class TestCircuitBreaker:
-    def test_trips_after_threshold(self):
-        breaker = CircuitBreaker(threshold=3)
-        assert breaker.state == "closed"
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is True  # this call trips it
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_window(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        assert breaker.record_failure() is False  # streak restarted
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_success_closes(self):
-        breaker = CircuitBreaker(threshold=1, probe_after=3)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        for _ in range(3):
-            breaker.record_bypass()
-        assert breaker.state == "half-open"
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker(threshold=1, probe_after=1)
-        breaker.record_failure()
-        breaker.record_bypass()
-        assert breaker.state == "half-open"
-        assert breaker.record_failure() is True  # the failed probe re-trips
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-
-    def test_snapshot_is_plain_data(self):
-        snap = CircuitBreaker().snapshot()
-        assert snap == {"state": "closed", "failures": 0, "trips": 0}
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(probe_after=0)
 
 
 class TestQuarantine:
@@ -117,7 +66,7 @@ class TestWorkerHealth:
 
     def test_snapshot_shape(self):
         snap = FleetSupervisor().snapshot()
-        assert set(snap) == {"health", "evictions", "quarantined", "breaker"}
+        assert set(snap) == {"health", "evictions", "quarantined"}
 
 
 class TestCacheIntegrity:

@@ -165,6 +165,7 @@ class TestDiagnoseRoundTrip:
                     {"unit": "u", "probes": {"mid": 1.0}},  # no netlist
                     {"unit": "u", "netlist_text": NETLIST},  # no measurements
                     {"unit": "u", "netlist": "/etc/passwd", "probes": {"mid": 1}},
+                    dict(FAULTY_SPEC, config={"kernel": "fast"}),  # one engine
                     ["not", "an", "object"],
                 ):
                     with pytest.raises(ClientError) as err:

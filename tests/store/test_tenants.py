@@ -1,12 +1,10 @@
-"""Tests for quota tracking, the API-key registry cache and the
-tenant fleet-health report."""
+"""Tests for the API-key registry cache and the tenant fleet-health
+report."""
 
 import pytest
 
 from repro.store import (
     DiagnosisStore,
-    QuotaTracker,
-    TenantRecord,
     TenantRegistry,
     build_report,
 )
@@ -24,54 +22,6 @@ class _Clock:
 
     def __call__(self):
         return self.now
-
-
-def _tenant(tenant_id="acme", limit=3, interval=60.0):
-    return TenantRecord(tenant_id, tenant_id, limit, interval, created_at=0.0)
-
-
-class TestQuotaTracker:
-    def test_fixed_window_rejects_over_limit(self):
-        clock = _Clock()
-        quotas = QuotaTracker(clock=clock)
-        acme = _tenant(limit=3)
-        for _ in range(3):
-            assert quotas.check(acme)
-        decision = quotas.check(acme)
-        assert not decision
-        assert 0 < decision.retry_after <= 60.0
-
-    def test_window_rolls_over(self):
-        clock = _Clock()
-        quotas = QuotaTracker(clock=clock)
-        acme = _tenant(limit=1)
-        assert quotas.check(acme)
-        assert not quotas.check(acme)
-        clock.now += 61.0
-        assert quotas.check(acme)
-
-    def test_zero_limit_is_unlimited(self):
-        quotas = QuotaTracker()
-        acme = _tenant(limit=0)
-        for _ in range(100):
-            decision = quotas.check(acme)
-            assert decision
-            assert decision.remaining == -1
-
-    def test_tenants_tracked_independently(self):
-        clock = _Clock()
-        quotas = QuotaTracker(clock=clock)
-        assert quotas.check(_tenant("acme", limit=1))
-        assert not quotas.check(_tenant("acme", limit=1))
-        assert quotas.check(_tenant("globex", limit=1))
-
-    def test_snapshot_counts_rejections(self):
-        quotas = QuotaTracker(clock=_Clock())
-        acme = _tenant(limit=1)
-        quotas.check(acme)
-        quotas.check(acme)
-        snap = quotas.snapshot()
-        assert snap["rejections"] == 1
 
 
 class TestTenantRegistry:

@@ -2,7 +2,7 @@
 
 The load-bearing property: a warm engine's tick after a change is
 observationally identical to a *cold* engine replaying the same
-absorption sequence in the same order — on both kernels.  (One-shot
+absorption sequence in the same order.  (One-shot
 ``Flames.diagnose`` is a different, order-insensitive contract; see the
 module docstring of ``repro.stream.incremental``.)
 """
@@ -13,7 +13,7 @@ from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.generators import resistor_ladder
 from repro.circuit.measurements import Measurement, probe_all
 from repro.circuit.simulate import DCSolver
-from repro.core.diagnosis import Flames, FlamesConfig
+from repro.core.diagnosis import Flames
 from repro.fuzzy import FuzzyInterval
 from repro.runtime.context import RunContext
 from repro.stream.incremental import IncrementalDiagnosisEngine
@@ -43,9 +43,9 @@ def replace(measurements, point, volts):
     ]
 
 
-def cold_replay(circuit, kernel, order, measurements):
+def cold_replay(circuit, order, measurements):
     """A fresh engine absorbing the same sequence in the same order."""
-    fresh = IncrementalDiagnosisEngine(Flames(circuit, FlamesConfig(kernel=kernel)))
+    fresh = IncrementalDiagnosisEngine(Flames(circuit))
     by_point = {m.point: m for m in measurements}
     return fresh.diagnose([by_point[p] for p in order])
 
@@ -56,11 +56,9 @@ def assert_same_result(a, b):
     assert a.is_consistent == b.is_consistent
 
 
-@pytest.mark.parametrize("kernel", ["reference", "fast"])
 class TestDifferential:
-    def test_single_change_matches_cold_replay(self, circuit, kernel):
-        engine = Flames(circuit, FlamesConfig(kernel=kernel))
-        warm = IncrementalDiagnosisEngine(engine)
+    def test_single_change_matches_cold_replay(self, circuit):
+        warm = IncrementalDiagnosisEngine(Flames(circuit))
         healthy = measurements_for(circuit)
         baseline = warm.diagnose(healthy)
         assert baseline.is_consistent
@@ -78,7 +76,7 @@ class TestDifferential:
         assert stats.reused_prefix == 1
         assert not result.is_consistent
         assert_same_result(
-            result, cold_replay(circuit, kernel, warm.order, changed)
+            result, cold_replay(circuit, warm.order, changed)
         )
 
         # Second drift of the same net: now it sits at the back of the
@@ -90,23 +88,23 @@ class TestDifferential:
         assert stats.reused_prefix == len(NETS) - 1
         assert stats.recomputed == 1
         assert_same_result(
-            again, cold_replay(circuit, kernel, warm.order, drifted_more)
+            again, cold_replay(circuit, warm.order, drifted_more)
         )
 
-    def test_faulty_snapshot_matches_cold_replay(self, circuit, kernel):
-        warm = IncrementalDiagnosisEngine(Flames(circuit, FlamesConfig(kernel=kernel)))
+    def test_faulty_snapshot_matches_cold_replay(self, circuit):
+        warm = IncrementalDiagnosisEngine(Flames(circuit))
         warm.diagnose(measurements_for(circuit))
         faulty = measurements_for(circuit, Fault(FaultKind.OPEN, "Rs3"))
         result = warm.diagnose(faulty)
         assert_same_result(
-            result, cold_replay(circuit, kernel, warm.order, faulty)
+            result, cold_replay(circuit, warm.order, faulty)
         )
         # The true fault appears in the minimal candidates.
         flat = {c for d in result.diagnoses for c in d.components}
         assert "Rs3" in flat
 
-    def test_unchanged_snapshot_is_all_prefix(self, circuit, kernel):
-        warm = IncrementalDiagnosisEngine(Flames(circuit, FlamesConfig(kernel=kernel)))
+    def test_unchanged_snapshot_is_all_prefix(self, circuit):
+        warm = IncrementalDiagnosisEngine(Flames(circuit))
         healthy = measurements_for(circuit)
         first = warm.diagnose(healthy)
         second = warm.diagnose(list(healthy))
@@ -135,7 +133,7 @@ class TestChainContract:
         result = warm.diagnose(subset)
         assert warm.chain_length == len(subset)
         assert "V(n2)" not in warm.order
-        assert_same_result(result, cold_replay(circuit, "fast", warm.order, subset))
+        assert_same_result(result, cold_replay(circuit, warm.order, subset))
 
     def test_duplicate_points_rejected(self, circuit):
         warm = IncrementalDiagnosisEngine(Flames(circuit))
@@ -167,7 +165,7 @@ class TestChainContract:
         recovered = warm.diagnose(changed)
         assert not recovered.interrupted
         assert_same_result(
-            recovered, cold_replay(circuit, "fast", warm.order, changed)
+            recovered, cold_replay(circuit, warm.order, changed)
         )
 
     def test_interrupted_base_build_reports_empty_partial(self, circuit):

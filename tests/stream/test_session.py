@@ -3,7 +3,7 @@
 from repro.circuit.faults import Fault, FaultKind
 from repro.circuit.generators import resistor_ladder
 from repro.circuit.transient import TransientSolver
-from repro.core.diagnosis import Flames, FlamesConfig
+from repro.core.diagnosis import Flames
 from repro.resilience import FaultPlan, faults
 from repro.service.telemetry import Telemetry
 from repro.stream import (
@@ -23,7 +23,7 @@ def make_session(source, telemetry=None, **kwargs):
     circuit = resistor_ladder(SECTIONS)
     kwargs.setdefault("builder", SnapshotBuilder(imprecision=0.05, epsilon=1e-3))
     return StreamingSession(
-        engine=Flames(circuit, FlamesConfig(kernel="fast")),
+        engine=Flames(circuit),
         source=source,
         telemetry=telemetry or Telemetry(),
         **kwargs,
@@ -52,7 +52,7 @@ def faulty_session(telemetry=None):
         fault_at=0.003,
     )
     return StreamingSession(
-        engine=Flames(circuit, FlamesConfig(kernel="fast")),
+        engine=Flames(circuit),
         source=source,
         builder=SnapshotBuilder(imprecision=0.05, epsilon=1e-3),
         telemetry=telemetry or Telemetry(),

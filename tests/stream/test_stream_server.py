@@ -38,11 +38,10 @@ def read_stream(port, query, timeout=60.0):
 class TestStreamEndpoint:
     def test_sse_framing_sequence_and_heartbeat(self):
         with RunningServer(stream_config(heartbeat=0.05)) as rs:
-            # The reference kernel at size 12 makes the baseline tick
-            # slow enough that several 50ms heartbeat windows elapse.
+            # Size 12 makes the baseline tick slow enough that several
+            # 50ms heartbeat windows elapse.
             resp, body = read_stream(
-                rs.server.port,
-                "kernel=reference&size=12&duration=0.004&dt=0.001",
+                rs.server.port, "size=12&duration=0.004&dt=0.001"
             )
             assert resp.status == 200
             assert resp.getheader("Content-Type").startswith("text/event-stream")

@@ -159,7 +159,7 @@ class TestCorpus:
     # One tiny deterministic recipe keeps every CLI-level corpus test
     # in the sub-second range; the full loop lives in tests/corpus/.
     RECIPE = ["--seed", "5", "--per-class", "1", "--classes", "single-hard"]
-    RUN_ARGS = ["--kernel", "fast", "--executor", "serial", "--workers", "1"]
+    RUN_ARGS = ["--executor", "serial", "--workers", "1"]
 
     def test_generate_to_stdout(self, capsys):
         assert main(["corpus", "generate"] + self.RECIPE) == 0
@@ -174,7 +174,7 @@ class TestCorpus:
         code = main(["corpus", "run", "--manifest", str(path)] + self.RUN_ARGS)
         assert code == 0
         out = capsys.readouterr().out
-        assert "kernel fast:" in out
+        assert "kernel" not in out
         assert "single-hard" in out
         assert "overall" in out
 
@@ -182,7 +182,7 @@ class TestCorpus:
         code = main(["corpus", "run", "--json"] + self.RECIPE + self.RUN_ARGS)
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        cell = payload["kernels"]["fast"]["single-hard"]
+        cell = payload["kernels"]["reference"]["single-hard"]
         assert cell["accuracy"]["n"] == 1
         assert cell["accuracy"]["failures"] == 0
 
