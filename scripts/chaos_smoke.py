@@ -22,13 +22,10 @@ Exits non-zero on any violation, so CI can run it as a bare step:
 
 import http.client
 import json
-import re
-import signal
-import subprocess
 import sys
-import time
 from collections import Counter
 
+from _harness import reap, spawn, stop
 from repro.resilience import FaultPlan, FaultRule, FleetSupervisor
 from repro.service import FleetEngine
 from repro.service.jobs import DiagnosisJob
@@ -102,39 +99,17 @@ def fleet_leg():
     return statuses
 
 
-def wait_for_port(process):
-    pattern = re.compile(r'"port": (\d+)')
-    deadline = time.time() + 30
-    lines = []
-    while time.time() < deadline:
-        if process.poll() is not None:
-            break
-        line = process.stdout.readline()
-        if not line:
-            continue
-        lines.append(line)
-        match = pattern.search(line)
-        if match:
-            return int(match.group(1))
-    raise RuntimeError(f"server never reported a port; output so far: {lines}")
-
-
 def server_leg(requests=30):
     server_plan = FaultPlan(
         seed=0, rules=PLAN.rules + (FaultRule("server.io", rate=0.25),)
     )
-    process = subprocess.Popen(
+    process, port = spawn(
         [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2",
+            "serve", "--port", "0", "--workers", "2",
             "--supervise", "--faults", server_plan.to_json(),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+        ]
     )
     try:
-        port = wait_for_port(process)
         spec = {
             "unit": "chaos-unit",
             "netlist_text": NETLIST,
@@ -173,14 +148,10 @@ def server_leg(requests=30):
         assert statuses.get(500, 0) >= 1, "server.io chaos never fired"
         print(f"server leg ok: HTTP statuses {dict(statuses)} over {requests} requests")
 
-        process.send_signal(signal.SIGTERM)
-        returncode = process.wait(timeout=60)
-        assert returncode == 0, f"drain under chaos exited {returncode}"
+        stop(process)
         print("graceful drain under chaos ok (exit 0)")
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        reap(process)
 
 
 def main():

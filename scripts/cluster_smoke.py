@@ -15,13 +15,11 @@ failure, so CI runs it as a bare step:
 """
 
 import json
-import re
-import signal
-import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from _harness import CLUSTER_PORT, reap, spawn, stop
 from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.library import three_stage_amplifier
 from repro.circuit.measurements import probe_all
@@ -34,8 +32,6 @@ from repro.service.jobs import measurement_to_dict
 KILL_PLAN = json.dumps(
     {"seed": 0, "rules": [{"point": "cluster.replica_kill", "rate": 1.0, "limit": 1}]}
 )
-
-_GATEWAY_PORT_RE = re.compile(r'"event": "cluster_listening".*?"port": (\d+)')
 
 
 def demo_specs(count):
@@ -68,37 +64,16 @@ def demo_specs(count):
     return specs
 
 
-def wait_for_gateway_port(process):
-    """Scrape the *gateway's* port (replica_up lines carry ports too)."""
-    deadline = time.time() + 120
-    lines = []
-    while time.time() < deadline:
-        if process.poll() is not None:
-            break
-        line = process.stdout.readline()
-        if not line:
-            continue
-        lines.append(line)
-        match = _GATEWAY_PORT_RE.search(line)
-        if match:
-            return int(match.group(1))
-    raise RuntimeError(f"gateway never reported a port; output so far: {lines}")
-
-
 def main():
-    process = subprocess.Popen(
+    process, port = spawn(
         [
-            sys.executable, "-m", "repro", "cluster",
-            "--port", "0", "--replicas", "2", "--workers", "2",
+            "cluster", "--port", "0", "--replicas", "2", "--workers", "2",
             "--poll-interval", "0.5", "--gossip-interval", "1.0",
             "--faults", KILL_PLAN,
         ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+        CLUSTER_PORT,
     )
     try:
-        port = wait_for_gateway_port(process)
         probe = DiagnosisClient(port=port, timeout=60, retries=6, backoff=0.2)
         ready = probe.ready()
         assert ready["replicas_ready"] == 2, ready
@@ -148,9 +123,7 @@ def main():
         print(f"gossip ok: {len(rules)} rule(s) in the cluster ledger")
         probe.close()
 
-        process.send_signal(signal.SIGTERM)
-        returncode = process.wait(timeout=120)
-        assert returncode == 0, f"drain exited {returncode}"
+        stop(process)
         print("cascading drain ok (exit 0)")
 
         try:
@@ -162,9 +135,7 @@ def main():
         print("cluster smoke test passed")
         return 0
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        reap(process)
 
 
 if __name__ == "__main__":

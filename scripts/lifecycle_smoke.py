@@ -16,7 +16,6 @@ non-zero on any failure, so CI can run it as a bare step:
 """
 
 import json
-import signal
 import sqlite3
 import subprocess
 import sys
@@ -24,10 +23,8 @@ import tempfile
 import threading
 import time
 
+from _harness import CLUSTER_PORT, reap, spawn, stop
 from repro.server import AuthError, ClientError, DiagnosisClient
-
-from cluster_smoke import wait_for_gateway_port  # scripts/ is sys.path[0]
-from server_smoke import wait_for_port
 
 NETLIST = (
     ".title divider\n"
@@ -72,16 +69,14 @@ def main():
     globex_key = json.loads(out)["api_key"]
     print("tenants provisioned via --json ok")
 
-    process = subprocess.Popen(
+    process, port = spawn(
         [
-            sys.executable, "-m", "repro", "cluster",
-            "--port", "0", "--replicas", "2", "--workers", "2",
+            "cluster", "--port", "0", "--replicas", "2", "--workers", "2",
             "--store", store_path, "--checkpoint-interval", "2",
         ],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        CLUSTER_PORT,
     )
     try:
-        port = wait_for_gateway_port(process)
         probe = DiagnosisClient(port=port, timeout=60, retries=6, backoff=0.2)
         ready = probe.ready()
         assert ready["replicas_ready"] == 2, ready
@@ -119,11 +114,11 @@ def main():
               f"(Retry-After {seconds:.1f}s)")
 
         # -- Gate 3: online backup under live write load --------------
-        stop = threading.Event()
+        quiet = threading.Event()
 
         def load():
             i = 100
-            while not stop.is_set():
+            while not quiet.is_set():
                 with DiagnosisClient(
                     port=port, timeout=60, retries=6, backoff=0.2
                 ) as client:
@@ -138,7 +133,7 @@ def main():
             assert code == 0, out
             assert json.loads(out)["bytes"] > 0, out
         finally:
-            stop.set()
+            quiet.set()
             loader.join()
         print("online backup under live load ok")
 
@@ -163,14 +158,10 @@ def main():
         print(f"lifecycle metrics ok: {metrics['lifecycle']['checkpoints']} "
               "checkpoint(s) while serving")
 
-        process.send_signal(signal.SIGTERM)
-        returncode = process.wait(timeout=60)
-        assert returncode == 0, f"cluster drain exited {returncode}"
+        stop(process)
         print("graceful cluster drain ok (exit 0)")
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        reap(process)
 
     # -- Gate 5: scrub catches a corrupted row ------------------------
     conn = sqlite3.connect(backup_path)
@@ -189,15 +180,10 @@ def main():
           f"of {scrub['checked']} checked")
 
     # -- Gate 6: the backup restores byte-identical warm hits ---------
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2", "--store", backup_path,
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    process, port = spawn(
+        ["serve", "--port", "0", "--workers", "2", "--store", backup_path]
     )
     try:
-        port = wait_for_port(process)
         with DiagnosisClient(port=port, timeout=60, retries=6, backoff=0.2) as anon:
             revived = anon.diagnose(spec(0))
             assert revived["cache_hit"], "backup lost the warm cache row"
@@ -205,12 +191,9 @@ def main():
                 "restored diagnosis drifted from the original"
             )
         print("backup restore ok: byte-identical disk cache hit")
-        process.send_signal(signal.SIGTERM)
-        assert process.wait(timeout=60) == 0
+        stop(process)
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        reap(process)
 
     print("lifecycle smoke test passed")
     return 0

@@ -12,15 +12,12 @@ step:
     PYTHONPATH=src python scripts/persistence_smoke.py
 """
 
-import signal
-import subprocess
 import sys
 import tempfile
 
+from _harness import reap, spawn, stop
 from repro.server import AuthError, ClientError, DiagnosisClient
 from repro.store import DiagnosisStore
-
-from server_smoke import wait_for_port  # scripts/ is sys.path[0] when run directly
 
 NETLIST = (
     ".title divider\n"
@@ -39,16 +36,7 @@ SPEC = {
 
 
 def start_server(store_path):
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2", "--store", store_path,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    return process, wait_for_port(process)
+    return spawn(["serve", "--port", "0", "--workers", "2", "--store", store_path])
 
 
 def main():
@@ -82,9 +70,7 @@ def main():
         process.wait(timeout=30)
         print("server SIGKILLed mid-flight")
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        reap(process)
 
     process, port = start_server(store_path)
     try:
@@ -131,16 +117,12 @@ def main():
                 raise AssertionError("bad key read a tenant report")
         print("auth rejection ok")
 
-        process.send_signal(signal.SIGTERM)
-        returncode = process.wait(timeout=60)
-        assert returncode == 0, f"drain exited {returncode}"
+        stop(process)
         print("graceful drain ok (exit 0)")
         print("persistence smoke test passed")
         return 0
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        reap(process)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,9 @@ bare step:
     PYTHONPATH=src python scripts/server_smoke.py
 """
 
-import re
-import signal
-import subprocess
 import sys
-import time
 
+from _harness import reap, spawn, stop
 from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.library import three_stage_amplifier
 from repro.circuit.measurements import probe_all
@@ -37,33 +34,9 @@ def demo_spec():
     }
 
 
-def wait_for_port(process):
-    """The server logs its bound port; scrape it from the first lines."""
-    pattern = re.compile(r'"port": (\d+)')
-    deadline = time.time() + 30
-    lines = []
-    while time.time() < deadline:
-        if process.poll() is not None:
-            break
-        line = process.stdout.readline()
-        if not line:
-            continue
-        lines.append(line)
-        match = pattern.search(line)
-        if match:
-            return int(match.group(1))
-    raise RuntimeError(f"server never reported a port; output so far: {lines}")
-
-
 def main():
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
+    process, port = spawn(["serve", "--port", "0", "--workers", "2"])
     try:
-        port = wait_for_port(process)
         client = DiagnosisClient(port=port, timeout=60, retries=6, backoff=0.2)
         health = client.health()
         assert health["status"] == "ok", health
@@ -82,9 +55,7 @@ def main():
         print(f"metrics ok: {metrics['queue']['admitted']} request(s) admitted")
         client.close()
 
-        process.send_signal(signal.SIGTERM)
-        returncode = process.wait(timeout=60)
-        assert returncode == 0, f"drain exited {returncode}"
+        stop(process)
         print("graceful drain ok (exit 0)")
 
         try:
@@ -96,9 +67,7 @@ def main():
         print("smoke test passed")
         return 0
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        reap(process)
 
 
 if __name__ == "__main__":

@@ -17,32 +17,13 @@ Exits non-zero on any failure, so CI can run it as a bare step:
 """
 
 import http.client
-import re
 import signal
-import subprocess
 import sys
 import threading
 import time
 
+from _harness import reap, spawn
 from repro.stream.sse import parse_events
-
-
-def wait_for_port(process):
-    """The server logs its bound port; scrape it from the first lines."""
-    pattern = re.compile(r'"port": (\d+)')
-    deadline = time.time() + 30
-    lines = []
-    while time.time() < deadline:
-        if process.poll() is not None:
-            break
-        line = process.stdout.readline()
-        if not line:
-            continue
-        lines.append(line)
-        match = pattern.search(line)
-        if match:
-            return int(match.group(1))
-    raise RuntimeError(f"server never reported a port; output so far: {lines}")
 
 
 def read_stream(port, query, timeout=120.0):
@@ -134,26 +115,17 @@ def check_sigterm_drain(port, process):
 
 
 def main():
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2", "--heartbeat", "1.0",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+    process, port = spawn(
+        ["serve", "--port", "0", "--workers", "2", "--heartbeat", "1.0"]
     )
     try:
-        port = wait_for_port(process)
         print(f"server up on port {port}")
         check_fault_stream(port)
         check_sigterm_drain(port, process)
         print("stream smoke test passed")
         return 0
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        reap(process)
 
 
 if __name__ == "__main__":

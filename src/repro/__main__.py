@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.circuit.measurements import Measurement
 from repro.circuit.simulate import DCSolver
@@ -268,64 +269,69 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0 if not report.failed else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server.app import main as serve_main
+def _store_settings(args: argparse.Namespace) -> Dict[str, object]:
+    """The store and store-lifecycle config fields serve and cluster share."""
+    return {
+        "store": args.store,
+        "checkpoint_interval": args.checkpoint_interval,
+        "retain_history_days": args.retain_history,
+        "retain_history_rows": args.retain_history_rows,
+        "retain_cache_days": args.retain_cache,
+    }
 
-    forwarded = [
-        "--host", args.host,
-        "--port", str(args.port),
-        "--workers", str(args.workers),
-        "--queue-size", str(args.queue_size),
-        "--cache-size", str(args.cache_size),
-        "--timeout", str(args.timeout),
-        "--retries", str(args.retries),
-        "--max-streams", str(args.max_streams),
-        "--heartbeat", str(args.heartbeat),
-    ]
-    if args.supervise:
-        forwarded.append("--supervise")
-    if args.faults:
-        forwarded.extend(["--faults", args.faults])
-    if args.store:
-        forwarded.extend(["--store", args.store])
-        forwarded.extend(["--checkpoint-interval", str(args.checkpoint_interval)])
-        forwarded.extend(["--retain-history", str(args.retain_history)])
-        forwarded.extend(["--retain-history-rows", str(args.retain_history_rows)])
-        forwarded.extend(["--retain-cache", str(args.retain_cache)])
-        if args.no_lifecycle:
-            forwarded.append("--no-lifecycle")
-    return serve_main(forwarded)
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.server.app import ServerConfig, run
+
+    try:
+        config = ServerConfig(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_size=args.queue_size,
+            cache_size=args.cache_size,
+            timeout=args.timeout,
+            retries=args.retries,
+            max_streams=args.max_streams,
+            heartbeat=args.heartbeat,
+            supervise=args.supervise,
+            faults=args.faults,
+            lifecycle=not args.no_lifecycle,
+            **_store_settings(args),
+        )
+    except ValueError as exc:
+        print(f"bad server options: {exc}", flush=True)
+        return 2
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
+    return run(config)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster.gateway import main as cluster_main
+    from repro.cluster.gateway import ClusterConfig, run
 
-    forwarded = [
-        "--host", args.host,
-        "--port", str(args.port),
-        "--replicas", str(args.replicas),
-        "--vnodes", str(args.vnodes),
-        "--workers", str(args.workers),
-        "--queue-size", str(args.queue_size),
-        "--cache-size", str(args.cache_size),
-        "--timeout", str(args.timeout),
-        "--retries", str(args.retries),
-        "--poll-interval", str(args.poll_interval),
-        "--gossip-interval", str(args.gossip_interval),
-    ]
-    if args.supervise:
-        forwarded.append("--supervise")
-    if args.faults:
-        forwarded.extend(["--faults", args.faults])
-    if args.replica_faults:
-        forwarded.extend(["--replica-faults", args.replica_faults])
-    if args.store:
-        forwarded.extend(["--store", args.store])
-        forwarded.extend(["--checkpoint-interval", str(args.checkpoint_interval)])
-        forwarded.extend(["--retain-history", str(args.retain_history)])
-        forwarded.extend(["--retain-history-rows", str(args.retain_history_rows)])
-        forwarded.extend(["--retain-cache", str(args.retain_cache)])
-    return cluster_main(forwarded)
+    try:
+        config = ClusterConfig(
+            host=args.host,
+            port=args.port,
+            replicas=args.replicas,
+            vnodes=args.vnodes,
+            workers=args.workers,
+            queue_size=args.queue_size,
+            cache_size=args.cache_size,
+            timeout=args.timeout,
+            retries=args.retries,
+            poll_interval=args.poll_interval,
+            gossip_interval=args.gossip_interval,
+            supervise=args.supervise,
+            faults=args.faults,
+            replica_faults=args.replica_faults,
+            **_store_settings(args),
+        )
+    except ValueError as exc:
+        print(f"bad cluster options: {exc}", flush=True)
+        return 2
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
+    return run(config)
 
 
 def _cmd_tenants(args: argparse.Namespace) -> int:

@@ -10,12 +10,7 @@ gateway's :class:`ExperienceGossip` ledger.
 
 from repro.cluster.gateway import ClusterConfig, ClusterGateway, run
 from repro.cluster.gossip import ExperienceGossip
-from repro.cluster.replicas import (
-    ReplicaConfig,
-    ReplicaManager,
-    ReplicaProcess,
-    StaticFleet,
-)
+from repro.cluster.replicas import ReplicaManager, ReplicaProcess, StaticFleet
 from repro.cluster.ring import HashRing
 
 __all__ = [
@@ -23,7 +18,6 @@ __all__ = [
     "ClusterGateway",
     "ExperienceGossip",
     "HashRing",
-    "ReplicaConfig",
     "ReplicaManager",
     "ReplicaProcess",
     "StaticFleet",

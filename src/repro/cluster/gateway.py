@@ -42,40 +42,28 @@ Everything else a production front end owes its callers:
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import itertools
 import json
 import logging
-import re
-import signal
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.gossip import ExperienceGossip
-from repro.cluster.replicas import ReplicaConfig, ReplicaManager
+from repro.cluster.replicas import ReplicaManager
 from repro.cluster.ring import HashRing
 from repro.resilience import FaultPlan, faults
+from repro.server.app import ServerConfig
 from repro.server.client import ClientError, DiagnosisClient, ServerUnavailable
-from repro.server.http import (
-    HttpError,
-    HttpRequest,
-    error_payload,
-    read_request,
-    write_response,
-)
+from repro.server.http import HttpError, HttpRequest, HttpService
 from repro.service import ManifestError, job_from_spec
 from repro.service.telemetry import Telemetry
 
-__all__ = ["ClusterConfig", "ClusterGateway", "run", "main"]
+__all__ = ["ClusterConfig", "ClusterGateway", "run"]
 
 log = logging.getLogger("repro.cluster")
-
-_REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
 @dataclass
@@ -115,26 +103,30 @@ class ClusterConfig:
             raise ValueError("intervals must be positive")
         if self.faults:
             FaultPlan.from_json(self.faults)  # fail fast on a bad plan
-        if self.replica_faults:
-            FaultPlan.from_json(self.replica_faults)
+        self.replica_config()  # and on bad per-replica settings
 
-    def replica_config(self) -> ReplicaConfig:
-        return ReplicaConfig(
+    def replica_config(self) -> ServerConfig:
+        """The ``repro serve`` settings every replica subprocess runs with."""
+        return ServerConfig(
+            port=0,
             workers=self.workers,
             queue_size=self.queue_size,
             cache_size=self.cache_size,
             timeout=self.timeout,
             retries=self.retries,
             supervise=self.supervise,
-            faults_json=self.replica_faults,
-            store_path=self.store,
+            faults=self.replica_faults,
+            # One shared store file for the whole fleet: sqlite WAL
+            # handles the cross-process writers, and every respawn
+            # restores from it.
+            store=self.store,
             # One maintenance loop per store *file*: the gateway owns it,
             # so N replicas never checkpoint the shared WAL in lockstep.
             lifecycle=False,
         )
 
 
-class ClusterGateway:
+class ClusterGateway(HttpService):
     """Consistent-hash router + supervisor + gossip hub over the fleet.
 
     ``fleet`` defaults to a subprocess :class:`ReplicaManager` built
@@ -143,8 +135,13 @@ class ClusterGateway:
     servers instead — the gateway never knows the difference.
     """
 
+    kind = "cluster"
+    listening_event = "cluster_listening"
+    drained_event = "cluster_drained"
+    log = logging.getLogger("repro.cluster")
+
     def __init__(self, config: ClusterConfig, fleet=None):
-        self.config = config
+        super().__init__(config, Telemetry(), id_prefix="gw-")
         self.fleet = fleet if fleet is not None else ReplicaManager(
             config.replicas,
             config=config.replica_config(),
@@ -154,7 +151,6 @@ class ClusterGateway:
         )
         self.ring = HashRing(self.fleet.replica_ids, vnodes=config.vnodes)
         self.gossip = ExperienceGossip()
-        self.telemetry = Telemetry()
         self.maintenance = None
         self._store = None
         if config.store:
@@ -164,18 +160,9 @@ class ClusterGateway:
         width = max(4, config.replicas * config.workers + 2)
         self._forward = ThreadPoolExecutor(width, thread_name_prefix="forward")
         self._control = ThreadPoolExecutor(2, thread_name_prefix="cluster-ctl")
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set = set()
-        self._loops: List[asyncio.Task] = []
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._shutdown = asyncio.Event()
-        self._draining = False
-        self._started = time.monotonic()
-        self._request_ids = itertools.count(1)
-        self._id_prefix = uuid.uuid4().hex[:8]
-        self.port: Optional[int] = None
+        self.route("/v1/experience", GET=self._experience_get)
+        self.route("/v1/diagnose", POST=self._handle_diagnose)
+        self.route("/v1/batch", POST=self._handle_batch)
 
     def _seed_gossip_from_store(self, path: str) -> None:
         """Prime the gossip ledger from the durable store at boot.
@@ -210,98 +197,31 @@ class ClusterGateway:
         checkpointing is cooperative across connections, so the
         replicas' writes are what this loop flushes.
         """
-        from repro.store import (
-            DiagnosisStore,
-            LifecycleConfig,
-            RetentionPolicy,
-            StoreMaintenance,
-        )
+        from repro.store import DiagnosisStore, LifecycleConfig, StoreMaintenance
 
         self._store = DiagnosisStore(config.store)
         self.maintenance = StoreMaintenance(
-            self._store,
-            LifecycleConfig(
-                checkpoint_interval=config.checkpoint_interval,
-                retention=RetentionPolicy(
-                    history_max_age=config.retain_history_days * 86400.0,
-                    history_max_rows=config.retain_history_rows,
-                    cache_max_age=config.retain_cache_days * 86400.0,
-                ),
-            ),
+            self._store, LifecycleConfig.from_settings(config)
         )
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Service hooks
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Boot the fleet, then bind (resolves ``self.port``)."""
-        self._started = time.monotonic()
-        self._idle.set()
-        if self.maintenance is not None:
-            self.maintenance.start()
+    async def _boot(self) -> None:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(self._control, self.fleet.start)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        log.info(
-            json.dumps(
-                {
-                    "event": "cluster_listening",
-                    "host": self.config.host,
-                    "port": self.port,
-                    "replicas": sorted(self.fleet.ready_endpoints().items()),
-                    "vnodes": self.config.vnodes,
-                }
-            )
-        )
 
-    def request_shutdown(self) -> None:
-        if not self._draining:
-            self._draining = True
-            self.telemetry.event("cluster_drain_begin")
-            self._shutdown.set()
+    def _listening_fields(self) -> Dict[str, object]:
+        return {
+            "replicas": sorted(self.fleet.ready_endpoints().items()),
+            "vnodes": self.config.vnodes,
+        }
 
-    async def serve(self) -> None:
-        """Run until a shutdown is requested, then cascade the drain."""
-        if self._server is None:
-            await self.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_shutdown)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-        self._loops = [
-            asyncio.ensure_future(self._supervise_loop()),
-            asyncio.ensure_future(self._gossip_loop()),
-        ]
-        try:
-            await self._shutdown.wait()
-        finally:
-            await self._drain()
+    def _background(self):
+        return [self._supervise_loop(), self._gossip_loop()]
 
-    async def _drain(self) -> None:
-        """Stop admitting → finish forwards → drain replicas → join."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=self.config.drain_grace)
-            drained = True
-        except asyncio.TimeoutError:
-            drained = False
-        for task in self._loops:
-            task.cancel()
-        if self._loops:
-            await asyncio.gather(*self._loops, return_exceptions=True)
-        connections = [conn for conn in self._connections if not conn.done()]
-        for conn in connections:
-            conn.cancel()
-        if connections:
-            await asyncio.gather(*connections, return_exceptions=True)
+    async def _teardown(self, drained: bool) -> None:
+        """Drain the replicas and join them, then the gateway's own pools."""
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             self._control, self.fleet.stop, self.config.drain_grace
@@ -313,20 +233,27 @@ class ClusterGateway:
             self.maintenance.stop(final_tick=True)
         if self._store is not None:
             self._store.close()
-        self.telemetry.event("cluster_drain_end", clean=drained)
-        log.info(
-            json.dumps(
-                {
-                    "event": "cluster_drained",
-                    "clean": drained,
-                    "uptime_seconds": round(time.monotonic() - self._started, 3),
-                    "restarts": self.fleet.snapshot().get("restarts_total", 0),
-                }
-            )
-        )
-        log.info(self.telemetry.summary(title="cluster telemetry"))
+
+    def _drained_fields(self) -> Dict[str, object]:
+        return {"restarts": self.fleet.snapshot().get("restarts_total", 0)}
+
+    def _error_response(
+        self, exc: Exception, request_id: str
+    ) -> Tuple[int, object, Dict[str, str]]:
+        if not isinstance(exc, ClientError):
+            return super()._error_response(exc, request_id)
+        # A replica's own answer (400/401/429/504/terminal 503) passes
+        # through untouched — the gateway adds routing, not opinions.
+        # Retry-After rides along so a quota 429's refill-rate hint
+        # survives the hop.
+        payload = exc.payload
+        if isinstance(payload, dict):
+            payload.setdefault("request_id", request_id)
+        headers = {"Retry-After": exc.retry_after} if exc.retry_after is not None else {}
+        return exc.status, payload, headers
 
     # ------------------------------------------------------------------
+    # Background loops    # ------------------------------------------------------------------
     # Background loops
     # ------------------------------------------------------------------
     async def _supervise_loop(self) -> None:
@@ -436,148 +363,23 @@ class ClusterGateway:
                 return
 
     # ------------------------------------------------------------------
-    # Connection handling (same framing as the single server)
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer, exc.status, error_payload(exc.status, exc.message),
-                        keep_alive=False,
-                    )
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def _request_id(self, request: HttpRequest) -> str:
-        supplied = request.headers.get("x-request-id", "")
-        if supplied and _REQUEST_ID_RE.match(supplied):
-            return supplied
-        return f"gw-{self._id_prefix}-{next(self._request_ids):06d}"
-
-    async def _dispatch(self, request: HttpRequest, writer) -> bool:
-        request_id = self._request_id(request)
-        started = time.perf_counter()
-        self._inflight += 1
-        self._idle.clear()
-        status = 500
-        extra = {"X-Request-Id": request_id}
-        keep_alive = request.keep_alive and not self._draining
-        try:
-            status, payload, headers = await self._route(request, request_id)
-            extra.update(headers)
-        except HttpError as exc:
-            status = exc.status
-            payload = error_payload(exc.status, exc.message, request_id)
-            extra.update(exc.headers)
-        except ClientError as exc:
-            # A replica's own answer (400/401/429/504/terminal 503)
-            # passes through untouched — the gateway adds routing, not
-            # opinions.  Retry-After rides along so a quota 429's
-            # refill-rate hint survives the hop.
-            status = exc.status
-            payload = exc.payload
-            if exc.retry_after is not None:
-                extra["Retry-After"] = exc.retry_after
-            if isinstance(payload, dict):
-                payload.setdefault("request_id", request_id)
-        except Exception as exc:
-            status = 500
-            payload = error_payload(500, f"{type(exc).__name__}: {exc}", request_id)
-            log.exception("request %s failed", request_id)
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
-        elapsed = time.perf_counter() - started
-        self.telemetry.incr("http_requests")
-        self.telemetry.incr(f"http_status_{status}")
-        self.telemetry.observe(f"http_seconds_{request.method} {request.path}", elapsed)
-        log.info(
-            json.dumps(
-                {
-                    "request_id": request_id,
-                    "method": request.method,
-                    "path": request.path,
-                    "status": status,
-                    "elapsed_ms": round(elapsed * 1000, 3),
-                    "inflight": self._inflight,
-                }
-            )
-        )
-        try:
-            await write_response(writer, status, payload, keep_alive, extra)
-        except (ConnectionResetError, BrokenPipeError):
-            return False
-        return keep_alive
-
-    # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
-    async def _route(
-        self, request: HttpRequest, request_id: str
-    ) -> Tuple[int, object, Dict[str, str]]:
-        path, method = request.path, request.method
-        if path == "/healthz":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            return 200, {
-                "status": "ok",
-                "uptime_seconds": self._uptime(),
-                "replicas_ready": len(self.fleet.ready_endpoints()),
-            }, {}
-        if path == "/readyz":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            if self._draining:
-                return 503, {"status": "draining"}, {}
-            ready = len(self.fleet.ready_endpoints())
-            if not ready:
-                return 503, {"status": "no replicas ready"}, {}
-            payload: Dict[str, object] = {"status": "ready", "replicas_ready": ready}
-            if self.maintenance is not None:
-                payload["lifecycle"] = self.maintenance.snapshot()
-            return 200, payload, {}
-        if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            samples = request.query.get("samples", "") in ("1", "true", "yes")
-            return 200, self._metrics(samples=samples), {}
-        if path == "/v1/experience":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            return 200, self.gossip.export(), {}
-        if path == "/v1/diagnose":
-            if method != "POST":
-                raise HttpError(405, "use POST", {"Allow": "POST"})
-            return await self._handle_diagnose(request, request_id)
-        if path == "/v1/batch":
-            if method != "POST":
-                raise HttpError(405, "use POST", {"Allow": "POST"})
-            return await self._handle_batch(request, request_id)
-        raise HttpError(404, f"no route {path!r}")
+    async def _healthz(self, request: HttpRequest, request_id: str):
+        return 200, {
+            "status": "ok",
+            "uptime_seconds": self._uptime(),
+            "replicas_ready": len(self.fleet.ready_endpoints()),
+        }, {}
 
-    def _uptime(self) -> float:
-        return round(time.monotonic() - self._started, 3)
+    def _readiness(self) -> Tuple[int, Dict[str, object]]:
+        ready = len(self.fleet.ready_endpoints())
+        if not ready:
+            return 503, {"status": "no replicas ready"}
+        return 200, {"status": "ready", "replicas_ready": ready}
+
+    async def _experience_get(self, request: HttpRequest, request_id: str):
+        return 200, self.gossip.export(), {}
 
     def _metrics(self, samples: bool = False) -> Dict:
         """Gateway state + the fleet's telemetry merged into one view."""
@@ -605,27 +407,25 @@ class ClusterGateway:
             "telemetry": self.telemetry.snapshot(samples=samples),
         }
 
-    def _reject_if_draining(self) -> None:
-        if self._draining:
-            raise HttpError(503, "cluster is draining", {"Retry-After": "1"})
-
     @staticmethod
-    def _forward_headers(request: HttpRequest) -> Optional[Dict[str, str]]:
-        """The caller's credentials, passed through to the replica.
+    def _forward_headers(request: HttpRequest, request_id: str) -> Dict[str, str]:
+        """The request id and the caller's credentials, for the replica.
 
+        Forwarding the id makes the replica adopt it as its own request
+        id and trace id, so gateway and replica logs join on one id.
         The gateway does not resolve tenants itself — replicas own auth
         and (store-backed) quota enforcement, and since every replica
         debits the same ``quota_buckets`` row, forwarding the identity
         is all it takes for the fleet to share one budget per tenant.
         """
-        headers = {}
+        headers = {"X-Request-Id": request_id}
         auth = request.headers.get("authorization", "")
         if auth:
             headers["Authorization"] = auth
         api_key = request.headers.get("x-api-key", "")
         if api_key:
             headers["X-Api-Key"] = api_key
-        return headers or None
+        return headers
 
     async def _handle_diagnose(
         self, request: HttpRequest, request_id: str
@@ -638,7 +438,7 @@ class ClusterGateway:
             raise HttpError(400, str(exc)) from None
         targets = self._targets(job.content_hash)
         tracing = request.query.get("trace", "") in ("1", "true", "yes")
-        credentials = self._forward_headers(request)
+        forwarded = self._forward_headers(request, request_id)
         loop = asyncio.get_running_loop()
 
         def forward() -> Dict:
@@ -648,7 +448,7 @@ class ClusterGateway:
                     spec,
                     trace=tracing,
                     endpoints=[e for _, e in targets],
-                    headers=credentials,
+                    headers=forwarded,
                 )
             except ServerUnavailable:
                 self.fleet.note_outcome(targets[0][0], False)
@@ -682,7 +482,7 @@ class ClusterGateway:
                 targets[0][0], {"targets": targets, "indices": []}
             )
             shard["indices"].append(index)
-        credentials = self._forward_headers(request)
+        forwarded = self._forward_headers(request, request_id)
         loop = asyncio.get_running_loop()
 
         def forward(shard: Dict) -> Dict:
@@ -691,7 +491,7 @@ class ClusterGateway:
             subset = [specs[i] for i in shard["indices"]]
             try:
                 data = client.batch(
-                    subset, endpoints=[e for _, e in targets], headers=credentials
+                    subset, endpoints=[e for _, e in targets], headers=forwarded
                 )
             except ServerUnavailable:
                 self.fleet.note_outcome(targets[0][0], False)
@@ -740,114 +540,3 @@ def run(config: ClusterConfig) -> int:
         if config.faults:
             faults.uninstall_plan()
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro cluster",
-        description="serve FLAMES diagnosis from a sharded replica fleet",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    parser.add_argument(
-        "--port", type=int, default=8090, help="gateway port; 0 picks an ephemeral port"
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=2, help="server subprocesses to run (default 2)"
-    )
-    parser.add_argument(
-        "--vnodes", type=int, default=64,
-        help="virtual nodes per replica on the hash ring (default 64)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="diagnosis slots per replica (default 2)"
-    )
-    parser.add_argument(
-        "--queue-size", type=int, default=64,
-        help="admission queue depth per replica (default 64)",
-    )
-    parser.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="result-cache capacity per replica (default 1024)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request budget in seconds (default 30)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=1,
-        help="per-replica crashed-job retries (default 1)",
-    )
-    parser.add_argument(
-        "--poll-interval", type=float, default=1.0,
-        help="replica health-poll period in seconds (default 1)",
-    )
-    parser.add_argument(
-        "--gossip-interval", type=float, default=2.0,
-        help="experience gossip period in seconds (default 2)",
-    )
-    parser.add_argument(
-        "--supervise", action="store_true",
-        help="engage the fleet supervisor inside every replica",
-    )
-    parser.add_argument(
-        "--faults", default="",
-        help="JSON fault plan armed in the gateway (cluster.replica_kill / "
-        "cluster.gossip_drop chaos)",
-    )
-    parser.add_argument(
-        "--replica-faults", default="",
-        help="JSON fault plan forwarded to every replica subprocess",
-    )
-    parser.add_argument(
-        "--store", default="",
-        help="durable sqlite store shared by every replica (caches and "
-        "experience survive restarts; the gateway seeds gossip from it)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=float, default=60.0,
-        help="gateway-run WAL checkpoint cadence in seconds (default 60; 0 never)",
-    )
-    parser.add_argument(
-        "--retain-history", type=float, default=30.0, metavar="DAYS",
-        help="drop history rows older than DAYS (default 30; 0 keeps forever)",
-    )
-    parser.add_argument(
-        "--retain-history-rows", type=int, default=100_000, metavar="N",
-        help="keep at most N history rows (default 100000; 0 unbounded)",
-    )
-    parser.add_argument(
-        "--retain-cache", type=float, default=0.0, metavar="DAYS",
-        help="drop cache rows older than DAYS (default 0: row bound only)",
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
-    try:
-        config = ClusterConfig(
-            host=args.host,
-            port=args.port,
-            replicas=args.replicas,
-            vnodes=args.vnodes,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            cache_size=args.cache_size,
-            timeout=args.timeout,
-            retries=args.retries,
-            poll_interval=args.poll_interval,
-            gossip_interval=args.gossip_interval,
-            supervise=args.supervise,
-            faults=args.faults,
-            replica_faults=args.replica_faults,
-            store=args.store,
-            checkpoint_interval=args.checkpoint_interval,
-            retain_history_days=args.retain_history,
-            retain_history_rows=args.retain_history_rows,
-            retain_cache_days=args.retain_cache,
-        )
-    except ValueError as exc:
-        print(f"bad cluster options: {exc}", flush=True)
-        return 2
-    return run(config)

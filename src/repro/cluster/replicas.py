@@ -47,64 +47,14 @@ from typing import Dict, List, Optional
 
 from repro.resilience import faults
 from repro.resilience.supervisor import EwmaHealth
+from repro.server.app import ServerConfig
 from repro.server.client import ClientError, DiagnosisClient
 
-__all__ = ["ReplicaConfig", "ReplicaProcess", "ReplicaManager", "StaticFleet"]
+__all__ = ["ReplicaProcess", "ReplicaManager", "StaticFleet"]
 
 log = logging.getLogger("repro.cluster")
 
 _PORT_RE = re.compile(r'"port": (\d+)')
-
-
-class ReplicaConfig:
-    """Per-replica ``repro serve`` settings the manager forwards."""
-
-    def __init__(
-        self,
-        workers: int = 2,
-        queue_size: int = 64,
-        cache_size: int = 1024,
-        timeout: float = 30.0,
-        retries: int = 1,
-        supervise: bool = False,
-        faults_json: str = "",
-        store_path: str = "",
-        lifecycle: bool = True,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("each replica needs at least one worker")
-        self.workers = workers
-        self.queue_size = queue_size
-        self.cache_size = cache_size
-        self.timeout = timeout
-        self.retries = retries
-        self.supervise = supervise
-        self.faults_json = faults_json
-        # One shared store file for the whole fleet: sqlite WAL handles
-        # the cross-process writers, and every respawn restores from it.
-        self.store_path = store_path
-        # False when the gateway runs the store maintenance loop itself
-        # (one checkpointer per file, not one per replica).
-        self.lifecycle = lifecycle
-
-    def to_args(self) -> List[str]:
-        args = [
-            "--port", "0",
-            "--workers", str(self.workers),
-            "--queue-size", str(self.queue_size),
-            "--cache-size", str(self.cache_size),
-            "--timeout", str(self.timeout),
-            "--retries", str(self.retries),
-        ]
-        if self.supervise:
-            args.append("--supervise")
-        if self.faults_json:
-            args.extend(["--faults", self.faults_json])
-        if self.store_path:
-            args.extend(["--store", self.store_path])
-            if not self.lifecycle:
-                args.append("--no-lifecycle")
-        return args
 
 
 def _spawn_env() -> Dict[str, str]:
@@ -125,7 +75,7 @@ class ReplicaProcess:
     def __init__(
         self,
         replica_id: str,
-        config: ReplicaConfig,
+        config: ServerConfig,
         host: str = "127.0.0.1",
         health_decay: float = 0.7,
         health_floor: float = 0.3,
@@ -149,7 +99,7 @@ class ReplicaProcess:
     # ------------------------------------------------------------------
     def spawn(self, boot_timeout: float = 60.0) -> None:
         """Start the subprocess and wait for its bound port."""
-        cmd = [sys.executable, "-m", "repro", "serve", *self.config.to_args()]
+        cmd = [sys.executable, "-m", "repro", "serve", *self.config.to_argv()]
         self.process = subprocess.Popen(
             cmd,
             stdout=subprocess.PIPE,
@@ -278,7 +228,7 @@ class ReplicaManager:
     def __init__(
         self,
         count: int,
-        config: Optional[ReplicaConfig] = None,
+        config: Optional[ServerConfig] = None,
         host: str = "127.0.0.1",
         health_decay: float = 0.7,
         health_floor: float = 0.3,
@@ -286,7 +236,7 @@ class ReplicaManager:
     ) -> None:
         if count < 1:
             raise ValueError("need at least one replica")
-        self.config = config or ReplicaConfig()
+        self.config = config or ServerConfig(port=0, workers=2)
         self.boot_timeout = boot_timeout
         self.replicas: Dict[str, ReplicaProcess] = {
             f"r{i}": ReplicaProcess(

@@ -16,6 +16,11 @@ same computation decomposed into named stages, each wrapped in a
 * ``candidates`` — minimal hitting sets (the candidate spaces);
 * ``score``      — per-component suspicion degrees.
 
+:class:`ConflictSink` (the seed stage's conflict → soft-nogood hook) and
+:func:`finish_diagnosis` (the classify → nogoods → candidates → score
+tail) are module-level so the streaming engine
+(:mod:`repro.stream.incremental`) runs the very same stages.
+
 Interruption contract: when the context expires mid-``propagate`` the
 downstream stages still run on whatever the fixpoint had established, so
 the caller always receives a *well-formed* :class:`DiagnosisResult`; the
@@ -37,9 +42,10 @@ from repro.fuzzy import consistency
 from repro.runtime.context import RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> runtime)
-    from repro.core.diagnosis import DiagnosisResult, Flames
+    from repro.core.diagnosis import DiagnosisResult, Flames, FlamesConfig
+    from repro.core.propagation import FuzzyPropagator, PropagationResult
 
-__all__ = ["DiagnosisPipeline", "STAGES"]
+__all__ = ["ConflictSink", "DiagnosisPipeline", "STAGES", "finish_diagnosis"]
 
 #: The stage names, in execution order (also the span names).
 STAGES = (
@@ -51,6 +57,91 @@ STAGES = (
     "candidates",
     "score",
 )
+
+
+class ConflictSink:
+    """The propagator's ``on_conflict`` hook: conflicts into a fuzzy ATMS.
+
+    A conflict at or above the threshold over an environment becomes a
+    soft nogood over the ``ok(component)`` assumption nodes; one with an
+    empty environment (the data disagree among themselves) is kept aside
+    as a data conflict.
+    """
+
+    def __init__(self, config: "FlamesConfig") -> None:
+        self.threshold = config.conflict_threshold
+        self.atms = FuzzyATMS(t_norm=config.t_norm, hard_threshold=config.hard_threshold)
+        self.nodes: Dict[str, Node] = {}
+        self.data_conflicts: List[RecognizedConflict] = []
+
+    def node_for(self, name: str) -> Node:
+        if name not in self.nodes:
+            self.nodes[name] = self.atms.create_assumption(f"ok({name})", name)
+        return self.nodes[name]
+
+    def __call__(self, conflict: RecognizedConflict) -> None:
+        if conflict.degree < self.threshold:
+            return
+        if not conflict.environment:
+            self.data_conflicts.append(conflict)
+            return
+        self.atms.declare_soft_nogood(
+            f"{conflict.variable}",
+            [self.node_for(n) for n in sorted(conflict.environment)],
+            conflict.degree,
+        )
+
+
+def finish_diagnosis(
+    engine: "Flames",
+    measurements: Sequence[Measurement],
+    propagator: "FuzzyPropagator",
+    sink: ConflictSink,
+    outcome: "PropagationResult",
+    ctx: RunContext,
+) -> "DiagnosisResult":
+    """The classify → nogoods → candidates → score stages, then the result.
+
+    Cheap bookkeeping over whatever the fixpoint established: it runs
+    even after an interruption so a partial result is well-formed
+    (ranked, classified, serialisable) and flagged ``interrupted``.
+    """
+    from repro.core.diagnosis import DiagnosisResult
+
+    config = engine.config
+    with ctx.span("classify"):
+        predictions = engine.predictions()
+        support = engine.prediction_support()
+        consistencies = {
+            m.point: consistency(m.value, predictions[m.point])
+            for m in measurements
+            if m.point in predictions
+        }
+    with ctx.span("nogoods"):
+        nogoods = sink.atms.weighted_nogoods(config.conflict_threshold)
+    with ctx.span("candidates"):
+        diagnoses = minimal_diagnoses(
+            nogoods,
+            threshold=config.conflict_threshold,
+            max_size=config.max_candidate_size,
+        )
+    with ctx.span("score"):
+        suspicions = {a.datum: s for a, s in suspicion_scores(nogoods).items()}
+
+    ctx.should_stop()  # latch expiry observed after the last stage
+    return DiagnosisResult(
+        measurements=list(measurements),
+        predictions=predictions,
+        prediction_support=support,
+        consistencies=consistencies,
+        nogoods=nogoods,
+        diagnoses=diagnoses,
+        suspicions=suspicions,
+        conflicts=propagator.conflicts + list(sink.data_conflicts),
+        propagation=outcome,
+        interrupted=ctx.interrupted or outcome.interrupted,
+        trace=ctx.trace() if ctx.tracing else None,
+    )
 
 
 class DiagnosisPipeline:
@@ -65,10 +156,7 @@ class DiagnosisPipeline:
         ctx: Optional[RunContext] = None,
     ) -> "DiagnosisResult":
         """Run every stage; always returns a well-formed result."""
-        from repro.core.diagnosis import DiagnosisResult
-
         engine = self.engine
-        config = engine.config
         if ctx is None:
             ctx = RunContext.background()
 
@@ -78,31 +166,10 @@ class DiagnosisPipeline:
             nominal = engine._nominal
             assert nominal is not None
 
-            atms = FuzzyATMS(t_norm=config.t_norm, hard_threshold=config.hard_threshold)
-            assumption_nodes: Dict[str, Node] = {}
-
-            def node_for(name: str) -> Node:
-                if name not in assumption_nodes:
-                    assumption_nodes[name] = atms.create_assumption(f"ok({name})", name)
-                return assumption_nodes[name]
-
-            data_conflicts: List[RecognizedConflict] = []
-
-            def on_conflict(conflict: RecognizedConflict) -> None:
-                if conflict.degree < config.conflict_threshold:
-                    return
-                if not conflict.environment:
-                    data_conflicts.append(conflict)
-                    return
-                atms.declare_soft_nogood(
-                    f"{conflict.variable}",
-                    [node_for(n) for n in sorted(conflict.environment)],
-                    conflict.degree,
-                )
-
+            sink = ConflictSink(engine.config)
             with ctx.span("seed"):
                 propagator = engine.make_propagator()
-                propagator.on_conflict = on_conflict
+                propagator.on_conflict = sink
                 # Database predictions first (so mode guards and coincidence
                 # checks see them), then the observations.
                 for name, prediction in nominal.items():
@@ -124,42 +191,4 @@ class DiagnosisPipeline:
                     span.meta["steps"] = outcome.steps
                     span.meta["quiescent"] = outcome.quiescent
 
-            # The remaining stages are cheap bookkeeping over whatever the
-            # fixpoint established: they run even after an interruption so
-            # the partial result is well-formed (ranked, classified,
-            # serialisable) — the flag below tells the caller it is partial.
-            with ctx.span("classify"):
-                predictions = engine.predictions()
-                support = engine.prediction_support()
-                consistencies = {
-                    m.point: consistency(m.value, predictions[m.point])
-                    for m in measurements
-                    if m.point in predictions
-                }
-            with ctx.span("nogoods"):
-                nogoods = atms.weighted_nogoods(config.conflict_threshold)
-            with ctx.span("candidates"):
-                diagnoses = minimal_diagnoses(
-                    nogoods,
-                    threshold=config.conflict_threshold,
-                    max_size=config.max_candidate_size,
-                )
-            with ctx.span("score"):
-                suspicions = {
-                    a.datum: s for a, s in suspicion_scores(nogoods).items()
-                }
-
-            ctx.should_stop()  # latch expiry observed after the last stage
-            return DiagnosisResult(
-                measurements=list(measurements),
-                predictions=predictions,
-                prediction_support=support,
-                consistencies=consistencies,
-                nogoods=nogoods,
-                diagnoses=diagnoses,
-                suspicions=suspicions,
-                conflicts=propagator.conflicts + data_conflicts,
-                propagation=outcome,
-                interrupted=ctx.interrupted or outcome.interrupted,
-                trace=ctx.trace() if ctx.tracing else None,
-            )
+            return finish_diagnosis(engine, measurements, propagator, sink, outcome, ctx)

@@ -6,13 +6,16 @@ result cache and the learned experience base and serves diagnosis over
 HTTP/JSON — stdlib asyncio only, no framework:
 
 * :mod:`repro.server.http`     — minimal HTTP/1.1 framing over asyncio
-  streams (:func:`read_request`, :func:`render_response`);
+  streams (:func:`read_request`, :func:`render_response`) and the
+  :class:`~repro.server.http.HttpService` shell (connection loop,
+  request ids, route table, access log, graceful drain) that this
+  server and the cluster gateway share;
 * :mod:`repro.server.queueing` — admission control and backpressure
   (:class:`AdmissionQueue`: bounded wait queue + concurrency slots,
   503 + ``Retry-After`` load shedding);
 * :mod:`repro.server.app`      — the :class:`DiagnosisServer` itself:
-  routes, per-request timeouts, graceful drain on SIGTERM/SIGINT,
-  structured request logging (:class:`ServerConfig`, :func:`run`);
+  routes, admission, per-request timeouts, tenancy and SSE streams
+  (:class:`ServerConfig`, :func:`run`);
 * :mod:`repro.server.client`   — :class:`DiagnosisClient`, a blocking
   connection-reusing client with exponential-backoff retries on 503
   and transport errors.

@@ -66,16 +66,13 @@ Operational behaviour, in one place:
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import functools
 import itertools
 import json
 import logging
 import re
-import signal
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -88,8 +85,8 @@ from repro.runtime.context import RunContext
 from repro.server.http import (
     HttpError,
     HttpRequest,
+    HttpService,
     error_payload,
-    read_request,
     render_stream_head,
     write_response,
 )
@@ -99,12 +96,9 @@ from repro.stream.sse import format_event
 from repro.service import FleetEngine, ManifestError, job_from_spec
 from repro.service.jobs import DiagnosisJob
 
-__all__ = ["ServerConfig", "DiagnosisServer", "run", "main"]
+__all__ = ["ServerConfig", "DiagnosisServer", "run"]
 
 log = logging.getLogger("repro.server")
-
-#: Shape a client-supplied X-Request-Id must match to be honoured.
-_REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: The fleet-health reporting route: GET /v1/tenants/{id}/report.
 _TENANT_REPORT_RE = re.compile(r"^/v1/tenants/([^/]+)/report$")
@@ -148,12 +142,43 @@ class ServerConfig:
         if self.faults:
             FaultPlan.from_json(self.faults)  # fail fast on a bad plan
 
+    def to_argv(self) -> List[str]:
+        """The ``repro serve`` arguments that rebuild this config.
 
-class DiagnosisServer:
+        Used to spawn cluster replicas.  ``drain_grace`` and
+        ``disk_cache_size`` have no flag, so a spawned server keeps
+        their defaults.
+        """
+        argv = [
+            "--host", self.host,
+            "--port", str(self.port),
+            "--workers", str(self.workers),
+            "--queue-size", str(self.queue_size),
+            "--cache-size", str(self.cache_size),
+            "--timeout", str(self.timeout),
+            "--retries", str(self.retries),
+            "--max-streams", str(self.max_streams),
+            "--heartbeat", str(self.heartbeat),
+            "--checkpoint-interval", str(self.checkpoint_interval),
+            "--retain-history", str(self.retain_history_days),
+            "--retain-history-rows", str(self.retain_history_rows),
+            "--retain-cache", str(self.retain_cache_days),
+        ]
+        if self.supervise:
+            argv.append("--supervise")
+        if not self.lifecycle:
+            argv.append("--no-lifecycle")
+        if self.faults:
+            argv.extend(["--faults", self.faults])
+        if self.store:
+            argv.extend(["--store", self.store])
+        return argv
+
+
+class DiagnosisServer(HttpService):
     """Asyncio HTTP front end over a shared, warm fleet engine."""
 
     def __init__(self, config: ServerConfig, engine: Optional[FleetEngine] = None):
-        self.config = config
         # The persistence plane is entirely optional: without --store the
         # server is byte-identical to the in-memory-only build and none
         # of repro.store is even imported.
@@ -170,22 +195,10 @@ class DiagnosisServer:
             # debits the same per-tenant budget.
             self.quotas = TokenBucketQuota(self.store)
             if config.lifecycle:
-                from repro.store import (
-                    LifecycleConfig,
-                    RetentionPolicy,
-                    StoreMaintenance,
-                )
+                from repro.store import LifecycleConfig, StoreMaintenance
 
                 self.maintenance = StoreMaintenance(
-                    self.store,
-                    LifecycleConfig(
-                        checkpoint_interval=config.checkpoint_interval,
-                        retention=RetentionPolicy(
-                            history_max_age=config.retain_history_days * 86400.0,
-                            history_max_rows=config.retain_history_rows,
-                            cache_max_age=config.retain_cache_days * 86400.0,
-                        ),
-                    ),
+                    self.store, LifecycleConfig.from_settings(config)
                 )
         self.engine = engine or FleetEngine(
             workers=config.workers,
@@ -197,7 +210,7 @@ class DiagnosisServer:
             store=self.store,
             disk_cache_size=config.disk_cache_size,
         )
-        self.telemetry = self.engine.telemetry
+        super().__init__(config, self.engine.telemetry)
         self.admission = AdmissionQueue(config.workers, config.queue_size)
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="diagnose"
@@ -208,82 +221,28 @@ class DiagnosisServer:
             max_workers=max(1, config.max_streams), thread_name_prefix="stream"
         )
         self._streams_active = 0
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set = set()
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._shutdown = asyncio.Event()
-        self._draining = False
-        self._started = time.monotonic()
         self._mean_job_seconds = 0.1  # EWMA; seeds the Retry-After estimate
-        self._request_ids = itertools.count(1)
         self._io_seq = itertools.count(1)  # deterministic server.io chaos key
-        self._id_prefix = uuid.uuid4().hex[:8]
-        self.port: Optional[int] = None
+        self.route("/v1/experience", GET=self._experience_get, POST=self._handle_experience_merge)
+        self.route("/v1/diagnose", POST=self._handle_diagnose)
+        self.route("/v1/batch", POST=self._handle_batch)
+        # SSE owns its writer (incremental frames, no Content-Length), so
+        # it bypasses the buffered request/response path entirely.
+        self.raw_route("/v1/stream", self._handle_stream)
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Service hooks
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind and start accepting (resolves ``self.port``)."""
-        self._started = time.monotonic()
-        if self.maintenance is not None:
-            self.maintenance.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        log.info(
-            json.dumps(
-                {
-                    "event": "listening",
-                    "host": self.config.host,
-                    "port": self.port,
-                    "workers": self.config.workers,
-                    "queue_size": self.config.queue_size,
-                }
-            )
-        )
+    def _listening_fields(self) -> Dict[str, object]:
+        return {"workers": self.config.workers, "queue_size": self.config.queue_size}
 
-    def request_shutdown(self) -> None:
-        """Begin the drain (signal-handler and test entry point)."""
-        if not self._draining:
-            self._draining = True
-            self.telemetry.event("server_drain_begin")
-            self._shutdown.set()
+    def _drained_fields(self) -> Dict[str, object]:
+        return {"admitted": self.admission.admitted, "rejected": self.admission.rejected}
 
-    async def serve(self) -> None:
-        """Run until a shutdown is requested, then drain and exit."""
-        if self._server is None:
-            await self.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_shutdown)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # non-main thread or platform without signal support
-        try:
-            await self._shutdown.wait()
-        finally:
-            await self._drain()
+    def _access_fields(self) -> Dict[str, object]:
+        return {"queued": self.admission.waiting}
 
-    async def _drain(self) -> None:
-        """Stop accepting, finish in-flight work, flush telemetry."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=self.config.drain_grace)
-            drained = True
-        except asyncio.TimeoutError:
-            drained = False
-        connections = [conn for conn in self._connections if not conn.done()]
-        for conn in connections:
-            conn.cancel()
-        if connections:
-            await asyncio.gather(*connections, return_exceptions=True)
+    async def _teardown(self, drained: bool) -> None:
         self._executor.shutdown(wait=drained)
         self._stream_executor.shutdown(wait=drained)
         if self.maintenance is not None:
@@ -291,179 +250,33 @@ class DiagnosisServer:
             self.maintenance.stop(final_tick=True)
         if self.store is not None:
             self.store.close()
-        self.telemetry.event("server_drain_end", clean=drained)
-        log.info(
-            json.dumps(
-                {
-                    "event": "drained",
-                    "clean": drained,
-                    "uptime_seconds": round(time.monotonic() - self._started, 3),
-                    "admitted": self.admission.admitted,
-                    "rejected": self.admission.rejected,
-                }
-            )
+
+    def _before_dispatch(self, request: HttpRequest) -> None:
+        # Chaos hook: an injected dispatch failure must surface as a
+        # structured 500 with the connection intact — exactly like a
+        # real handler bug.  Keyed on an arrival counter, so a
+        # sequential chaos client sees the same requests fail every run.
+        faults.maybe_raise(
+            "server.io", f"{request.method} {request.path}#{next(self._io_seq)}"
         )
-        log.info(self.telemetry.summary(title="server telemetry"))
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer, exc.status, error_payload(exc.status, exc.message),
-                        keep_alive=False,
-                    )
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def _request_id(self, request: HttpRequest) -> str:
-        """The request's id: the client's ``X-Request-Id`` when well-formed.
-
-        Honouring the client's id lets one logical request keep a single
-        trace across client-side retries; a missing or malformed header
-        falls back to a server-minted id.
-        """
-        supplied = request.headers.get("x-request-id", "")
-        if supplied and _REQUEST_ID_RE.match(supplied):
-            return supplied
-        return f"{self._id_prefix}-{next(self._request_ids):06d}"
-
-    async def _dispatch(self, request: HttpRequest, writer) -> bool:
-        """Route one request, write one response; returns keep-alive."""
-        if request.path == "/v1/stream":
-            # SSE owns its writer (incremental frames, no Content-Length),
-            # so it bypasses the buffered request/response path entirely.
-            return await self._handle_stream(request, writer)
-        request_id = self._request_id(request)
-        started = time.perf_counter()
-        self._inflight += 1
-        self._idle.clear()
-        status = 500
-        extra = {"X-Request-Id": request_id}
-        keep_alive = request.keep_alive and not self._draining
-        try:
-            # Chaos hook: an injected dispatch failure must surface as a
-            # structured 500 (the generic handler below) with the
-            # connection intact — exactly like a real handler bug.  Keyed
-            # on an arrival counter, so a sequential chaos client sees the
-            # same requests fail on every run.
-            faults.maybe_raise(
-                "server.io",
-                f"{request.method} {request.path}#{next(self._io_seq)}",
-            )
-            status, payload, headers = await self._route(request, request_id)
-            extra.update(headers)
-        except QueueFullError as exc:
-            status = 503
-            payload = error_payload(503, str(exc), request_id)
-            extra["Retry-After"] = f"{exc.retry_after:g}"
-        except asyncio.TimeoutError:
-            status = 504
-            payload = error_payload(
-                504, f"request exceeded the {self.config.timeout:g}s budget", request_id
-            )
-        except HttpError as exc:
-            status = exc.status
-            payload = error_payload(exc.status, exc.message, request_id)
-            extra.update(exc.headers)
-        except Exception as exc:  # a handler bug must not kill the connection
-            status = 500
-            payload = error_payload(500, f"{type(exc).__name__}: {exc}", request_id)
-            log.exception("request %s failed", request_id)
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
-        elapsed = time.perf_counter() - started
-        self.telemetry.incr("http_requests")
-        self.telemetry.incr(f"http_status_{status}")
-        self.telemetry.observe(f"http_seconds_{request.method} {request.path}", elapsed)
-        log.info(
-            json.dumps(
-                {
-                    "request_id": request_id,
-                    "method": request.method,
-                    "path": request.path,
-                    "status": status,
-                    "elapsed_ms": round(elapsed * 1000, 3),
-                    "inflight": self._inflight,
-                    "queued": self.admission.waiting,
-                }
-            )
-        )
-        try:
-            await write_response(writer, status, payload, keep_alive, extra)
-        except (ConnectionResetError, BrokenPipeError):
-            return False
-        return keep_alive
-
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
-    async def _route(
-        self, request: HttpRequest, request_id: str
+    def _error_response(
+        self, exc: Exception, request_id: str
     ) -> Tuple[int, object, Dict[str, str]]:
-        path, method = request.path, request.method
-        if path == "/healthz":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            return 200, {"status": "ok", "uptime_seconds": self._uptime()}, {}
-        if path == "/readyz":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            if self._draining:
-                return 503, {"status": "draining"}, {}
-            ready: Dict[str, object] = {"status": "ready"}
-            if self.maintenance is not None:
-                ready["lifecycle"] = self.maintenance.snapshot()
-            return 200, ready, {}
-        if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            samples = request.query.get("samples", "") in ("1", "true", "yes")
-            return 200, self._metrics(samples=samples), {}
-        if path == "/v1/experience":
-            if method == "GET":
-                return 200, self._experience_export(), {}
-            if method == "POST":
-                return self._handle_experience_merge(request, request_id)
-            raise HttpError(405, "use GET or POST", {"Allow": "GET, POST"})
-        if path == "/v1/diagnose":
-            if method != "POST":
-                raise HttpError(405, "use POST", {"Allow": "POST"})
-            return await self._handle_diagnose(request, request_id)
-        if path == "/v1/batch":
-            if method != "POST":
-                raise HttpError(405, "use POST", {"Allow": "POST"})
-            return await self._handle_batch(request, request_id)
-        report_match = _TENANT_REPORT_RE.match(path)
-        if report_match:
-            if method != "GET":
-                raise HttpError(405, "use GET", {"Allow": "GET"})
-            return self._handle_tenant_report(request, request_id, report_match.group(1))
-        raise HttpError(404, f"no route {path!r}")
+        if isinstance(exc, QueueFullError):
+            return 503, error_payload(503, str(exc), request_id), {
+                "Retry-After": f"{exc.retry_after:g}"
+            }
+        if isinstance(exc, asyncio.TimeoutError):
+            message = f"request exceeded the {self.config.timeout:g}s budget"
+            return 504, error_payload(504, message, request_id), {}
+        return super()._error_response(exc, request_id)
+
+    def _match_route(self, path: str):
+        match = _TENANT_REPORT_RE.match(path)
+        if match is None:
+            return None
+        return {"GET": functools.partial(self._handle_tenant_report, tenant_id=match.group(1))}
 
     # ------------------------------------------------------------------
     # Tenancy (auth middleware, quotas, reporting)
@@ -509,7 +322,7 @@ class DiagnosisServer:
                 {"Retry-After": f"{max(decision.retry_after, 0.001):.3f}"},
             )
 
-    def _handle_tenant_report(
+    async def _handle_tenant_report(
         self, request: HttpRequest, request_id: str, tenant_id: str
     ) -> Tuple[int, object, Dict[str, str]]:
         """Fleet-health report over the tenant's persisted history.
@@ -536,6 +349,11 @@ class DiagnosisServer:
         report["request_id"] = request_id
         return 200, report, {}
 
+    async def _experience_get(
+        self, request: HttpRequest, request_id: str
+    ) -> Tuple[int, object, Dict[str, str]]:
+        return 200, self._experience_export(), {}
+
     def _experience_export(self) -> Dict:
         """The gossip export, annotated with store-restored baselines.
 
@@ -561,9 +379,6 @@ class DiagnosisServer:
             snapshot["seed_episode_count"] = seed_episodes
         return snapshot
 
-    def _uptime(self) -> float:
-        return round(time.monotonic() - self._started, 3)
-
     def _metrics(self, samples: bool = False) -> Dict:
         return {
             "server": {
@@ -587,10 +402,6 @@ class DiagnosisServer:
             ),
             "telemetry": self.telemetry.snapshot(samples=samples),
         }
-
-    def _reject_if_draining(self) -> None:
-        if self._draining:
-            raise HttpError(503, "server is draining", {"Retry-After": "1"})
 
     async def _handle_diagnose(
         self, request: HttpRequest, request_id: str
@@ -621,7 +432,7 @@ class DiagnosisServer:
             return 504, payload, {}
         return 200, payload, {}
 
-    def _handle_experience_merge(
+    async def _handle_experience_merge(
         self, request: HttpRequest, request_id: str
     ) -> Tuple[int, object, Dict[str, str]]:
         """Gossip sink: merge a peer's experience delta into the engine.
@@ -721,8 +532,7 @@ class DiagnosisServer:
                 pass
             return False
 
-        self._inflight += 1
-        self._idle.clear()
+        self._enter()
         self._streams_active += 1
         self.telemetry.gauge("streams_active", float(self._streams_active))
         self.telemetry.incr("streams_opened")
@@ -735,9 +545,7 @@ class DiagnosisServer:
         finally:
             self._streams_active -= 1
             self.telemetry.gauge("streams_active", float(self._streams_active))
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
+            self._leave()
             self._log_stream(request_id, 200, events_sent, started)
         return False  # Connection: close — SSE streams never keep-alive
 
@@ -862,106 +670,3 @@ def run(config: ServerConfig) -> int:
     server = DiagnosisServer(config)
     asyncio.run(server.serve())
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve", description="serve FLAMES diagnosis over HTTP/JSON"
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    parser.add_argument(
-        "--port", type=int, default=8080, help="bind port; 0 picks an ephemeral port"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="concurrent diagnosis slots (default 4)"
-    )
-    parser.add_argument(
-        "--queue-size", type=int, default=64,
-        help="requests allowed to wait for a slot before 503s (default 64)",
-    )
-    parser.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="result-cache capacity (default 1024)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request budget in seconds (default 30)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts for crashed jobs (default 1)",
-    )
-    parser.add_argument(
-        "--supervise", action="store_true",
-        help="engage the fleet supervisor (poison-job quarantine, worker "
-        "health eviction)",
-    )
-    parser.add_argument(
-        "--faults", default="",
-        help="JSON fault plan armed server-wide (chaos testing only); "
-        'e.g. \'{"seed": 0, "rules": [{"point": "server.io", "rate": 0.2}]}\'',
-    )
-    parser.add_argument(
-        "--max-streams", type=int, default=4,
-        help="concurrent /v1/stream connections (default 4)",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=5.0,
-        help="SSE keep-alive cadence in seconds (default 5)",
-    )
-    parser.add_argument(
-        "--store", default="",
-        help="sqlite persistence-plane path (durable cache + experience, "
-        "tenant auth/quotas, diagnosis history); default: in-memory only",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=float, default=60.0,
-        help="store WAL checkpoint cadence in seconds, jittered (default 60; 0 never)",
-    )
-    parser.add_argument(
-        "--retain-history", type=float, default=30.0, metavar="DAYS",
-        help="drop history rows older than DAYS (default 30; 0 keeps forever)",
-    )
-    parser.add_argument(
-        "--retain-history-rows", type=int, default=100_000, metavar="N",
-        help="keep at most N history rows (default 100000; 0 unbounded)",
-    )
-    parser.add_argument(
-        "--retain-cache", type=float, default=0.0, metavar="DAYS",
-        help="drop cache rows older than DAYS (default 0: row bound only)",
-    )
-    parser.add_argument(
-        "--no-lifecycle", action="store_true",
-        help="skip the store maintenance loop (cluster replicas: the "
-        "gateway checkpoints the shared file instead)",
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
-    try:
-        config = ServerConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            cache_size=args.cache_size,
-            timeout=args.timeout,
-            retries=args.retries,
-            supervise=args.supervise,
-            faults=args.faults,
-            max_streams=args.max_streams,
-            heartbeat=args.heartbeat,
-            store=args.store,
-            lifecycle=not args.no_lifecycle,
-            checkpoint_interval=args.checkpoint_interval,
-            retain_history_days=args.retain_history,
-            retain_history_rows=args.retain_history_rows,
-            retain_cache_days=args.retain_cache,
-        )
-    except ValueError as exc:
-        print(f"bad server options: {exc}", flush=True)
-        return 2
-    return run(config)

@@ -67,6 +67,19 @@ class LifecycleConfig:
     max_batches_per_tick: int = 4
     retention: RetentionPolicy = field(default_factory=RetentionPolicy)
 
+    @classmethod
+    def from_settings(cls, settings) -> "LifecycleConfig":
+        """From a serve/cluster config's ``checkpoint_interval`` and
+        ``retain_*`` fields (the retention windows are in days there)."""
+        return cls(
+            checkpoint_interval=settings.checkpoint_interval,
+            retention=RetentionPolicy(
+                history_max_age=settings.retain_history_days * 86400.0,
+                history_max_rows=settings.retain_history_rows,
+                cache_max_age=settings.retain_cache_days * 86400.0,
+            ),
+        )
+
 
 class StoreMaintenance:
     """The background upkeep loop over one :class:`DiagnosisStore`.

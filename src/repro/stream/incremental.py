@@ -39,14 +39,14 @@ import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.atms import FuzzyATMS, minimal_diagnoses, suspicion_scores
+from repro.atms import FuzzyATMS
 from repro.atms.nodes import Node
 from repro.circuit.measurements import Measurement
 from repro.core.conflicts import RecognizedConflict
 from repro.core.diagnosis import DiagnosisResult, Flames
 from repro.core.propagation import PropagationResult, PropagatorState
-from repro.fuzzy import consistency
 from repro.runtime.context import RunContext
+from repro.runtime.pipeline import ConflictSink, finish_diagnosis
 
 __all__ = ["IncrementalDiagnosisEngine", "TickStats"]
 
@@ -87,11 +87,10 @@ class IncrementalDiagnosisEngine:
         self.engine = engine
         self.config = engine.config
         self._propagator = engine.make_propagator()
-        self._propagator.on_conflict = self._on_conflict
-        # Working ATMS state (swapped wholesale on restore).
-        self._atms: Optional[FuzzyATMS] = None
-        self._nodes: Dict[str, Node] = {}
-        self._data_conflicts: List[RecognizedConflict] = []
+        # The pipeline's seed-stage sink; its ATMS state is swapped
+        # wholesale on restore.
+        self._sink = ConflictSink(self.config)
+        self._propagator.on_conflict = self._sink
         # The absorption chain.
         self._base: Optional[_ChainStep] = None  # predictions-only fixpoint
         self._chain: List[_ChainStep] = []
@@ -99,58 +98,32 @@ class IncrementalDiagnosisEngine:
         self.last_stats: Optional[TickStats] = None
 
     # ------------------------------------------------------------------
-    # ATMS plumbing (mirrors DiagnosisPipeline's seed stage)
-    # ------------------------------------------------------------------
-    def _fresh_atms(self) -> None:
-        self._atms = FuzzyATMS(
-            t_norm=self.config.t_norm, hard_threshold=self.config.hard_threshold
-        )
-        self._nodes = {}
-        self._data_conflicts = []
-
-    def _node_for(self, name: str) -> Node:
-        if name not in self._nodes:
-            assert self._atms is not None
-            self._nodes[name] = self._atms.create_assumption(f"ok({name})", name)
-        return self._nodes[name]
-
-    def _on_conflict(self, conflict: RecognizedConflict) -> None:
-        if conflict.degree < self.config.conflict_threshold:
-            return
-        if not conflict.environment:
-            self._data_conflicts.append(conflict)
-            return
-        assert self._atms is not None
-        self._atms.declare_soft_nogood(
-            f"{conflict.variable}",
-            [self._node_for(n) for n in sorted(conflict.environment)],
-            conflict.degree,
-        )
-
-    # ------------------------------------------------------------------
     # Chain bookkeeping
     # ------------------------------------------------------------------
-    def _snapshot_step(self, measurement: Measurement) -> _ChainStep:
+    def _snapshot_step(self, measurement: Optional[Measurement]) -> _ChainStep:
+        sink = self._sink
         return _ChainStep(
             measurement=measurement,
             propagator_state=self._propagator.checkpoint(),
-            atms_state=copy.deepcopy((self._atms, self._nodes)),
-            data_conflicts=tuple(self._data_conflicts),
+            atms_state=copy.deepcopy((sink.atms, sink.nodes)),
+            data_conflicts=tuple(sink.data_conflicts),
         )
 
     def _restore_step(self, step: _ChainStep) -> None:
         self._propagator.restore(step.propagator_state)
         # Deepcopy again: the stored state must stay pristine while the
         # working copy keeps absorbing nogoods.
-        self._atms, self._nodes = copy.deepcopy(step.atms_state)
-        self._data_conflicts = list(step.data_conflicts)
+        sink = self._sink
+        sink.atms, sink.nodes = copy.deepcopy(step.atms_state)
+        sink.data_conflicts = list(step.data_conflicts)
 
     def _build_base(self, ctx: RunContext) -> bool:
         """Predictions-only fixpoint; False when interrupted."""
         self.engine._ensure_nominal()
         nominal = self.engine._nominal
         assert nominal is not None
-        self._fresh_atms()
+        self._sink = ConflictSink(self.config)
+        self._propagator.on_conflict = self._sink
         self._propagator.reset()
         for name, prediction in nominal.items():
             if name in self.engine.network.variables:
@@ -160,12 +133,7 @@ class IncrementalDiagnosisEngine:
         outcome = self._propagator.run(ctx=ctx)
         if outcome.interrupted:
             return False
-        self._base = _ChainStep(
-            measurement=None,
-            propagator_state=self._propagator.checkpoint(),
-            atms_state=copy.deepcopy((self._atms, self._nodes)),
-            data_conflicts=tuple(self._data_conflicts),
-        )
+        self._base = self._snapshot_step(None)
         return True
 
     def _maintain_order(self, measurements: Sequence[Measurement]) -> List[Measurement]:
@@ -244,13 +212,15 @@ class IncrementalDiagnosisEngine:
                         # fixpoint inside the budget: report an empty,
                         # interrupted result and leave the chain unbuilt.
                         self._base = None
-                        return self._finish(
+                        return finish_diagnosis(
+                            engine,
                             measurements,
+                            self._propagator,
+                            self._sink,
                             PropagationResult(
                                 steps=0, quiescent=False, interrupted=True
                             ),
                             ctx,
-                            TickStats(0, 0, len(measurements), 0),
                         )
                     self._chain = []
                 prefix = self._valid_prefix(ordered)
@@ -285,54 +255,9 @@ class IncrementalDiagnosisEngine:
             outcome_all = PropagationResult(
                 steps=total_steps, quiescent=quiescent, interrupted=interrupted
             )
-            return self._finish(ordered, outcome_all, ctx, stats)
-
-    # ------------------------------------------------------------------
-    def _finish(
-        self,
-        measurements: Sequence[Measurement],
-        outcome: PropagationResult,
-        ctx: RunContext,
-        stats: TickStats,
-    ) -> DiagnosisResult:
-        """The pipeline's classify/nogoods/candidates/score tail."""
-        engine = self.engine
-        config = self.config
-        assert self._atms is not None
-
-        with ctx.span("classify"):
-            predictions = engine.predictions()
-            support = engine.prediction_support()
-            consistencies = {
-                m.point: consistency(m.value, predictions[m.point])
-                for m in measurements
-                if m.point in predictions
-            }
-        with ctx.span("nogoods"):
-            nogoods = self._atms.weighted_nogoods(config.conflict_threshold)
-        with ctx.span("candidates"):
-            diagnoses = minimal_diagnoses(
-                nogoods,
-                threshold=config.conflict_threshold,
-                max_size=config.max_candidate_size,
+            return finish_diagnosis(
+                engine, ordered, self._propagator, self._sink, outcome_all, ctx
             )
-        with ctx.span("score"):
-            suspicions = {a.datum: s for a, s in suspicion_scores(nogoods).items()}
-
-        ctx.should_stop()
-        return DiagnosisResult(
-            measurements=list(measurements),
-            predictions=predictions,
-            prediction_support=support,
-            consistencies=consistencies,
-            nogoods=nogoods,
-            diagnoses=diagnoses,
-            suspicions=suspicions,
-            conflicts=self._propagator.conflicts + list(self._data_conflicts),
-            propagation=outcome,
-            interrupted=ctx.interrupted or outcome.interrupted,
-            trace=ctx.trace() if ctx.tracing else None,
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -8,6 +8,7 @@ subprocess spawning is left to the smoke script.
 """
 
 import asyncio
+import http.client
 import json
 import threading
 import time
@@ -130,6 +131,35 @@ class TestGatewayBasics:
                     with pytest.raises(ClientError) as err:
                         client.diagnose({"unit": "u", "probes": {"mid": 1.0}})
                     assert err.value.status == 400
+
+
+class TestTraceJoin:
+    def test_trace_query_returns_span_tree_joined_to_request_id(self):
+        with RunningServer() as b0:
+            with RunningCluster([b0]) as rc:
+                with rc.client() as client:
+                    result = client.diagnose(make_spec(0), trace=True)
+        trace = result["trace"]
+        assert trace["trace_id"] == result["request_id"]
+        assert result["request_id"].startswith("cli-")
+        names = [span["name"] for span in trace["spans"]]
+        assert "diagnose" in names
+
+    def test_minted_gateway_id_reaches_the_replica(self):
+        with RunningServer() as b0:
+            with RunningCluster([b0]) as rc:
+                conn = http.client.HTTPConnection("127.0.0.1", rc.gateway.port, timeout=10)
+                conn.request(
+                    "POST", "/v1/diagnose?trace=1", body=json.dumps(make_spec(1)),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                result = json.loads(response.read())
+                conn.close()
+        assert response.status == 200
+        assert result["request_id"].startswith("gw-")
+        assert response.getheader("X-Request-Id") == result["request_id"]
+        assert result["trace"]["trace_id"] == result["request_id"]
 
 
 class TestRouting:

@@ -4,9 +4,12 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server.http import (
     HttpError,
+    HttpRequest,
     error_payload,
     parse_response_bytes,
     read_request,
@@ -90,6 +93,18 @@ class TestReadRequest:
             parse(raw, max_header=64)
         assert err.value.status == 413
 
+    def test_malformed_target_is_400(self):
+        with pytest.raises(HttpError) as err:
+            parse(b"GET http://[::1/x HTTP/1.1\r\n\r\n")
+        assert err.value.status == 400
+
+    @pytest.mark.parametrize("declared", ["+3", "1_0", "-1", "3.0", "\u0663"])
+    def test_content_length_must_be_ascii_digits(self, declared):
+        raw = f"POST / HTTP/1.1\r\nContent-Length: {declared}\r\n\r\nabc"
+        with pytest.raises(HttpError) as err:
+            parse(raw.encode("utf-8"))
+        assert err.value.status == 400
+
     def test_keep_alive_default_and_close(self):
         req = parse(b"GET / HTTP/1.1\r\n\r\n")
         assert req.keep_alive
@@ -137,3 +152,39 @@ class TestRenderResponse:
         assert payload["error"]["status"] == 400
         assert payload["error"]["message"] == "bad spec"
         assert payload["error"]["request_id"] == "req-1"
+
+
+#: Request pieces that steer random bytes towards the parser's edge cases.
+_TARGETS = st.sampled_from(
+    [b"/v1/diagnose", b"http://[::1", b"http://x:99999/", b"?a=1&a=2", b"%zz", b"\xff"]
+)
+_HEADERS = st.sampled_from([
+    b"Host: x", b"Connection: close", b"Transfer-Encoding: chunked", b"no-colon",
+    b"Content-Length: 5", b"Content-Length: +3", b"Content-Length: 1_0",
+    b"Content-Length: -1", b"Content-Length: 99999999999999999999",
+])
+
+
+@st.composite
+def _requests(draw):
+    method = draw(st.sampled_from([b"GET", b"POST", b""]) | st.binary(max_size=4))
+    target = b"".join(draw(st.lists(_TARGETS | st.binary(max_size=4), max_size=4)))
+    version = draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2", b""]))
+    headers = draw(st.lists(_HEADERS | st.binary(max_size=12), max_size=4))
+    head = b"\r\n".join([method + b" " + target + b" " + version, *headers])
+    return head + b"\r\n\r\n" + draw(st.binary(max_size=80))
+
+
+REQUEST_BYTES = st.binary(max_size=300) | _requests()
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=REQUEST_BYTES)
+def test_any_bytes_yield_a_request_none_or_a_client_error(raw):
+    """No byte string escapes ``read_request`` as anything but these."""
+    try:
+        request = parse(raw, max_header=256, max_body=64)
+    except HttpError as exc:
+        assert exc.status in (400, 413, 501), exc.status
+    else:
+        assert request is None or isinstance(request, HttpRequest)

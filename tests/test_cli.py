@@ -206,3 +206,101 @@ class TestCorpus:
         code = main(["corpus", "generate", "--classes", "nonsense"])
         assert code == 2
         assert "bad corpus recipe" in capsys.readouterr().err
+
+
+class TestServeAndClusterOptions:
+    """``serve``/``cluster`` flags land on the config fields, once each."""
+
+    PLAN = '{"seed": 0, "rules": []}'
+
+    @pytest.fixture()
+    def captured(self, monkeypatch):
+        import repro.cluster.gateway
+        import repro.server.app
+
+        seen = {}
+
+        def capture(config):
+            seen["config"] = config
+            return 0
+
+        monkeypatch.setattr(repro.server.app, "run", capture)
+        monkeypatch.setattr(repro.cluster.gateway, "run", capture)
+        return seen
+
+    LIFECYCLE = [
+        "--store", "shop.db", "--checkpoint-interval", "7.5",
+        "--retain-history", "3.5", "--retain-history-rows", "99",
+        "--retain-cache", "1.5",
+    ]
+    LIFECYCLE_FIELDS = {
+        "store": "shop.db", "checkpoint_interval": 7.5,
+        "retain_history_days": 3.5, "retain_history_rows": 99,
+        "retain_cache_days": 1.5,
+    }
+
+    def test_serve_sets_every_field(self, captured):
+        argv = [
+            "serve", "--host", "0.0.0.0", "--port", "9001", "--workers", "3",
+            "--queue-size", "5", "--cache-size", "77", "--timeout", "2.5",
+            "--retries", "4", "--max-streams", "6", "--heartbeat", "0.5",
+            "--supervise", "--faults", self.PLAN, "--no-lifecycle", *self.LIFECYCLE,
+        ]
+        assert main(argv) == 0
+        config = captured["config"]
+        expected = {
+            "host": "0.0.0.0", "port": 9001, "workers": 3, "queue_size": 5,
+            "cache_size": 77, "timeout": 2.5, "retries": 4, "max_streams": 6,
+            "heartbeat": 0.5, "supervise": True, "faults": self.PLAN,
+            "lifecycle": False, **self.LIFECYCLE_FIELDS,
+        }
+        assert {name: getattr(config, name) for name in expected} == expected
+
+    def test_server_config_argv_round_trips(self, captured):
+        from repro.server import ServerConfig
+
+        config = ServerConfig(
+            host="0.0.0.0", port=0, workers=3, queue_size=5, cache_size=77,
+            timeout=2.5, retries=4, max_streams=6, heartbeat=0.5, supervise=True,
+            faults=self.PLAN, store="shop.db", lifecycle=False,
+            checkpoint_interval=7.5, retain_history_days=3.5,
+            retain_history_rows=99, retain_cache_days=1.5,
+        )
+        assert main(["serve", *config.to_argv()]) == 0
+        assert captured["config"] == config
+        assert main(["serve", *ServerConfig().to_argv()]) == 0
+        assert captured["config"] == ServerConfig()
+
+    def test_cluster_sets_every_field(self, captured):
+        argv = [
+            "cluster", "--host", "0.0.0.0", "--port", "9002", "--replicas", "3",
+            "--vnodes", "16", "--workers", "5", "--queue-size", "6",
+            "--cache-size", "88", "--timeout", "4.5", "--retries", "2",
+            "--poll-interval", "0.25", "--gossip-interval", "0.75", "--supervise",
+            "--faults", self.PLAN, "--replica-faults", self.PLAN, *self.LIFECYCLE,
+        ]
+        assert main(argv) == 0
+        config = captured["config"]
+        expected = {
+            "host": "0.0.0.0", "port": 9002, "replicas": 3, "vnodes": 16,
+            "workers": 5, "queue_size": 6, "cache_size": 88, "timeout": 4.5,
+            "retries": 2, "poll_interval": 0.25, "gossip_interval": 0.75,
+            "supervise": True, "faults": self.PLAN, "replica_faults": self.PLAN,
+            **self.LIFECYCLE_FIELDS,
+        }
+        assert {name: getattr(config, name) for name in expected} == expected
+        replica = config.replica_config()
+        assert (replica.port, replica.lifecycle) == (0, False)
+        assert (replica.faults, replica.store) == (self.PLAN, "shop.db")
+        assert (replica.workers, replica.queue_size, replica.cache_size) == (5, 6, 88)
+
+    def test_bad_serve_options_exit_two(self, captured, capsys):
+        assert main(["serve", "--workers", "0"]) == 2
+        assert "bad server options" in capsys.readouterr().out
+        assert "config" not in captured
+
+    def test_bad_cluster_options_exit_two(self, captured, capsys):
+        assert main(["cluster", "--replicas", "0"]) == 2
+        assert "bad cluster options" in capsys.readouterr().out
+        assert main(["cluster", "--workers", "0"]) == 2
+        assert "config" not in captured
