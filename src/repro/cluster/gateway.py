@@ -157,6 +157,7 @@ class ClusterGateway(HttpService):
             self._seed_gossip_from_store(config.store)
             self._build_maintenance(config)
         self._local = threading.local()  # one forwarding client per thread
+        self._clients: List[DiagnosisClient] = []  # every one, for teardown
         width = max(4, config.replicas * config.workers + 2)
         self._forward = ThreadPoolExecutor(width, thread_name_prefix="forward")
         self._control = ThreadPoolExecutor(2, thread_name_prefix="cluster-ctl")
@@ -228,6 +229,8 @@ class ClusterGateway(HttpService):
         )
         self._forward.shutdown(wait=drained)
         self._control.shutdown(wait=True)
+        for client in self._clients:
+            client.close()
         if self.maintenance is not None:
             # Final checkpoint after every replica has flushed and exited.
             self.maintenance.stop(final_tick=True)
@@ -336,6 +339,7 @@ class ClusterGateway(HttpService):
                 timeout=self.config.timeout * 1.5 + 5.0,
             )
             self._local.client = client
+            self._clients.append(client)
         return client
 
     def _targets(self, key: str) -> List[Tuple[str, str]]:

@@ -5,8 +5,9 @@ justified seeds (the supply rails), and constraint projections narrow
 them; every derived value carries the union of the component assumptions
 it depends on.  When a projection *coincides* with an established value,
 the conflict-recognition engine classifies the coincidence (figure 4)
-and reports partial/total conflicts as weighted nogoods through the
-``on_conflict`` callback.
+and appends partial/total conflicts to the propagator's conflict log
+(:attr:`FuzzyPropagator.conflicts`), from which the diagnosis pipeline
+builds the weighted nogoods.
 
 Relaxation note: circuits with feedback (a bias divider loaded by a base
 current, a stage loaded by the next stage's input) are not solvable by
@@ -21,8 +22,8 @@ the loop terminates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.context import RunContext
@@ -75,7 +76,6 @@ class PropagationResult:
     """
 
     steps: int
-    conflicts: List[RecognizedConflict] = field(default_factory=list)
     quiescent: bool = True
     interrupted: bool = False
 
@@ -109,12 +109,10 @@ class FuzzyPropagator:
     def __init__(
         self,
         network: ConstraintNetwork,
-        on_conflict: Optional[Callable[[RecognizedConflict], None]] = None,
         config: Optional[PropagatorConfig] = None,
     ) -> None:
         self.network = network
         self.config = config if config is not None else PropagatorConfig()
-        self.on_conflict = on_conflict
         self._values: Dict[str, List[FuzzyValue]] = {}
         self._watchers: Dict[str, List[Constraint]] = {}
         self._watched: Dict[int, tuple] = {}
@@ -197,17 +195,15 @@ class FuzzyPropagator:
         environment: FrozenSet[str] = frozenset(),
         degree: float = 1.0,
         source: str = "measurement",
-    ) -> List[RecognizedConflict]:
+    ) -> None:
         """Assert a value (typically a measurement) for a variable.
 
-        Returns conflicts recognised immediately against existing values;
-        run :meth:`run` afterwards to propagate the consequences.
+        Conflicts recognised immediately against existing values join the
+        log; run :meth:`run` afterwards to propagate the consequences.
         """
         if name not in self._values:
             raise KeyError(f"unknown variable {name!r}")
-        before = len(self._conflicts)
         self._record(name, FuzzyValue(interval, environment, degree, source))
-        return self._conflicts[before:]
 
     # ------------------------------------------------------------------
     # Queries
@@ -269,19 +265,11 @@ class FuzzyPropagator:
             queue = list(self.network.constraints)
         queued = {id(c) for c in queue}
         steps = 0
-        start_conflicts = len(self._conflicts)
         while queue:
             if ctx is not None and ctx.tick():
-                return PropagationResult(
-                    steps,
-                    self._conflicts[start_conflicts:],
-                    quiescent=False,
-                    interrupted=True,
-                )
+                return PropagationResult(steps, quiescent=False, interrupted=True)
             if steps >= self.config.max_steps:
-                return PropagationResult(
-                    steps, self._conflicts[start_conflicts:], quiescent=False
-                )
+                return PropagationResult(steps, quiescent=False)
             constraint = queue.pop(0)
             queued.discard(id(constraint))
             steps += 1
@@ -291,7 +279,7 @@ class FuzzyPropagator:
                     if id(watcher) not in queued:
                         queue.append(watcher)
                         queued.add(id(watcher))
-        return PropagationResult(steps, self._conflicts[start_conflicts:], quiescent=True)
+        return PropagationResult(steps, quiescent=True)
 
     # ------------------------------------------------------------------
     def _apply(self, constraint: Constraint) -> List[str]:
@@ -406,8 +394,6 @@ class FuzzyPropagator:
                 if key not in self._conflict_keys:
                     self._conflict_keys.add(key)
                     self._conflicts.append(conflict)
-                    if self.on_conflict is not None:
-                        self.on_conflict(conflict)
         if new.source in _IMMUTABLE_SOURCES:
             stored.append(new)
             self._touch(name)

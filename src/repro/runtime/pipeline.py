@@ -12,14 +12,16 @@ same computation decomposed into named stages, each wrapped in a
   long stage: it ticks the context per work-list pop and winds down
   cooperatively on expiry);
 * ``classify``   — per-probe consistency (the figure-7 Dc table);
-* ``nogoods``    — collect the weighted nogoods above threshold;
+* ``nogoods``    — replay the propagator's conflict log into a fuzzy ATMS
+  and collect the weighted nogoods above threshold;
 * ``candidates`` — minimal hitting sets (the candidate spaces);
 * ``score``      — per-component suspicion degrees.
 
-:class:`ConflictSink` (the seed stage's conflict → soft-nogood hook) and
 :func:`finish_diagnosis` (the classify → nogoods → candidates → score
-tail) are module-level so the streaming engine
-(:mod:`repro.stream.incremental`) runs the very same stages.
+tail) is module-level so the streaming engine
+(:mod:`repro.stream.incremental`) runs the very same stages.  Conflict
+state lives only in the propagator's log: the ATMS is a view rebuilt
+from it, so a restored propagator checkpoint restores the nogoods too.
 
 Interruption contract: when the context expires mid-``propagate`` the
 downstream stages still run on whatever the fixpoint had established, so
@@ -32,7 +34,7 @@ golden snapshots in ``tests/golden`` pin that down.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.atms import FuzzyATMS, minimal_diagnoses, suspicion_scores
 from repro.atms.nodes import Node
@@ -45,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> runtime)
     from repro.core.diagnosis import DiagnosisResult, Flames, FlamesConfig
     from repro.core.propagation import FuzzyPropagator, PropagationResult
 
-__all__ = ["ConflictSink", "DiagnosisPipeline", "STAGES", "finish_diagnosis"]
+__all__ = ["DiagnosisPipeline", "STAGES", "finish_diagnosis"]
 
 #: The stage names, in execution order (also the span names).
 STAGES = (
@@ -59,44 +61,34 @@ STAGES = (
 )
 
 
-class ConflictSink:
-    """The propagator's ``on_conflict`` hook: conflicts into a fuzzy ATMS.
+def _nogood_atms(
+    config: "FlamesConfig", conflicts: Sequence[RecognizedConflict]
+) -> FuzzyATMS:
+    """Replay a conflict log into a fresh fuzzy ATMS.
 
     A conflict at or above the threshold over an environment becomes a
     soft nogood over the ``ok(component)`` assumption nodes; one with an
-    empty environment (the data disagree among themselves) is kept aside
-    as a data conflict.
+    empty environment (the data disagree among themselves) is a data
+    conflict and yields no nogood.
     """
-
-    def __init__(self, config: "FlamesConfig") -> None:
-        self.threshold = config.conflict_threshold
-        self.atms = FuzzyATMS(t_norm=config.t_norm, hard_threshold=config.hard_threshold)
-        self.nodes: Dict[str, Node] = {}
-        self.data_conflicts: List[RecognizedConflict] = []
-
-    def node_for(self, name: str) -> Node:
-        if name not in self.nodes:
-            self.nodes[name] = self.atms.create_assumption(f"ok({name})", name)
-        return self.nodes[name]
-
-    def __call__(self, conflict: RecognizedConflict) -> None:
-        if conflict.degree < self.threshold:
-            return
-        if not conflict.environment:
-            self.data_conflicts.append(conflict)
-            return
-        self.atms.declare_soft_nogood(
-            f"{conflict.variable}",
-            [self.node_for(n) for n in sorted(conflict.environment)],
-            conflict.degree,
-        )
+    atms = FuzzyATMS(t_norm=config.t_norm, hard_threshold=config.hard_threshold)
+    nodes: Dict[str, Node] = {}
+    for conflict in conflicts:
+        if conflict.degree < config.conflict_threshold or not conflict.environment:
+            continue
+        antecedents = []
+        for name in sorted(conflict.environment):
+            if name not in nodes:
+                nodes[name] = atms.create_assumption(f"ok({name})", name)
+            antecedents.append(nodes[name])
+        atms.declare_soft_nogood(conflict.variable, antecedents, conflict.degree)
+    return atms
 
 
 def finish_diagnosis(
     engine: "Flames",
     measurements: Sequence[Measurement],
     propagator: "FuzzyPropagator",
-    sink: ConflictSink,
     outcome: "PropagationResult",
     ctx: RunContext,
 ) -> "DiagnosisResult":
@@ -118,7 +110,9 @@ def finish_diagnosis(
             if m.point in predictions
         }
     with ctx.span("nogoods"):
-        nogoods = sink.atms.weighted_nogoods(config.conflict_threshold)
+        conflicts = propagator.conflicts
+        atms = _nogood_atms(config, conflicts)
+        nogoods = atms.weighted_nogoods(config.conflict_threshold)
     with ctx.span("candidates"):
         diagnoses = minimal_diagnoses(
             nogoods,
@@ -137,7 +131,7 @@ def finish_diagnosis(
         nogoods=nogoods,
         diagnoses=diagnoses,
         suspicions=suspicions,
-        conflicts=propagator.conflicts + list(sink.data_conflicts),
+        conflicts=conflicts,
         propagation=outcome,
         interrupted=ctx.interrupted or outcome.interrupted,
         trace=ctx.trace() if ctx.tracing else None,
@@ -166,10 +160,8 @@ class DiagnosisPipeline:
             nominal = engine._nominal
             assert nominal is not None
 
-            sink = ConflictSink(engine.config)
             with ctx.span("seed"):
                 propagator = engine.make_propagator()
-                propagator.on_conflict = sink
                 # Database predictions first (so mode guards and coincidence
                 # checks see them), then the observations.
                 for name, prediction in nominal.items():
@@ -191,4 +183,4 @@ class DiagnosisPipeline:
                     span.meta["steps"] = outcome.steps
                     span.meta["quiescent"] = outcome.quiescent
 
-            return finish_diagnosis(engine, measurements, propagator, sink, outcome, ctx)
+            return finish_diagnosis(engine, measurements, propagator, outcome, ctx)

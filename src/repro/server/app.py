@@ -570,16 +570,23 @@ class DiagnosisServer(HttpService):
             seq += 1
             last_sent = time.monotonic()
 
+        # Wake the moment a drain is requested, not at the next poll: a
+        # stream that finishes inside the poll window would otherwise end
+        # ``complete`` although the drain began first.
+        shutdown = asyncio.ensure_future(self._shutdown.wait())
         try:
             while True:
+                # Short poll so a drain without a shutdown request, and the
+                # heartbeat, are still seen while the producer is deep in a
+                # propagation fixpoint.
+                get = asyncio.ensure_future(
+                    runner.next_update(timeout=min(0.25, self.config.heartbeat))
+                )
+                await asyncio.wait({get, shutdown}, return_when=asyncio.FIRST_COMPLETED)
                 if self._draining and not runner.stopped:
                     runner.stop()
                     reason = "drain"
-                # Short poll so a drain request is observed promptly even
-                # while the producer is deep in a propagation fixpoint.
-                item = await runner.next_update(
-                    timeout=min(0.25, self.config.heartbeat)
-                )
+                item = await get  # never cancelled, so no update is lost
                 if item is None:
                     if time.monotonic() - last_sent >= self.config.heartbeat:
                         await emit("heartbeat", {"request_id": request_id})
@@ -588,6 +595,7 @@ class DiagnosisServer(HttpService):
                     break
                 await emit("update", item.to_dict())
         finally:
+            shutdown.cancel()
             runner.stop()
         # Wait for the producer thread to wind down before the goodbye so
         # `end` is truly the last event and telemetry is fully flushed.

@@ -422,7 +422,6 @@ class FleetEngine:
         quarantine stays keyed on the raw content hash (a poison job is
         poison for everyone).
         """
-        tel = self.telemetry
         key = job.content_hash
         if self.supervisor is not None and self.supervisor.is_quarantined(key):
             result = self._quarantined_result(job, key)
@@ -432,25 +431,7 @@ class FleetEngine:
         if cached is not None:
             result = cached.relabel(job.unit)
         else:
-            attempts = 0
-            quarantined = False
-            while True:
-                attempts += 1
-                payload = execute_job(
-                    job,
-                    deadline_seconds=self.timeout,
-                    tracing=self.tracing,
-                    ctx=ctx,
-                    fault_plan=self.fault_plan,
-                )
-                quarantined = self._note_attempt(key, payload)
-                if quarantined or payload["status"] != "error" or attempts > self.retries:
-                    break
-                tel.incr("retries")
-            if quarantined:
-                result = self._quarantined_result(job, key, attempts=attempts)
-            else:
-                result = self._to_result(job, key, payload, attempts)
+            result = self._attempt(job, key, ctx)
             if result.completed:
                 # Interrupted results are partial: never cached.
                 self.cache.put(self._cache_key(key, tenant), result)
@@ -546,25 +527,27 @@ class FleetEngine:
         return self._execute_pooled(pending)
 
     def _execute_serial(self, pending: Dict[str, DiagnosisJob]) -> Dict[str, JobResult]:
-        results: Dict[str, JobResult] = {}
-        for key, job in pending.items():
-            attempts = 0
-            while True:
-                attempts += 1
-                payload = execute_job(
-                    job,
-                    deadline_seconds=self.timeout,
-                    tracing=self.tracing,
-                    fault_plan=self.fault_plan,
-                )
-                if self._note_attempt(key, payload):
-                    results[key] = self._quarantined_result(job, key, attempts=attempts)
-                    break
-                if payload["status"] != "error" or attempts > self.retries:
-                    results[key] = self._to_result(job, key, payload, attempts)
-                    break
-                self.telemetry.incr("retries")
-        return results
+        return {key: self._attempt(job, key) for key, job in pending.items()}
+
+    def _attempt(
+        self, job: DiagnosisJob, key: str, ctx: Optional[RunContext] = None
+    ) -> JobResult:
+        """Run one job inline, retrying errors until done or quarantined."""
+        attempts = 0
+        while True:
+            attempts += 1
+            payload = execute_job(
+                job,
+                deadline_seconds=self.timeout,
+                tracing=self.tracing,
+                ctx=ctx,
+                fault_plan=self.fault_plan,
+            )
+            if self._note_attempt(key, payload):
+                return self._quarantined_result(job, key, attempts=attempts)
+            if payload["status"] != "error" or attempts > self.retries:
+                return self._to_result(job, key, payload, attempts)
+            self.telemetry.incr("retries")
 
     def _execute_pooled(self, pending: Dict[str, DiagnosisJob]) -> Dict[str, JobResult]:
         results: Dict[str, JobResult] = {}

@@ -5,10 +5,12 @@ intractable — a measurement's consequences thread through every
 narrowing merge downstream — so the streaming plane avoids retraction
 altogether.  The engine absorbs measurements **one at a time in a
 session-stable order**, running the propagator to quiescence after each
-assertion and checkpointing the complete solver state (propagator facts
-via :meth:`~repro.core.propagation.FuzzyPropagator.checkpoint`, the
-fuzzy ATMS and its assumption nodes via ``copy.deepcopy``, the
-data-conflict list) after every step.  When the next snapshot arrives,
+assertion and checkpointing the propagator after every step.  A chain
+step holds just the absorbed measurement and the propagator's
+:meth:`~repro.core.propagation.FuzzyPropagator.checkpoint` (values,
+dedup state and the conflict log); the fuzzy ATMS is not part of the
+state, because the pipeline's ``nogoods`` stage rebuilds it from the
+conflict log on every tick.  When the next snapshot arrives,
 the longest prefix of the chain whose (point, value) pairs are
 unchanged is *restored* instead of recomputed, and only the suffix —
 the dirty points, which the order maintenance deliberately moves to the
@@ -35,25 +37,21 @@ unfinished work instead of building on a non-quiescent state.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.atms import FuzzyATMS
-from repro.atms.nodes import Node
 from repro.circuit.measurements import Measurement
-from repro.core.conflicts import RecognizedConflict
 from repro.core.diagnosis import DiagnosisResult, Flames
 from repro.core.propagation import PropagationResult, PropagatorState
 from repro.runtime.context import RunContext
-from repro.runtime.pipeline import ConflictSink, finish_diagnosis
+from repro.runtime.pipeline import finish_diagnosis
 
 __all__ = ["IncrementalDiagnosisEngine", "TickStats"]
 
 
 @dataclass(frozen=True)
 class _ChainStep:
-    """One absorbed measurement and the solver state just after it.
+    """One absorbed measurement and the propagator state just after it.
 
     ``measurement`` is None only for the base step (the predictions-only
     fixpoint, before any observation is absorbed).
@@ -61,8 +59,6 @@ class _ChainStep:
 
     measurement: Optional[Measurement]
     propagator_state: PropagatorState
-    atms_state: Tuple[FuzzyATMS, Dict[str, Node]]  # deepcopied (atms, nodes)
-    data_conflicts: Tuple[RecognizedConflict, ...]
 
 
 @dataclass(frozen=True)
@@ -85,12 +81,7 @@ class IncrementalDiagnosisEngine:
 
     def __init__(self, engine: Flames) -> None:
         self.engine = engine
-        self.config = engine.config
         self._propagator = engine.make_propagator()
-        # The pipeline's seed-stage sink; its ATMS state is swapped
-        # wholesale on restore.
-        self._sink = ConflictSink(self.config)
-        self._propagator.on_conflict = self._sink
         # The absorption chain.
         self._base: Optional[_ChainStep] = None  # predictions-only fixpoint
         self._chain: List[_ChainStep] = []
@@ -100,30 +91,11 @@ class IncrementalDiagnosisEngine:
     # ------------------------------------------------------------------
     # Chain bookkeeping
     # ------------------------------------------------------------------
-    def _snapshot_step(self, measurement: Optional[Measurement]) -> _ChainStep:
-        sink = self._sink
-        return _ChainStep(
-            measurement=measurement,
-            propagator_state=self._propagator.checkpoint(),
-            atms_state=copy.deepcopy((sink.atms, sink.nodes)),
-            data_conflicts=tuple(sink.data_conflicts),
-        )
-
-    def _restore_step(self, step: _ChainStep) -> None:
-        self._propagator.restore(step.propagator_state)
-        # Deepcopy again: the stored state must stay pristine while the
-        # working copy keeps absorbing nogoods.
-        sink = self._sink
-        sink.atms, sink.nodes = copy.deepcopy(step.atms_state)
-        sink.data_conflicts = list(step.data_conflicts)
-
     def _build_base(self, ctx: RunContext) -> bool:
         """Predictions-only fixpoint; False when interrupted."""
         self.engine._ensure_nominal()
         nominal = self.engine._nominal
         assert nominal is not None
-        self._sink = ConflictSink(self.config)
-        self._propagator.on_conflict = self._sink
         self._propagator.reset()
         for name, prediction in nominal.items():
             if name in self.engine.network.variables:
@@ -133,7 +105,7 @@ class IncrementalDiagnosisEngine:
         outcome = self._propagator.run(ctx=ctx)
         if outcome.interrupted:
             return False
-        self._base = self._snapshot_step(None)
+        self._base = _ChainStep(None, self._propagator.checkpoint())
         return True
 
     def _maintain_order(self, measurements: Sequence[Measurement]) -> List[Measurement]:
@@ -216,7 +188,6 @@ class IncrementalDiagnosisEngine:
                             engine,
                             measurements,
                             self._propagator,
-                            self._sink,
                             PropagationResult(
                                 steps=0, quiescent=False, interrupted=True
                             ),
@@ -225,7 +196,8 @@ class IncrementalDiagnosisEngine:
                     self._chain = []
                 prefix = self._valid_prefix(ordered)
                 self._chain = self._chain[:prefix]
-                self._restore_step(self._chain[-1] if prefix else self._base)
+                step = self._chain[-1] if prefix else self._base
+                self._propagator.restore(step.propagator_state)
                 if span is not None:
                     span.meta["prefix"] = prefix
                     span.meta["suffix"] = len(ordered) - prefix
@@ -241,7 +213,7 @@ class IncrementalDiagnosisEngine:
                         interrupted = True
                         quiescent = False
                         break
-                    self._chain.append(self._snapshot_step(m))
+                    self._chain.append(_ChainStep(m, self._propagator.checkpoint()))
                 if span is not None:
                     span.meta["steps"] = total_steps
 
@@ -256,7 +228,7 @@ class IncrementalDiagnosisEngine:
                 steps=total_steps, quiescent=quiescent, interrupted=interrupted
             )
             return finish_diagnosis(
-                engine, ordered, self._propagator, self._sink, outcome_all, ctx
+                engine, ordered, self._propagator, outcome_all, ctx
             )
 
     # ------------------------------------------------------------------

@@ -162,6 +162,21 @@ class TestTraceJoin:
         assert result["trace"]["trace_id"] == result["request_id"]
 
 
+class TestTeardown:
+    def test_forwarding_clients_closed_on_exit(self):
+        with RunningServer() as b0, RunningServer() as b1:
+            with RunningCluster([b0, b1]) as rc:
+                with rc.client() as client:
+                    client.diagnose(spec_routed_to(rc.gateway, "r0"))
+                    client.batch([make_spec(i) for i in range(4)])
+                rc.gateway.gossip_round()
+                clients = list(rc.gateway._clients)
+                sockets = [c for fc in clients for c in fc._conns.values()]
+                assert clients and sockets
+        assert all(not fc._conns for fc in clients)
+        assert all(conn.sock is None for conn in sockets)
+
+
 class TestRouting:
     def test_same_content_sticks_to_one_replica(self):
         # Sticky sharding keeps a circuit's shard-owner cache warm: the

@@ -99,21 +99,20 @@ class TestForwardPropagation:
 
 class TestConflictDetection:
     def test_conflicting_measurement_reported(self):
-        conflicts = []
-        p = FuzzyPropagator(divider_network(), on_conflict=conflicts.append)
+        p = FuzzyPropagator(divider_network())
         p.set_value("V(mid)", FuzzyInterval.number(8.0, 0.01))
         p.run()
+        conflicts = p.conflicts
         assert conflicts
         strongest = max(conflicts, key=lambda c: c.degree)
         assert strongest.degree > 0.5
         assert strongest.environment  # blames components, not the data
 
     def test_consistent_measurement_quiet(self):
-        conflicts = []
-        p = FuzzyPropagator(divider_network(), on_conflict=conflicts.append)
+        p = FuzzyPropagator(divider_network())
         p.set_value("V(mid)", FuzzyInterval.number(5.0, 0.05))
         p.run()
-        assert all(c.degree < 0.2 for c in conflicts)
+        assert all(c.degree < 0.2 for c in p.conflicts)
 
     def test_conflicts_deduplicated(self):
         p = FuzzyPropagator(divider_network())
@@ -129,14 +128,13 @@ class TestConflictDetection:
         network = ConstraintNetwork(
             diode_resistor_circuit(), nominal_modes={"d1": "on"}
         )
-        conflicts = []
-        p = FuzzyPropagator(network, on_conflict=conflicts.append)
+        p = FuzzyPropagator(network)
         p.set_value("V(vin)", FuzzyInterval.crisp(3.25))
         p.set_value("V(n1)", FuzzyInterval.crisp(2.2))
         p.set_value("V(n2)", FuzzyInterval.crisp(2.0))
         p.run()
         by_env = {}
-        for c in conflicts:
+        for c in p.conflicts:
             key = frozenset(c.environment)
             by_env[key] = max(by_env.get(key, 0.0), c.degree)
         assert by_env.get(frozenset({"r1", "d1"})) == pytest.approx(0.5)
@@ -209,11 +207,10 @@ class TestSeedTaintProvenance:
         assert any(not v.from_seed for v in currents)
 
     def test_tainted_values_never_conflict(self):
-        conflicts = []
-        p = FuzzyPropagator(divider_network(), on_conflict=conflicts.append)
+        p = FuzzyPropagator(divider_network())
         p.set_value("V(mid)", FuzzyInterval.number(8.0, 0.01))
         p.run()
-        for conflict in conflicts:
+        for conflict in p.conflicts:
             assert not conflict.newer.from_seed
             assert not conflict.older.from_seed
 

@@ -79,6 +79,32 @@ class TestStages:
             Flames(golden).diagnose([bad], ctx=RunContext())
 
 
+class TestConflictLog:
+    def test_data_conflict_listed_once(self):
+        # Two readings of one net that disagree: the empty-environment
+        # (data) conflict is in the propagator's log exactly once, and
+        # the result lists the log, not the log plus a second copy.
+        from repro.circuit.measurements import Measurement
+        from repro.fuzzy import FuzzyInterval
+        from repro.service.jobs import diagnosis_to_dict
+
+        engine = Flames(three_stage_amplifier())
+        result = engine.diagnose(
+            [
+                Measurement("V(n1)", FuzzyInterval.number(2.0, 0.01)),
+                Measurement("V(n1)", FuzzyInterval.number(4.0, 0.01)),
+            ]
+        )
+        data = [c for c in result.conflicts if not c.environment]
+        assert len(data) == 1
+        assert data[0].variable == "V(n1)"
+        assert len({id(c) for c in result.conflicts}) == len(result.conflicts)
+        stats = diagnosis_to_dict(result)["stats"]
+        assert stats["conflicts"] == len(result.conflicts)
+        # A data conflict implicates no component: no empty nogood.
+        assert all(n.environment for n in result.nogoods)
+
+
 class TestInterruption:
     def test_partial_result_is_well_formed(self):
         golden, measurements = _ladder_measurements()
