@@ -11,8 +11,12 @@ drives the whole corpus loop end to end:
 3. **structure** — every intermittent scenario surfaces the low-degree
    nogood signature (``low_degree_rate == 1.0``) and every scenario
    completes (no failures);
-4. **the floor** — the committed ``benchmarks/corpus_floor.json``
-   minimums hold.
+4. **the floor** — the committed ``scripts/corpus_floor.json``
+   minimums hold;
+5. **the half slice** — on the same seed at 4 scenarios per class,
+   every scenario completes, every intermittent one shows the
+   low-degree signature, and tolerance-stackup scenarios indict no
+   certain culprit (top-1 ≥ 0.75).
 
 Exits non-zero on any violation, so CI can run it as a bare step:
 
@@ -29,7 +33,7 @@ from repro.corpus import check_floor, generate_corpus, run_corpus
 
 SEED = 101
 PER_CLASS = 8
-FLOOR_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus_floor.json"
+FLOOR_PATH = Path(__file__).resolve().parent / "corpus_floor.json"
 
 
 def main():
@@ -69,6 +73,19 @@ def main():
     overall = classes["overall"]["accuracy"]
     print(f"floor ok: top1 {overall['top1']:.3f} / top3 {overall['top3']:.3f} "
           f"overall vs committed minimums "
+          f"({time.perf_counter() - started:.1f}s)")
+
+    report = run_corpus(generate_corpus(SEED, 4), workers=2, executor="thread")
+    half = {name: stats.accuracy_dict() for name, stats in report.stats().items()}
+    assert half["overall"]["failures"] == 0, "half slice: failures"
+    assert half["intermittent"]["low_degree_rate"] == 1.0, (
+        "half slice: intermittent scenarios without the low-degree signature"
+    )
+    stackup = half["tolerance-stackup"]["top1"]
+    assert stackup >= 0.75, (
+        f"stackup scenarios indicting certain culprits: top1 {stackup:.3f} < 0.75"
+    )
+    print(f"half slice ok: tolerance-stackup top1 {stackup:.3f} at 4 per class "
           f"({time.perf_counter() - started:.1f}s total)")
     print("corpus smoke passed")
     return 0

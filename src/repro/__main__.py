@@ -4,7 +4,8 @@ Commands:
 
 * ``tables [name ...]`` — regenerate the paper's tables (all by default;
   names: figure2, figure5, figure7, scaling, strategy, learning,
-  multifault, dynamic, ablations).
+  multifault, dynamic, ablations, atms-growth, dictionary,
+  strategy-ladder).
 * ``diagnose NETLIST --probe NET=VOLTS [--probe ...]`` — diagnose a unit
   described by a SPICE-subset netlist from bench readings
   (``--imprecision`` sets the instrument tolerance, ``--json`` emits a
@@ -57,33 +58,40 @@ from repro.core.knowledge import KnowledgeBase
 from repro.core.report import render_report
 from repro.fuzzy import FuzzyInterval
 
+#: ``repro tables`` name -> renderer over :mod:`repro.experiments`, in the
+#: order a bare ``repro tables`` prints them.
 _TABLES = {
-    "figure2": "format_figure2",
-    "figure5": "format_figure5",
-    "figure7": "format_figure7",
-    "scaling": "format_scaling",
-    "strategy": "format_strategy_eval",
-    "learning": "format_learning_eval",
-    "multifault": "format_multifault",
-    "dynamic": "format_dynamic_eval",
+    "figure2": lambda ex: ex.format_figure2(),
+    "figure5": lambda ex: ex.format_figure5(),
+    "figure7": lambda ex: ex.format_figure7(),
+    "scaling": lambda ex: ex.format_scaling(),
+    "strategy": lambda ex: ex.format_strategy_eval(),
+    "learning": lambda ex: ex.format_learning_eval(),
+    "multifault": lambda ex: ex.format_multifault(),
+    "dynamic": lambda ex: ex.format_dynamic_eval(),
+    "ablations": lambda ex: ex.ablations.format_ablation(),
+    "atms-growth": lambda ex: ex.format_atms_growth(),
+    "dictionary": lambda ex: ex.format_dictionary_eval(),
+    "strategy-ladder": lambda ex: ex.format_strategy_eval(ex.run_strategy_eval_ladder()),
 }
+
+
+def _table_name(name: str) -> str:
+    # A ``type`` rather than ``choices``: Python 3.11's argparse checks the
+    # empty list of an omitted ``nargs="*"`` positional against ``choices``
+    # and so rejects a bare ``repro tables``.
+    if name not in _TABLES:
+        raise argparse.ArgumentTypeError(
+            f"unknown table {name!r} (choose from {', '.join(_TABLES)})"
+        )
+    return name
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     import repro.experiments as experiments
 
-    names = args.names or list(_TABLES) + ["ablations"]
-    for name in names:
-        if name == "ablations":
-            from repro.experiments.ablations import format_ablation
-
-            print(format_ablation())
-        elif name in _TABLES:
-            print(getattr(experiments, _TABLES[name])())
-        else:
-            print(f"unknown table {name!r}; choices: {', '.join(_TABLES)} ablations",
-                  file=sys.stderr)
-            return 2
+    for name in args.names or _TABLES:
+        print(_TABLES[name](experiments))
         print()
     return 0
 
@@ -630,7 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tables = sub.add_parser("tables", help="regenerate the paper's tables")
-    tables.add_argument("names", nargs="*", help="which tables (default: all)")
+    tables.add_argument(
+        "names", nargs="*", type=_table_name, metavar="NAME",
+        help=f"which tables (default: all): {', '.join(_TABLES)}",
+    )
     tables.set_defaults(func=_cmd_tables)
 
     simulate = sub.add_parser("simulate", help="DC operating point of a netlist")
@@ -1078,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus_run.add_argument(
         "--floor", default="",
-        help="accuracy floor JSON to enforce (e.g. benchmarks/"
+        help="accuracy floor JSON to enforce (e.g. scripts/"
         "corpus_floor.json); breaches exit 1",
     )
     corpus_run.add_argument(

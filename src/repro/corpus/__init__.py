@@ -9,7 +9,7 @@ latency percentiles per scenario class (see README "Corpus mode").
 Entry points: :func:`generate_corpus` builds a manifest from a
 ``(seed, classes)`` recipe, :func:`run_corpus` executes one on the
 fleet engine, :func:`check_floor` enforces the committed accuracy
-floor (``benchmarks/corpus_floor.json``), and ``repro corpus`` is the
+floor (``scripts/corpus_floor.json``), and ``repro corpus`` is the
 CLI over all three.
 """
 

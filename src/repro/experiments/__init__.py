@@ -1,9 +1,9 @@
 """Experiment drivers regenerating every paper table and figure.
 
 Each module exposes a ``run_*`` function returning structured rows plus
-a ``format_*`` helper that renders the paper-style table; the benchmark
-harness under ``benchmarks/`` times and prints them.  See DESIGN.md §4
-for the experiment index.
+a ``format_*`` helper that renders the paper-style table;
+``python -m repro tables`` prints them and ``tests/experiments/``
+asserts their claims.  See DESIGN.md §4 for the experiment index.
 """
 
 from repro.experiments.runner import format_table

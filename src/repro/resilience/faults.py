@@ -3,7 +3,7 @@
 A production diagnosis fleet fails in ways the paper never had to model:
 workers crash or hang, cache entries rot, a bench feeds the server NaN
 volts.  :class:`FaultPlan` lets the
-chaos suite (and ``bench_*`` / the smoke scripts) exercise *exactly*
+chaos suite (and the smoke scripts) exercise *exactly*
 those paths, reproducibly:
 
 * **seeded and deterministic** — whether a fault fires at an injection

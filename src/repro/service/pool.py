@@ -472,6 +472,17 @@ class FleetEngine:
             return False
         return self.supervisor.record_failure(key, str(payload.get("error", "")))
 
+    def _settle(
+        self, job: DiagnosisJob, key: str, payload: Dict, attempts: int
+    ) -> Optional[JobResult]:
+        """Score one attempt: the job's final result, or None to retry it."""
+        if self._note_attempt(key, payload):
+            return self._quarantined_result(job, key, attempts=attempts)
+        if payload["status"] == "error" and attempts <= self.retries:
+            self.telemetry.incr("retries")
+            return None
+        return self._to_result(job, key, payload, attempts)
+
     def _record_result(self, res: JobResult, tenant: Optional[str] = None) -> None:
         """Per-result counters shared by ``run_batch`` and ``run_job``."""
         tel = self.telemetry
@@ -543,11 +554,9 @@ class FleetEngine:
                 ctx=ctx,
                 fault_plan=self.fault_plan,
             )
-            if self._note_attempt(key, payload):
-                return self._quarantined_result(job, key, attempts=attempts)
-            if payload["status"] != "error" or attempts > self.retries:
-                return self._to_result(job, key, payload, attempts)
-            self.telemetry.incr("retries")
+            result = self._settle(job, key, payload, attempts)
+            if result is not None:
+                return result
 
     def _execute_pooled(self, pending: Dict[str, DiagnosisJob]) -> Dict[str, JobResult]:
         results: Dict[str, JobResult] = {}
@@ -580,12 +589,10 @@ class FleetEngine:
                 retry: Dict[str, DiagnosisJob] = {}
                 for key, future in futures.items():
                     job = pending[key]
-                    timed_out = False
                     try:
                         payload = future.result(timeout=backstop)
                     except FuturesTimeoutError:
                         future.cancel()
-                        timed_out = True
                         payload = {
                             "status": "timeout",
                             "error": f"job exceeded the {self.timeout:g}s budget",
@@ -610,17 +617,11 @@ class FleetEngine:
                             "error": f"{type(exc).__name__}: {exc}",
                             "elapsed": 0.0,
                         }
-                    quarantined = self._note_attempt(key, payload)
-                    failed = payload["status"] == "error"
-                    if quarantined:
-                        results[key] = self._quarantined_result(
-                            job, key, attempts=attempts[key]
-                        )
-                    elif failed and not timed_out and attempts[key] <= self.retries:
+                    result = self._settle(job, key, payload, attempts[key])
+                    if result is None:
                         retry[key] = job
-                        self.telemetry.incr("retries")
                     else:
-                        results[key] = self._to_result(job, key, payload, attempts[key])
+                        results[key] = result
                 if self.supervisor is not None and self.supervisor.should_evict():
                     # Sustained crashes/hangs: evict the sick pool and
                     # restart fresh before the next round.

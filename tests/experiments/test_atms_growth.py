@@ -7,15 +7,15 @@ from repro.experiments.atms_growth import format_atms_growth, run_atms_growth
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_atms_growth(conflict_counts=(2, 4, 6))
+    return run_atms_growth(conflict_counts=(2, 4, 6, 8))
 
 
 class TestGrowth:
     def test_nogood_list_linear(self, rows):
-        assert [r.nogoods for r in rows] == [2, 4, 6]
+        assert [r.nogoods for r in rows] == [2, 4, 6, 8]
 
     def test_diagnoses_exponential(self, rows):
-        assert [r.diagnoses_all for r in rows] == [4, 16, 64]
+        assert [r.diagnoses_all for r in rows] == [4, 16, 64, 256]
 
     def test_threshold_restricts_explosion(self, rows):
         """The paper: the sorted weighted list 'restricts the effect of

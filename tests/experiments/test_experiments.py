@@ -9,12 +9,14 @@ from repro.experiments import (
     format_figure7,
     format_learning_eval,
     format_scaling,
+    format_strategy_eval,
     run_figure2,
     run_figure2_masking,
     run_figure5,
     run_figure7,
     run_learning_eval,
     run_scaling,
+    run_strategy_eval,
     run_threshold_ablation,
     run_tnorm_ablation,
     run_entropy_form_ablation,
@@ -35,6 +37,7 @@ class TestRunnerTable:
 class TestFigure2:
     def test_propagation_matches_paper_numbers(self):
         rows = {r.quantity: r for r in run_figure2()}
+        assert list(rows) == ["Vb", "Vc", "Vd"]
         # Paper case (1): Vb[2.95, 3.05, 0.15, 0.15] (rounded).
         assert rows["Vb"].crisp_case.core == (2.95, 3.05)
         assert rows["Vb"].crisp_case.alpha == pytest.approx(0.15, abs=0.005)
@@ -125,8 +128,8 @@ class TestFigure7:
 
 class TestScaling:
     def test_rows_and_masking_shape(self):
-        rows = run_scaling(stage_counts=(2, 4))
-        assert [r.stages for r in rows] == [2, 4]
+        rows = run_scaling(stage_counts=(2, 4, 6, 8))
+        assert [r.stages for r in rows] == [2, 4, 6, 8]
         for row in rows:
             assert row.fuzzy_detected  # the fuzzy engine sees the drift
             assert row.fuzzy_spread <= row.crisp_spread + 1e-9
@@ -186,9 +189,21 @@ class TestAblations:
         assert prod[1] >= ext[1]  # the literal product form is wider
 
     def test_granularity_rows(self):
-        rows = run_granularity_ablation(granularities=(3, 5))
-        assert [g for g, _, _ in rows] == [3, 5]
+        rows = run_granularity_ablation(granularities=(3, 5, 7))
+        assert [g for g, _, _ in rows] == [3, 5, 7]
         assert all(point.startswith("V(") for _, point, _ in rows)
+
+
+PLANNERS = {"fuzzy-entropy", "gde-probabilistic", "random"}
+
+
+class TestStrategyEval:
+    def test_one_episode_per_planner(self):
+        from repro.experiments.strategy_eval import DEFAULT_FAULTS
+
+        outcomes = run_strategy_eval(faults=DEFAULT_FAULTS[:1])
+        assert sorted(o.planner for o in outcomes) == sorted(PLANNERS)
+        assert "planner" in format_strategy_eval(outcomes)
 
 
 class TestStrategyLadder:
@@ -201,6 +216,7 @@ class TestStrategyLadder:
         from repro.experiments import run_strategy_eval_ladder
 
         outcomes = run_strategy_eval_ladder()
+        assert {o.planner for o in outcomes} == PLANNERS
         for o in outcomes:
             if o.planner != "random":
                 assert o.isolated and o.culprit_found, o
@@ -210,10 +226,11 @@ class TestEnvelopeValidation:
     def test_full_monte_carlo_coverage(self):
         from repro.experiments import run_envelope_validation
 
-        rows = run_envelope_validation(samples=60)
-        for net, envelope, observed, corner, coverage in rows:
-            assert coverage == 1.0, net
-            assert envelope >= observed - 1e-6, net
+        for samples in (60, 120):
+            rows = run_envelope_validation(samples=samples)
+            for net, envelope, observed, corner, coverage in rows:
+                assert coverage == 1.0, (net, samples)
+                assert envelope >= observed - 1e-6, (net, samples)
 
     def test_envelope_not_absurdly_wide(self):
         """First-order spread accumulation stays within ~2x the realised

@@ -144,7 +144,13 @@ class TestTables:
         assert "masking demonstration" in capsys.readouterr().out
 
     def test_unknown_table(self, capsys):
-        assert main(["tables", "figure99"]) == 2
+        # Names are validated before any table is rendered.
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "figure5", "figure99"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "figure99" in captured.err
 
 
 class TestDemo:
