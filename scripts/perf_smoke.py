@@ -6,7 +6,7 @@ tier-1 suite:
 
 1. **tracing overhead** — a traced full diagnosis cycle (figure-7
    amplifier, short R2) costs at most 5% + 2 ms over an untraced one,
-   best of 5;
+   best of 5 with the traced and untraced runs interleaved;
 2. **worker scaling** — 16 distinct units all succeed on 1-, 4- and
    8-worker process pools, and finish sooner on 4 workers than on 1
    (the timing check is skipped with fewer than 2 CPUs);
@@ -105,13 +105,20 @@ def dropped(results):
     return [r for r in results if r.get("status") != "ok"]
 
 
-def best_of(repeats, fn, *args):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+def best_of_interleaved(repeats, fn):
+    """Best-of-``repeats`` seconds of ``fn(False)`` and ``fn(True)``.
+
+    The two arms alternate, and so does which arm goes first in each
+    pair, so slow drift of a shared host lands on both sides instead
+    of on whichever arm happened to run last.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    for i in range(repeats):
+        for flag in ((False, True) if i % 2 == 0 else (True, False)):
+            start = time.perf_counter()
+            fn(flag)
+            best[flag] = min(best[flag], time.perf_counter() - start)
+    return best[False], best[True]
 
 
 def check_tracing_overhead():
@@ -125,8 +132,7 @@ def check_tracing_overhead():
         return engine.diagnose(measurements, ctx=RunContext(tracing=tracing))
 
     run(True)  # warm everything once before timing
-    base = best_of(5, run, False)
-    traced = best_of(5, run, True)
+    base, traced = best_of_interleaved(5, run)
     assert traced <= base * 1.05 + 0.002, (
         f"tracing overhead too high: {base * 1000:.2f}ms -> "
         f"{traced * 1000:.2f}ms ({(traced / base - 1) * 100:.1f}%)"

@@ -33,8 +33,12 @@ from repro.circuit.components import (
 )
 from repro.circuit.netlist import Circuit, Net
 from repro.fuzzy import FuzzyInterval
+from repro.fuzzy.interval import _interval_mul
 
 __all__ = ["Variable", "Constraint", "ConstraintNetwork", "ModeGuard"]
+
+#: The implicit ``x_minus`` of a one-sided :class:`ScaledDifferenceConstraint`.
+_ZERO = FuzzyInterval.crisp(0.0)
 
 #: Default physical seed bounds.
 VOLTAGE_RAIL = 60.0
@@ -166,13 +170,33 @@ class LinearConstraint(Constraint):
         self.rhs = rhs
 
     def project(self, target, values):
-        coef = self.terms[target.name]
-        acc = self.rhs
+        """``(rhs - sum of the other c_i * x_i) / coef`` in one interval.
+
+        Runs exactly the float operations of the chained
+        ``acc - values[name].scale(c)`` form on the four fields and
+        builds (and validates) one interval at the end.  For valid
+        operands the chain's intermediates are already normal (rounding
+        is monotone, so ``m1 - c*m2 <= m2 - c*m1``, and slope sums stay
+        non-negative), so skipping them changes no bit; an overflow
+        stays non-finite and is rejected by the final constructor.
+        """
+        tname = target.name
+        rhs = self.rhs
+        m1, m2, alpha, beta = rhs.m1, rhs.m2, rhs.alpha, rhs.beta
         for name, c in self.terms.items():
-            if name == target.name:
+            if name == tname:
                 continue
-            acc = acc - values[name].scale(c)
-        return acc.scale(1.0 / coef)
+            x = values[name]
+            if c >= 0:
+                m1, m2 = m1 - c * x.m2, m2 - c * x.m1
+                alpha, beta = alpha + c * x.beta, beta + c * x.alpha
+            else:
+                m1, m2 = m1 - c * x.m1, m2 - c * x.m2
+                alpha, beta = alpha + -c * x.alpha, beta + -c * x.beta
+        k = 1.0 / self.terms[tname]
+        if k >= 0:
+            return FuzzyInterval(k * m1, k * m2, k * alpha, k * beta)
+        return FuzzyInterval(k * m2, k * m1, -k * beta, -k * alpha)
 
 
 class ScaledDifferenceConstraint(Constraint):
@@ -200,24 +224,46 @@ class ScaledDifferenceConstraint(Constraint):
         self.x_minus = x_minus
         self.y = y
         self.k = k
-        k_lo, k_hi = k.support
+        self._k_core = k.core
+        self._k_support = k.support
+        k_lo, k_hi = self._k_support
         self._k_invertible = not (k_lo <= 0.0 <= k_hi)
 
     def project(self, target, values):
-        def xm() -> FuzzyInterval:
-            if self.x_minus is None:
-                return FuzzyInterval.crisp(0.0)
-            return values[self.x_minus.name]
+        """Solve for ``target``; the ``k * y`` directions build one interval.
 
-        if self.x_minus and target.name == self.x_minus.name:
-            return values[self.x_plus.name] - self.k * values[self.y.name]
-        if target.name == self.x_plus.name:
-            return xm() + self.k * values[self.y.name]
-        if target.name == self.y.name:
+        ``x -/+ k * y`` runs the float operations of the chained form
+        (``FuzzyInterval.__mul__``, then ``-`` or ``+``) on the fields.
+        The product's ``from_support_core`` clamp and collapse never
+        fire for valid operands: the core is nested in the support, the
+        exact product is inclusion-monotone, and rounding is monotone,
+        so the rounded core products lie within the rounded support
+        products.  An overflow leaves a non-finite field that the final
+        constructor rejects, as the chain's intermediate would.
+        """
+        name = target.name
+        minus = self.x_minus
+        to_minus = minus is not None and name == minus.name
+        if to_minus or name == self.x_plus.name:
+            y = values[self.y.name]
+            c_lo, c_hi = _interval_mul(self._k_core, (y.m1, y.m2))
+            s_lo, s_hi = _interval_mul(self._k_support, (y.m1 - y.alpha, y.m2 + y.beta))
+            p_alpha, p_beta = c_lo - s_lo, s_hi - c_hi
+            if to_minus:
+                x = values[self.x_plus.name]
+                return FuzzyInterval(
+                    x.m1 - c_hi, x.m2 - c_lo, x.alpha + p_beta, x.beta + p_alpha
+                )
+            x = values[minus.name] if minus is not None else _ZERO
+            return FuzzyInterval(
+                x.m1 + c_lo, x.m2 + c_hi, x.alpha + p_alpha, x.beta + p_beta
+            )
+        if name == self.y.name:
             if not self._k_invertible:
                 return None
-            return (values[self.x_plus.name] - xm()) / self.k
-        raise KeyError(f"{target.name} not in {self.name}")
+            x = values[minus.name] if minus is not None else _ZERO
+            return (values[self.x_plus.name] - x) / self.k
+        raise KeyError(f"{name} not in {self.name}")
 
 
 class RangeConstraint(Constraint):

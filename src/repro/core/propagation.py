@@ -45,6 +45,11 @@ __all__ = [
 _IMMUTABLE_SOURCES = frozenset({"measurement", "premise", "prediction"})
 
 
+def _rank(value: FuzzyValue) -> tuple:
+    """Preference order of stored values: evidence first, then narrow, then few assumptions."""
+    return (value.source not in _IMMUTABLE_SOURCES, value.width, len(value.environment))
+
+
 @dataclass(frozen=True)
 class PropagatorConfig:
     """Tuning knobs for the propagation loop."""
@@ -129,6 +134,15 @@ class FuzzyPropagator:
     def reset(self) -> None:
         """Restore every variable to its physical seed."""
         self._values = {}
+        # Work counters since the last reset (read by the pipeline's
+        # traced ``propagate`` span; not part of a checkpoint).
+        self.projections = 0
+        self.records_seen = 0
+        self.records_subsumed = 0
+        self.records_merged = 0
+        self.records_appended = 0
+        self.records_dropped = 0
+        self.conflicts_logged = 0
         self._conflicts: List[RecognizedConflict] = []
         self._conflict_keys = set()
         # Dirty-tracking: a monotone change counter, the tick at which
@@ -144,6 +158,10 @@ class FuzzyPropagator:
         # an identical value can neither narrow entries (monotone) nor
         # reveal new conflicts (deduplicated), so it is skipped outright.
         self._seen: Dict[str, set] = {}
+        # Per-variable memo of the ``_rank``-sorted store, stamped with
+        # the variable's change tick; every store mutation goes through
+        # :meth:`_touch`, so an equal stamp means an unchanged store.
+        self._ranked: Dict[str, tuple] = {}
         for name, var in self.network.variables.items():
             if name == "V(0)":
                 # The ground reference is a premise: crisp and immutable.
@@ -181,6 +199,8 @@ class FuzzyPropagator:
         (constraint firing stamps are keyed by constraint identity).
         """
         self._values = {name: list(stored) for name, stored in state.values.items()}
+        # Tick stamps repeat after a restore, so the rank memo must go.
+        self._ranked = {}
         self._seen = {name: set(seen) for name, seen in state.seen.items()}
         self._var_tick = dict(state.var_tick)
         self._fired_at = dict(state.fired_at)
@@ -213,13 +233,29 @@ class FuzzyPropagator:
 
     def best(self, name: str) -> Optional[FuzzyValue]:
         """The narrowest established value (measurements win ties)."""
-        stored = self._values.get(name)
-        if not stored:
+        if not self._values.get(name):
             return None
-        return min(
-            stored,
-            key=lambda v: (v.source not in _IMMUTABLE_SOURCES, v.width, len(v.environment)),
-        )
+        # The sort is stable, so its head is exactly ``min(key=_rank)``.
+        return self._ranked_values(name)[0]
+
+    def counts(self) -> Dict[str, int]:
+        """Work counters since the last :meth:`reset`.
+
+        ``projections`` counts attempted projections; every value
+        offered to the store ends as exactly one of ``seen`` (an exact
+        repeat), ``subsumed``, ``merged``, ``appended`` or ``dropped``
+        (frozen entry or full store); ``conflicts`` counts conflicts
+        added to the log.  Deterministic for a given input sequence.
+        """
+        return {
+            "projections": self.projections,
+            "seen": self.records_seen,
+            "subsumed": self.records_subsumed,
+            "merged": self.records_merged,
+            "appended": self.records_appended,
+            "dropped": self.records_dropped,
+            "conflicts": self.conflicts_logged,
+        }
 
     def best_interval(self, name: str) -> Optional[FuzzyInterval]:
         value = self.best(name)
@@ -313,12 +349,20 @@ class FuzzyPropagator:
                 itertools.product(*pools), self.config.max_combinations
             )
             for combo in combos:
+                self.projections += 1
                 projected = self._project(constraint, target, inputs, combo)
                 if projected is None:
                     continue
-                env = env_base.union(*(val.environment for val in combo)) if combo else env_base
-                degree = min((val.degree for val in combo), default=1.0)
-                tainted = any(val.from_seed for val in combo)
+                envs = []
+                degree = combo[0].degree if combo else 1.0
+                tainted = False
+                for val in combo:
+                    envs.append(val.environment)
+                    if val.degree < degree:
+                        degree = val.degree
+                    if val.from_seed:
+                        tainted = True
+                env = env_base.union(*envs) if envs else env_base
                 value = FuzzyValue(
                     projected, env, degree, constraint.name, from_seed=tainted
                 )
@@ -336,13 +380,19 @@ class FuzzyPropagator:
         except ZeroDivisionError:
             return None
 
-    def _select(self, name: str) -> List[FuzzyValue]:
+    def _select(self, name: str) -> tuple:
         """Input values for a projection: measurements first, then narrow."""
-        stored = sorted(
-            self._values[name],
-            key=lambda v: (v.source not in _IMMUTABLE_SOURCES, v.width, len(v.environment)),
-        )
-        return stored[: self.config.values_per_input]
+        return self._ranked_values(name)[: self.config.values_per_input]
+
+    def _ranked_values(self, name: str) -> tuple:
+        """The store of ``name`` sorted by :func:`_rank`, memoised per change tick."""
+        tick = self._var_tick.get(name, 0)
+        memo = self._ranked.get(name)
+        if memo is not None and memo[0] == tick:
+            return memo[1]
+        ranked = tuple(sorted(self._values[name], key=_rank))
+        self._ranked[name] = (tick, ranked)
+        return ranked
 
     # ------------------------------------------------------------------
     def _record(self, name: str, new: FuzzyValue) -> bool:
@@ -362,6 +412,7 @@ class FuzzyPropagator:
         seen = self._seen.setdefault(name, set())
         if new.source not in _IMMUTABLE_SOURCES:
             if fingerprint in seen:
+                self.records_seen += 1
                 return False
             seen.add(fingerprint)
         stored = self._values[name]
@@ -371,10 +422,11 @@ class FuzzyPropagator:
         # coincidence classification on the quiescent tail.  Evidence
         # values are exempt — they must always be checked and stored.
         slack = self.config.absolute_slack + self.config.relative_slack * new.width
-        if new.source not in _IMMUTABLE_SOURCES and any(
-            e.subsumes(new, slack) for e in stored
-        ):
-            return False
+        if new.source not in _IMMUTABLE_SOURCES:
+            for existing in stored:
+                if existing.subsumes(new, slack):
+                    self.records_subsumed += 1
+                    return False
         # Conflict recognition against every established value whose width
         # reflects model implication (seed-descended values carry
         # ignorance, not evidence).
@@ -394,9 +446,11 @@ class FuzzyPropagator:
                 if key not in self._conflict_keys:
                     self._conflict_keys.add(key)
                     self._conflicts.append(conflict)
+                    self.conflicts_logged += 1
         if new.source in _IMMUTABLE_SOURCES:
             stored.append(new)
             self._touch(name)
+            self.records_appended += 1
             return True
         # Merge into an entry with the *same* environment.  Equal-env
         # merging is what lets loop relaxation converge; merging across
@@ -410,6 +464,7 @@ class FuzzyPropagator:
             if existing.environment != new.environment:
                 continue
             if existing.revision >= self.config.narrowing_budget:
+                self.records_dropped += 1
                 return False  # frozen: relaxation budget exhausted
             hull = existing.interval.intersection_hull(new.interval)
             if hull is None:
@@ -425,13 +480,17 @@ class FuzzyPropagator:
                 from_seed=existing.from_seed and new.from_seed,
             )
             if existing.subsumes(merged, slack):
+                self.records_subsumed += 1
                 return False
             stored[i] = merged
             self._touch(name)
+            self.records_merged += 1
             return True
         if self._append(name, new):
             self._touch(name)
+            self.records_appended += 1
             return True
+        self.records_dropped += 1
         return False
 
     def _touch(self, name: str) -> None:

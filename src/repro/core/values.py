@@ -73,13 +73,12 @@ class FuzzyValue:
             return False
         if self.degree < other.degree:
             return False
-        s_lo, s_hi = self.interval.support
-        o_lo, o_hi = other.interval.support
+        mine, theirs = self.interval, other.interval
         return (
-            o_lo - slack <= s_lo
-            and s_hi <= o_hi + slack
-            and other.interval.m1 - slack <= self.interval.m1
-            and self.interval.m2 <= other.interval.m2 + slack
+            (theirs.m1 - theirs.alpha) - slack <= mine.m1 - mine.alpha
+            and mine.m2 + mine.beta <= (theirs.m2 + theirs.beta) + slack
+            and theirs.m1 - slack <= mine.m1
+            and mine.m2 <= theirs.m2 + slack
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

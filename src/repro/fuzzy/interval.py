@@ -58,8 +58,10 @@ def _interval_div(a: Tuple[float, float], b: Tuple[float, float]) -> Tuple[float
 class FuzzyInterval:
     """A trapezoidal fuzzy interval ``[m1, m2, alpha, beta]``.
 
-    Instances are immutable and hashable so they can be used as node
-    values inside the ATMS and memoised by the propagation engine.
+    Instances are immutable and hashable, so they can serve as ATMS node
+    values and as parts of the propagation engine's dedup fingerprints.
+    Every construction is validated (finite, ordered core, non-negative
+    slopes); arithmetic on valid operands yields valid results.
     """
 
     m1: float
@@ -68,19 +70,25 @@ class FuzzyInterval:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m1) and math.isfinite(self.m2)):
+        m1, m2, alpha, beta = self.m1, self.m2, self.alpha, self.beta
+        isfinite = math.isfinite
+        if not (isfinite(m1) and isfinite(m2)):
             raise ValueError("fuzzy interval core must be finite")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+        if not (isfinite(alpha) and isfinite(beta)):
             raise ValueError("fuzzy interval slope widths must be finite")
-        if self.m1 > self.m2 + _EPS:
-            raise ValueError(f"inverted core [{self.m1}, {self.m2}]")
-        if self.alpha < -_EPS or self.beta < -_EPS:
+        if m1 > m2 + _EPS:
+            raise ValueError(f"inverted core [{m1}, {m2}]")
+        if alpha < -_EPS or beta < -_EPS:
             raise ValueError("slope widths must be non-negative")
-        # Normalise tiny negative noise from float arithmetic.
-        object.__setattr__(self, "alpha", max(self.alpha, 0.0))
-        object.__setattr__(self, "beta", max(self.beta, 0.0))
-        if self.m1 > self.m2:  # within _EPS; collapse
-            mid = 0.5 * (self.m1 + self.m2)
+        # Normalise tiny negative noise from float arithmetic.  Only the
+        # fields that need it are written: most intervals are already
+        # normal, and a frozen dataclass write is not free.
+        if alpha < 0.0:
+            object.__setattr__(self, "alpha", 0.0)
+        if beta < 0.0:
+            object.__setattr__(self, "beta", 0.0)
+        if m1 > m2:  # within _EPS; collapse
+            mid = 0.5 * (m1 + m2)
             object.__setattr__(self, "m1", mid)
             object.__setattr__(self, "m2", mid)
 
@@ -159,9 +167,8 @@ class FuzzyInterval:
 
     @property
     def width(self) -> float:
-        """Width of the support."""
-        lo, hi = self.support
-        return hi - lo
+        """Width of the support (the same float operations as :attr:`support`)."""
+        return (self.m2 + self.beta) - (self.m1 - self.alpha)
 
     @property
     def area(self) -> float:
@@ -295,14 +302,12 @@ class FuzzyInterval:
 
         Uses the extension principle on the 0- and 1-cuts (exact at those
         levels, linear in between).  ``func`` must be monotone over the
-        support.
+        support.  ``increasing`` documents the direction at the call
+        site; the endpoint images are sorted, so either direction works.
         """
         s_lo, s_hi = self.support
         pts_core = sorted((func(self.m1), func(self.m2)))
         pts_supp = sorted((func(s_lo), func(s_hi)))
-        if not increasing:
-            # sorted() already reorders; nothing else differs.
-            pass
         return FuzzyInterval.from_support_core(
             (min(pts_supp[0], pts_core[0]), max(pts_supp[1], pts_core[1])),
             (pts_core[0], pts_core[1]),

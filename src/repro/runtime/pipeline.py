@@ -178,9 +178,12 @@ class DiagnosisPipeline:
                     propagator.set_value(m.point, m.value)
 
             with ctx.span("propagate") as span:
+                before = propagator.counts() if span is not None else None
                 outcome = propagator.run(ctx=ctx)
                 if span is not None:
                     span.meta["steps"] = outcome.steps
                     span.meta["quiescent"] = outcome.quiescent
+                    after = propagator.counts()
+                    span.meta.update({key: after[key] - before[key] for key in after})
 
             return finish_diagnosis(engine, measurements, propagator, outcome, ctx)

@@ -11,7 +11,11 @@ from repro.circuit import (
     amplifier_cascade,
     diode_resistor_circuit,
 )
-from repro.core.propagation import FuzzyPropagator, PropagatorConfig
+from repro.circuit.faults import Fault, FaultKind, apply_fault
+from repro.circuit.measurements import probe_all
+from repro.circuit.simulate import DCSolver
+from repro.core.diagnosis import Flames
+from repro.core.propagation import FuzzyPropagator, PropagatorConfig, _rank
 from repro.fuzzy import FuzzyInterval
 
 
@@ -225,3 +229,70 @@ class TestSeedTaintProvenance:
         )
         # The merge rule: from_seed = existing.from_seed and new.from_seed.
         assert (tainted.from_seed and clean.from_seed) is False
+
+
+def _amp_case():
+    from repro.circuit import three_stage_amplifier
+
+    return three_stage_amplifier(), Fault(FaultKind.SHORT, "R2"), ("vs", "v1")
+
+
+def _ladder_case():
+    from repro.circuit.generators import resistor_ladder
+
+    return resistor_ladder(8), Fault(FaultKind.OPEN, "Rs3"), ("n4", "n7")
+
+
+class TestRankedMemo:
+    """``best`` and ``_select`` read a per-tick memo of the ranked store.
+
+    Whatever mutates the stores — assertions, runs, checkpoint/restore
+    (whose tick stamps repeat) and reset — the memo must answer exactly
+    what a fresh ``min``/``sorted`` over the current store would.
+    """
+
+    @staticmethod
+    def _assert_fresh(p):
+        n = p.config.values_per_input
+        for name in p.network.variables:
+            stored = p.values(name)
+            assert p.best(name) is min(stored, key=_rank), name
+            expected = sorted(stored, key=_rank)[:n]
+            selected = p._select(name)
+            assert len(selected) == len(expected), name
+            assert all(a is b for a, b in zip(selected, expected)), name
+
+    @pytest.mark.parametrize("case", [_amp_case, _ladder_case])
+    def test_memo_tracks_every_mutation(self, case):
+        golden, fault, probes = case()
+        engine = Flames(golden)
+        op = DCSolver(apply_fault(golden, fault)).solve()
+        first, second = probe_all(op, probes, imprecision=0.02)
+        p = engine.make_propagator()
+        self._assert_fresh(p)
+        for name, prediction in engine.predictions().items():
+            p.set_value(name, prediction, source="prediction")
+        self._assert_fresh(p)
+        seeded = p.checkpoint()
+        p.set_value(first.point, first.value)
+        self._assert_fresh(p)
+        p.run()
+        self._assert_fresh(p)
+        after_first = p.checkpoint()
+        p.set_value(second.point, second.value)
+        p.run()
+        self._assert_fresh(p)
+        # Back to an earlier tick, then forward through the same tick
+        # numbers with different content.
+        p.restore(seeded)
+        self._assert_fresh(p)
+        p.set_value(second.point, second.value)
+        p.run()
+        self._assert_fresh(p)
+        p.restore(after_first)
+        self._assert_fresh(p)
+        p.reset()
+        self._assert_fresh(p)
+        p.set_value(first.point, first.value)
+        p.run()
+        self._assert_fresh(p)

@@ -90,6 +90,68 @@ class TestArithmeticAlgebra:
         assert math.isclose(s.support[1], a.support[1] + b.support[1], rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _bits(fi):
+    """The exact field bits (``-0.0`` and ``0.0`` differ)."""
+    return tuple(float(x).hex() for x in fi.as_tuple())
+
+
+#: Mixed-magnitude operands: signed zeros, zero and sub-_EPS slopes.
+_any_coords = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 5e-324]),
+)
+_any_widths = st.one_of(
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+    st.sampled_from([0.0, 1e-13, 5e-324]),
+)
+
+
+@st.composite
+def any_fuzzy_intervals(draw):
+    a, b = sorted((draw(_any_coords), draw(_any_coords)))
+    return FuzzyInterval(a, b, draw(_any_widths), draw(_any_widths))
+
+
+class TestResultsAreNormal:
+    """Every operation on valid operands returns an already-normal interval.
+
+    ``__post_init__`` writes a field only to normalise it, so rebuilding a
+    result from its own fields must change no bit: that is what lets the
+    fused projections skip intermediate intervals.
+    """
+
+    @staticmethod
+    def _assert_normal(result):
+        rebuilt = FuzzyInterval(*result.as_tuple())
+        assert rebuilt == result
+        assert _bits(rebuilt) == _bits(result)
+
+    @given(any_fuzzy_intervals(), any_fuzzy_intervals())
+    def test_sum_and_difference(self, a, b):
+        self._assert_normal(a + b)
+        self._assert_normal(a - b)
+
+    @given(any_fuzzy_intervals(), st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+    def test_scale(self, a, k):
+        self._assert_normal(a.scale(k))
+
+    @given(any_fuzzy_intervals(), any_fuzzy_intervals())
+    def test_product_and_quotient(self, a, b):
+        self._assert_normal(a * b)
+        try:
+            quotient = a / b
+        except ZeroDivisionError:
+            return
+        self._assert_normal(quotient)
+
+    @given(any_fuzzy_intervals(), any_fuzzy_intervals())
+    def test_hulls(self, a, b):
+        self._assert_normal(a.union_hull(b))
+        meet = a.intersection_hull(b)
+        if meet is not None:
+            self._assert_normal(meet)
+
+
 class TestShapeInvariants:
     @given(fuzzy_intervals())
     def test_support_contains_core(self, a):

@@ -55,6 +55,27 @@ class TestStages:
         assert propagate["meta"]["steps"] == result.propagation.steps
         assert propagate["meta"]["quiescent"] is True
 
+    def test_propagate_span_carries_work_counts(self):
+        golden, measurements = _amp_measurements()
+
+        def counts():
+            ctx = RunContext(tracing=True)
+            result = Flames(golden).diagnose(measurements, ctx=ctx)
+            (root,) = result.trace["spans"]
+            meta = next(c for c in root["children"] if c["name"] == "propagate")["meta"]
+            return result, {k: v for k, v in meta.items() if k not in ("steps", "quiescent")}
+
+        result, first = counts()
+        assert set(first) == {
+            "projections", "seen", "subsumed", "merged", "appended", "dropped", "conflicts",
+        }
+        assert all(isinstance(v, int) and v >= 0 for v in first.values())
+        outcomes = sum(first[k] for k in ("seen", "subsumed", "merged", "appended", "dropped"))
+        # Every recorded value in the run comes from one projection.
+        assert 0 < outcomes <= first["projections"]
+        assert first["conflicts"] <= len(result.conflicts)
+        assert counts()[1] == first  # deterministic
+
     def test_no_context_means_no_trace(self):
         golden, measurements = _amp_measurements()
         result = Flames(golden).diagnose(measurements)
