@@ -6,15 +6,17 @@ nogood database).  ``fuzzy_atms.py`` extends it the way the paper's
 section 6 describes: environments and nogoods carry consistency degrees
 in [0, 1], justifications may be uncertain, partial conflicts weight
 candidates instead of eliminating them, and clauses are not restricted
-to Horn form.  ``candidates.py`` turns minimal (weighted) nogoods into
-ranked minimal diagnoses via hitting sets.
+to Horn form.  ``nogood.py`` holds the weighted nogood database and
+the fold that builds it from a conflict log.  ``candidates.py`` turns
+minimal (weighted) nogoods into ranked minimal diagnoses via hitting
+sets.
 """
 
 from repro.atms.assumptions import Assumption, Environment
 from repro.atms.nodes import Node, Justification
 from repro.atms.atms import ATMS
 from repro.atms.fuzzy_atms import FuzzyATMS, WeightedNogood
-from repro.atms.nogood import NogoodDatabase
+from repro.atms.nogood import NogoodDatabase, admitted_conflicts, fold_conflicts
 from repro.atms.candidates import (
     Diagnosis,
     minimal_hitting_sets,
@@ -32,6 +34,8 @@ __all__ = [
     "FuzzyATMS",
     "WeightedNogood",
     "NogoodDatabase",
+    "admitted_conflicts",
+    "fold_conflicts",
     "Diagnosis",
     "minimal_hitting_sets",
     "minimal_diagnoses",

@@ -6,16 +6,22 @@ FLAMES attaches a degree to every nogood: ``1`` for a frank conflict,
 keeps the collection minimal under the degree-aware subsumption rule: a
 nogood is redundant when a *subset* of it is already known to fail at an
 equal or higher degree.
+
+:func:`fold_conflicts` is the one place a conflict log becomes nogoods:
+the static pipeline, the streaming engine and dynamic mode all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Tuple
 
-from repro.atms.assumptions import Environment
+from repro.atms.assumptions import Assumption, Environment
 
-__all__ = ["WeightedNogood", "NogoodDatabase"]
+__all__ = ["WeightedNogood", "NogoodDatabase", "admitted_conflicts", "fold_conflicts"]
+
+#: One logged conflict as plain data: (component names, conflict degree).
+Conflict = Tuple[AbstractSet[str], float]
 
 
 @dataclass(frozen=True)
@@ -111,3 +117,33 @@ class NogoodDatabase:
 
     def clear(self) -> None:
         self._store.clear()
+
+
+def admitted_conflicts(conflicts: Iterable[Conflict], threshold: float) -> Iterator[Conflict]:
+    """The conflicts that become nogoods, degrees capped at 1.
+
+    A conflict below ``threshold`` is tolerance noise, one at degree 0
+    is a corroboration, and one over an empty set of components is a
+    data conflict (the readings disagree among themselves): none of
+    them accuses a component.
+    """
+    for names, degree in conflicts:
+        if degree >= threshold and degree > 0.0 and names:
+            yield names, min(degree, 1.0)
+
+
+def fold_conflicts(conflicts: Iterable[Conflict], threshold: float) -> List[WeightedNogood]:
+    """Fold a conflict log into minimal weighted nogoods (paper §6.1.2).
+
+    Each admitted conflict is a nogood over the ``ok(name)`` correctness
+    assumptions of its components; the result is the database's minimal
+    nogoods at or above ``threshold``, most serious first.
+    """
+    db = NogoodDatabase()
+    ok: Dict[str, Assumption] = {}  # one object per component: cheap set compares
+    for names, degree in admitted_conflicts(conflicts, threshold):
+        for name in names:
+            if name not in ok:
+                ok[name] = Assumption(f"ok({name})", name)
+        db.add(Environment(frozenset(ok[name] for name in names)), degree)
+    return db.minimal(threshold)

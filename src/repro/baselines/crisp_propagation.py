@@ -16,6 +16,7 @@ representation:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from repro.circuit.measurements import Measurement
@@ -41,16 +42,8 @@ class CrispDiagnoser(Flames):
     """FLAMES's engine degraded to crisp intervals (the DIANA baseline)."""
 
     def __init__(self, circuit: Circuit, config: FlamesConfig = None) -> None:
-        base = config or FlamesConfig()
-        crisp_config = FlamesConfig(
-            assumable_nodes=base.assumable_nodes,
-            conflict_threshold=_CRISP_THRESHOLD,
-            max_candidate_size=base.max_candidate_size,
-            t_norm=base.t_norm,
-            hard_threshold=base.hard_threshold,
-            propagator=base.propagator,
-        )
-        super().__init__(circuit, crisp_config)
+        crisp = replace(config or FlamesConfig(), conflict_threshold=_CRISP_THRESHOLD)
+        super().__init__(circuit, crisp)
         self._crispify_network()
 
     # ------------------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.core.propagation import (
     PropagatorConfig,
 )
 from repro.fuzzy import Consistency, FuzzyInterval
-from repro.fuzzy.logic import TNorm, t_norm_min
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.context import RunContext
@@ -53,8 +52,6 @@ class FlamesConfig:
     assumable_nodes: bool = False
     conflict_threshold: float = 0.05
     max_candidate_size: int = 3
-    t_norm: TNorm = t_norm_min
-    hard_threshold: float = 1.0
     propagator: PropagatorConfig = field(default_factory=PropagatorConfig)
 
 

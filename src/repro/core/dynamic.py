@@ -8,8 +8,9 @@ transient plus one-at-a-time tolerance sensitivity, the same recipe as
 :mod:`repro.core.predict` extended over time), the bench measures the
 faulty unit's waveform at a handful of sample instants, and each sample
 is a coincidence scored with Dc exactly as in static mode.  Conflicts
-become weighted nogoods over the sample's support set and feed the same
-candidate machinery.
+become weighted nogoods over the sample's support set through the same
+fold as static mode (:func:`repro.atms.fold_conflicts`) and feed the
+same candidate machinery.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.atms import NogoodDatabase, minimal_diagnoses, suspicion_scores
-from repro.atms.assumptions import Assumption, Environment
+from repro.atms import fold_conflicts, minimal_diagnoses, suspicion_scores
 from repro.atms.candidates import Diagnosis
 from repro.atms.nogood import WeightedNogood
 from repro.circuit.netlist import Circuit
@@ -196,7 +196,7 @@ class DynamicDiagnoser:
             {net for net, _ in predictions}
         )
         consistencies: Dict[Tuple[str, float], Consistency] = {}
-        db = NogoodDatabase()
+        conflicts: List[Tuple[FrozenSet[str], float]] = []
         for net in probe_nets:
             for t in self.sample_times:
                 prediction = predictions.get((net, t))
@@ -208,18 +208,10 @@ class DynamicDiagnoser:
                 # Conflict strength uses the two-sided coincidence rule
                 # (figure 4): a reading that merely *spans* the envelope
                 # (wider instrument fuzz, same centre) is not a conflict.
-                degree = classify(reading, prediction.value).conflict_degree
-                if degree >= self.conflict_threshold and prediction.support:
-                    db.add(
-                        Environment(
-                            frozenset(
-                                Assumption(f"ok({name})", name)
-                                for name in prediction.support
-                            )
-                        ),
-                        min(degree, 1.0),
-                    )
-        nogoods = db.minimal(self.conflict_threshold)
+                conflicts.append(
+                    (prediction.support, classify(reading, prediction.value).conflict_degree)
+                )
+        nogoods = fold_conflicts(conflicts, self.conflict_threshold)
         return DynamicDiagnosisResult(
             consistencies=consistencies,
             nogoods=nogoods,

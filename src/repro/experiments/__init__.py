@@ -23,7 +23,6 @@ from repro.experiments.atms_growth import run_atms_growth, format_atms_growth
 from repro.experiments.dictionary_eval import run_dictionary_eval, format_dictionary_eval
 from repro.experiments.ablations import (
     run_threshold_ablation,
-    run_tnorm_ablation,
     run_entropy_form_ablation,
     run_granularity_ablation,
     run_envelope_validation,
@@ -55,7 +54,6 @@ __all__ = [
     "run_dictionary_eval",
     "format_dictionary_eval",
     "run_threshold_ablation",
-    "run_tnorm_ablation",
     "run_entropy_form_ablation",
     "run_granularity_ablation",
     "run_envelope_validation",

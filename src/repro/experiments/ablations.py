@@ -2,7 +2,6 @@
 
 * **conflict threshold** — how much tolerance noise the engine records
   as nogoods; swept over the figure-7 scenarios.
-* **t-norm** — the conjunction combining degrees along derivations.
 * **entropy term form** — the paper's literal ``Fi (*) log2(1/Fi)``
   product against the extension-principle form used by default.
 * **linguistic granularity** — size of the faultiness term scale used by
@@ -24,11 +23,9 @@ from repro.experiments.runner import format_table
 from repro.fuzzy import FuzzyInterval, fuzzy_entropy
 from repro.fuzzy.entropy import entropy_term, entropy_term_product_form
 from repro.fuzzy.linguistic import faultiness_scale
-from repro.fuzzy.logic import T_NORMS
 
 __all__ = [
     "run_threshold_ablation",
-    "run_tnorm_ablation",
     "run_entropy_form_ablation",
     "run_granularity_ablation",
     "run_envelope_validation",
@@ -59,25 +56,6 @@ def run_threshold_ablation(
             detected += 0 if result.is_consistent else 1
             nogoods += len(result.nogoods)
         rows.append((threshold, detected, nogoods))
-    return rows
-
-
-def run_tnorm_ablation(
-    scenarios: Sequence[Figure7Scenario] = FIGURE7_SCENARIOS,
-) -> List[Tuple[str, int, float]]:
-    """(t-norm, faults detected, mean top nogood degree)."""
-    rows = []
-    for name, t_norm in sorted(T_NORMS.items()):
-        engine = Flames(three_stage_amplifier(), FlamesConfig(t_norm=t_norm))
-        detected = 0
-        top_degrees: List[float] = []
-        for scenario in scenarios:
-            result = engine.diagnose(_scenario_measurements(scenario))
-            if not result.is_consistent:
-                detected += 1
-                top_degrees.append(result.nogoods[0].degree)
-        mean_top = sum(top_degrees) / len(top_degrees) if top_degrees else 0.0
-        rows.append((name, detected, mean_top))
     return rows
 
 
@@ -161,13 +139,6 @@ def format_ablation() -> str:
         + format_table(
             ["threshold", "faults detected /5", "total nogoods"],
             [(f"{t:.2f}", d, n) for t, d, n in run_threshold_ablation()],
-        )
-    )
-    sections.append(
-        "t-norm ablation\n"
-        + format_table(
-            ["t-norm", "faults detected /5", "mean top nogood degree"],
-            [(n, d, f"{m:.2f}") for n, d, m in run_tnorm_ablation()],
         )
     )
     sections.append(

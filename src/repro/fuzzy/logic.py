@@ -5,7 +5,7 @@ guarded by several fuzzy assumptions, the certainty of a qualitative
 rule firing, the degree of a nogood built from a chain of fuzzy
 propagations.  All of these reduce to conjunction/disjunction of degrees
 in [0, 1]; this module provides the standard families so the choice is a
-single configurable parameter (the ablation benchmark sweeps it).
+single parameter (``repro.atms.ATMS(t_norm=...)``).
 """
 
 from __future__ import annotations

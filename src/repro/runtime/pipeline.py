@@ -6,22 +6,25 @@ same computation decomposed into named stages, each wrapped in a
 :class:`~repro.runtime.context.RunContext`:
 
 * ``nominal``    — solve/refresh the model database's nominal predictions;
-* ``seed``       — build the fuzzy ATMS + propagator and assert the
-  predictions and measurements;
+* ``seed``       — build the propagator and assert the predictions and
+  measurements;
 * ``propagate``  — run the constraint-propagation fixpoint (the only
   long stage: it ticks the context per work-list pop and winds down
   cooperatively on expiry);
 * ``classify``   — per-probe consistency (the figure-7 Dc table);
-* ``nogoods``    — replay the propagator's conflict log into a fuzzy ATMS
-  and collect the weighted nogoods above threshold;
+* ``nogoods``    — fold the propagator's conflict log into a
+  :class:`~repro.atms.NogoodDatabase` and collect the minimal weighted
+  nogoods above threshold;
 * ``candidates`` — minimal hitting sets (the candidate spaces);
 * ``score``      — per-component suspicion degrees.
 
-:func:`finish_diagnosis` (the classify → nogoods → candidates → score
-tail) is module-level so the streaming engine
+:func:`seed` and :func:`finish_diagnosis` (the classify → nogoods →
+candidates → score tail) are module-level so the streaming engine
 (:mod:`repro.stream.incremental`) runs the very same stages.  Conflict
-state lives only in the propagator's log: the ATMS is a view rebuilt
-from it, so a restored propagator checkpoint restores the nogoods too.
+state lives only in the propagator's log: the nogoods are a view
+rebuilt from it, so a restored propagator checkpoint restores them too.
+Every assumption holds at degree 1, so the fold gives what a fuzzy ATMS
+replay of the log would (``tests/atms/test_properties.py`` pins that).
 
 Interruption contract: when the context expires mid-``propagate`` the
 downstream stages still run on whatever the fixpoint had established, so
@@ -34,20 +37,18 @@ golden snapshots in ``tests/golden`` pin that down.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.atms import FuzzyATMS, minimal_diagnoses, suspicion_scores
-from repro.atms.nodes import Node
+from repro.atms import admitted_conflicts, fold_conflicts, minimal_diagnoses, suspicion_scores
 from repro.circuit.measurements import Measurement
-from repro.core.conflicts import RecognizedConflict
 from repro.fuzzy import consistency
 from repro.runtime.context import RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> runtime)
-    from repro.core.diagnosis import DiagnosisResult, Flames, FlamesConfig
+    from repro.core.diagnosis import DiagnosisResult, Flames
     from repro.core.propagation import FuzzyPropagator, PropagationResult
 
-__all__ = ["DiagnosisPipeline", "STAGES", "finish_diagnosis"]
+__all__ = ["DiagnosisPipeline", "STAGES", "check_points", "finish_diagnosis", "seed"]
 
 #: The stage names, in execution order (also the span names).
 STAGES = (
@@ -61,28 +62,34 @@ STAGES = (
 )
 
 
-def _nogood_atms(
-    config: "FlamesConfig", conflicts: Sequence[RecognizedConflict]
-) -> FuzzyATMS:
-    """Replay a conflict log into a fresh fuzzy ATMS.
+def check_points(engine: "Flames", measurements: Sequence[Measurement]) -> None:
+    """Raise ``KeyError`` for the first measurement naming no model variable."""
+    for m in measurements:
+        if m.point not in engine.network.variables:
+            raise KeyError(f"no variable {m.point!r} in the model")
 
-    A conflict at or above the threshold over an environment becomes a
-    soft nogood over the ``ok(component)`` assumption nodes; one with an
-    empty environment (the data disagree among themselves) is a data
-    conflict and yields no nogood.
+
+def seed(
+    engine: "Flames",
+    propagator: "FuzzyPropagator",
+    measurements: Sequence[Measurement],
+) -> None:
+    """The seed stage: assert the nominal predictions, then the measurements.
+
+    Database predictions go first so mode guards and coincidence checks
+    see them.  The measurements are checked before anything is asserted.
+    The engine's nominal predictions must already be solved.
     """
-    atms = FuzzyATMS(t_norm=config.t_norm, hard_threshold=config.hard_threshold)
-    nodes: Dict[str, Node] = {}
-    for conflict in conflicts:
-        if conflict.degree < config.conflict_threshold or not conflict.environment:
-            continue
-        antecedents = []
-        for name in sorted(conflict.environment):
-            if name not in nodes:
-                nodes[name] = atms.create_assumption(f"ok({name})", name)
-            antecedents.append(nodes[name])
-        atms.declare_soft_nogood(conflict.variable, antecedents, conflict.degree)
-    return atms
+    check_points(engine, measurements)
+    nominal = engine._nominal
+    assert nominal is not None
+    for name, prediction in nominal.items():
+        if name in engine.network.variables:
+            propagator.set_value(
+                name, prediction.value, prediction.support, source="prediction"
+            )
+    for m in measurements:
+        propagator.set_value(m.point, m.value)
 
 
 def finish_diagnosis(
@@ -109,10 +116,13 @@ def finish_diagnosis(
             for m in measurements
             if m.point in predictions
         }
-    with ctx.span("nogoods"):
+    with ctx.span("nogoods") as span:
         conflicts = propagator.conflicts
-        atms = _nogood_atms(config, conflicts)
-        nogoods = atms.weighted_nogoods(config.conflict_threshold)
+        log = [(c.environment, c.degree) for c in conflicts]
+        nogoods = fold_conflicts(log, config.conflict_threshold)
+        if span is not None:
+            kept = sum(1 for _ in admitted_conflicts(log, config.conflict_threshold))
+            span.meta.update(conflicts=len(log), kept=kept, nogoods=len(nogoods))
     with ctx.span("candidates"):
         diagnoses = minimal_diagnoses(
             nogoods,
@@ -157,25 +167,10 @@ class DiagnosisPipeline:
         with ctx.span("diagnose", circuit=engine.circuit.name):
             with ctx.span("nominal"):
                 engine._ensure_nominal()
-            nominal = engine._nominal
-            assert nominal is not None
 
             with ctx.span("seed"):
                 propagator = engine.make_propagator()
-                # Database predictions first (so mode guards and coincidence
-                # checks see them), then the observations.
-                for name, prediction in nominal.items():
-                    if name in engine.network.variables:
-                        propagator.set_value(
-                            name,
-                            prediction.value,
-                            prediction.support,
-                            source="prediction",
-                        )
-                for m in measurements:
-                    if m.point not in engine.network.variables:
-                        raise KeyError(f"no variable {m.point!r} in the model")
-                    propagator.set_value(m.point, m.value)
+                seed(engine, propagator, measurements)
 
             with ctx.span("propagate") as span:
                 before = propagator.counts() if span is not None else None

@@ -34,7 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.circuit.measurements import Measurement
 from repro.circuit.netlist import Circuit
@@ -55,15 +55,14 @@ __all__ = [
     "ManifestError",
 ]
 
-#: FlamesConfig knobs a job may override — plain scalars only, so jobs
-#: stay JSON- and pickle-safe (the t-norm and propagator tuning stay at
-#: engine defaults).
-CONFIG_FIELDS = (
-    "assumable_nodes",
-    "conflict_threshold",
-    "max_candidate_size",
-    "hard_threshold",
-)
+#: FlamesConfig knobs a job may override, each with the range its value
+#: must lie in — plain scalars only, so jobs stay JSON- and pickle-safe
+#: (the propagator tuning stays at engine defaults).  NaN fails every test.
+CONFIG_FIELDS: Dict[str, Callable[[float], bool]] = {
+    "assumable_nodes": lambda v: v in (0.0, 1.0),
+    "conflict_threshold": lambda v: 0.0 <= v <= 1.0,
+    "max_candidate_size": lambda v: v >= 1.0 and v.is_integer(),
+}
 
 #: One fuzzy measurement as plain data: (point, m1, m2, alpha, beta).
 MeasurementTuple = Tuple[str, float, float, float, float]
@@ -95,9 +94,12 @@ def _config_overrides(
                 f"unknown config field {key!r}; choices: {', '.join(CONFIG_FIELDS)}"
             )
         try:
-            overrides[key] = float(value)
+            number = float(value)
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"bad config value for {key!r}: {exc}") from None
+        if not CONFIG_FIELDS[key](number):
+            raise ManifestError(f"bad config value for {key!r}: {value!r} is out of range")
+        overrides[key] = number
     return tuple(sorted(overrides.items()))
 
 

@@ -8,13 +8,15 @@ session-stable order**, running the propagator to quiescence after each
 assertion and checkpointing the propagator after every step.  A chain
 step holds just the absorbed measurement and the propagator's
 :meth:`~repro.core.propagation.FuzzyPropagator.checkpoint` (values,
-dedup state and the conflict log); the fuzzy ATMS is not part of the
-state, because the pipeline's ``nogoods`` stage rebuilds it from the
-conflict log on every tick.  When the next snapshot arrives,
-the longest prefix of the chain whose (point, value) pairs are
-unchanged is *restored* instead of recomputed, and only the suffix —
-the dirty points, which the order maintenance deliberately moves to the
-back of the chain — is re-asserted.  One changed measurement out of N
+dedup state and the conflict log); the nogoods are not part of the
+state, because the pipeline's ``nogoods`` stage folds them from the
+conflict log on every tick.  The base step is seeded and each tick
+finished by the pipeline's own :func:`~repro.runtime.pipeline.seed`
+and :func:`~repro.runtime.pipeline.finish_diagnosis`.  When the next
+snapshot arrives, the longest prefix of the chain whose (point, value)
+pairs are unchanged is *restored* instead of recomputed, and only the
+suffix — the dirty points, which the order maintenance deliberately
+moves to the back of the chain — is re-asserted.  One changed measurement out of N
 costs one propagation step instead of N.
 
 Semantics: the chain computes the fixpoint of an *arrival-ordered*
@@ -44,7 +46,7 @@ from repro.circuit.measurements import Measurement
 from repro.core.diagnosis import DiagnosisResult, Flames
 from repro.core.propagation import PropagationResult, PropagatorState
 from repro.runtime.context import RunContext
-from repro.runtime.pipeline import finish_diagnosis
+from repro.runtime.pipeline import check_points, finish_diagnosis, seed
 
 __all__ = ["IncrementalDiagnosisEngine", "TickStats"]
 
@@ -94,14 +96,8 @@ class IncrementalDiagnosisEngine:
     def _build_base(self, ctx: RunContext) -> bool:
         """Predictions-only fixpoint; False when interrupted."""
         self.engine._ensure_nominal()
-        nominal = self.engine._nominal
-        assert nominal is not None
         self._propagator.reset()
-        for name, prediction in nominal.items():
-            if name in self.engine.network.variables:
-                self._propagator.set_value(
-                    name, prediction.value, prediction.support, source="prediction"
-                )
+        seed(self.engine, self._propagator, ())
         outcome = self._propagator.run(ctx=ctx)
         if outcome.interrupted:
             return False
@@ -166,9 +162,7 @@ class IncrementalDiagnosisEngine:
 
         engine = self.engine
         with ctx.span("stream.tick", circuit=engine.circuit.name):
-            for m in measurements:
-                if m.point not in engine.network.variables:
-                    raise KeyError(f"no variable {m.point!r} in the model")
+            check_points(engine, measurements)
 
             with ctx.span("order"):
                 ordered = self._maintain_order(measurements)

@@ -5,9 +5,21 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.atms import ATMS, Environment, FuzzyATMS, NogoodDatabase, minimal_hitting_sets
+from repro.atms import (
+    ATMS,
+    Environment,
+    FuzzyATMS,
+    NogoodDatabase,
+    fold_conflicts,
+    minimal_hitting_sets,
+)
 from repro.atms.assumptions import Assumption, minimal_antichain
 from repro.atms.interpretations import interpretations
+from repro.circuit.faults import Fault, FaultKind, apply_fault
+from repro.circuit.generators import resistor_ladder
+from repro.circuit.measurements import probe_all
+from repro.circuit.simulate import DCSolver
+from repro.core.diagnosis import Flames
 
 _names = st.sampled_from(["a", "b", "c", "d", "e"])
 _sets = st.sets(_names, min_size=1, max_size=4).map(
@@ -218,3 +230,60 @@ class TestATMSLabelProperties:
             for e1, e2 in itertools.combinations(envs, 2):
                 assert not e1.is_proper_subset(e2) or node.label[e1] < node.label[e2]
                 assert not e2.is_proper_subset(e1) or node.label[e2] < node.label[e1]
+
+
+def _atms_replay(conflicts, threshold):
+    """The label-weaving reference: replay a conflict log into a fuzzy ATMS."""
+    atms = FuzzyATMS()
+    nodes = {}
+    for names, degree in conflicts:
+        if degree < threshold or not names:
+            continue
+        for name in names:
+            if name not in nodes:
+                nodes[name] = atms.create_assumption(f"ok({name})", name)
+        atms.declare_soft_nogood("c", [nodes[n] for n in sorted(names)], degree)
+    return atms.weighted_nogoods(threshold)
+
+
+def _ordered(nogoods):
+    return [(repr(n.environment), n.degree) for n in nogoods]
+
+
+class TestConflictFold:
+    """``fold_conflicts`` equals a fuzzy ATMS replay of the same log.
+
+    Every assumption's label is ``{{A}}`` at degree 1, so each t-norm
+    gives the conflict's own degree and the weave adds nothing the
+    nogood database's subsumption does not already do.
+    """
+
+    @given(
+        conflicts=st.lists(
+            st.tuples(
+                st.frozensets(_names, max_size=4),
+                st.one_of(
+                    st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)
+                ),
+            ),
+            max_size=12,
+        ),
+        threshold=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fold_matches_atms_replay(self, conflicts, threshold):
+        folded = fold_conflicts(conflicts, threshold)
+        assert _ordered(folded) == _ordered(_atms_replay(conflicts, threshold))
+        assert all(threshold <= n.degree <= 1.0 and n.environment for n in folded)
+
+    def test_real_ladder_log_matches_atms_replay(self):
+        """Ladder-40 with Rs2 open: thousands of conflicts, two nogoods."""
+        golden = resistor_ladder(40)
+        op = DCSolver(apply_fault(golden, Fault(FaultKind.OPEN, "Rs2"))).solve()
+        measurements = probe_all(op, ["n5", "n10", "n20", "n30", "n40"], imprecision=0.02)
+        engine = Flames(golden)
+        result = engine.diagnose(measurements)
+        log = [(c.environment, c.degree) for c in result.conflicts]
+        threshold = engine.config.conflict_threshold
+        assert len(log) > 1000
+        assert _ordered(result.nogoods) == _ordered(_atms_replay(log, threshold))

@@ -130,3 +130,22 @@ class TestDiagnosis:
         result = diagnoser.diagnose(measure(faulty))
         for nogood in result.nogoods:
             assert 0.0 < nogood.degree <= 1.0
+
+    def test_zero_threshold_skips_zero_degree_samples(self, golden, diagnoser):
+        """At threshold 0 a corroborating sample is no nogood, as in static mode."""
+        lenient = DynamicDiagnoser(
+            golden, WAVE, dt=5e-5, duration=5e-3, conflict_threshold=0.0
+        )
+        healthy = lenient.diagnose(measure(golden))
+        assert all(0.0 < n.degree <= 1.0 for n in healthy.nogoods)
+        faulty = apply_fault(
+            golden, Fault(FaultKind.PARAM, "C1", "capacitance", 1e-12)
+        )
+        result = lenient.diagnose(measure(faulty))
+        assert "C1" in result.suspicions
+        # Every nogood the default threshold records is kept or subsumed.
+        for strict in diagnoser.diagnose(measure(faulty)).nogoods:
+            assert any(
+                n.degree >= strict.degree and n.environment.is_subset(strict.environment)
+                for n in result.nogoods
+            )

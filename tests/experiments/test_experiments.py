@@ -18,7 +18,6 @@ from repro.experiments import (
     run_scaling,
     run_strategy_eval,
     run_threshold_ablation,
-    run_tnorm_ablation,
     run_entropy_form_ablation,
     run_granularity_ablation,
 )
@@ -171,13 +170,6 @@ class TestAblations:
         rows = run_threshold_ablation(thresholds=(0.05, 0.5))
         # Higher threshold records fewer (or equal) nogoods.
         assert rows[1][2] <= rows[0][2]
-
-    def test_tnorms_all_detect(self):
-        rows = run_tnorm_ablation()
-        assert all(detected == 5 for _, detected, _ in rows)
-        # Every assumption has degree 1, so the t-norm cannot change a
-        # result: the rows are equal apart from the name.
-        assert len({row[1:] for row in rows}) == 1
 
     def test_entropy_forms(self):
         rows = dict(

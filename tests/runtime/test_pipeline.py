@@ -76,6 +76,24 @@ class TestStages:
         assert first["conflicts"] <= len(result.conflicts)
         assert counts()[1] == first  # deterministic
 
+    def test_nogoods_span_carries_fold_counts(self):
+        golden, measurements = _amp_measurements()
+
+        def counts():
+            ctx = RunContext(tracing=True)
+            result = Flames(golden).diagnose(measurements, ctx=ctx)
+            (root,) = result.trace["spans"]
+            return result, next(c for c in root["children"] if c["name"] == "nogoods")["meta"]
+
+        result, first = counts()
+        assert set(first) == {"conflicts", "kept", "nogoods"}
+        assert first["conflicts"] == len(result.conflicts)
+        assert first["nogoods"] == len(result.nogoods)
+        # The fold keeps a subset of the log, and every nogood comes from
+        # a kept conflict.
+        assert 0 < first["nogoods"] <= first["kept"] <= first["conflicts"]
+        assert counts()[1] == first  # deterministic
+
     def test_no_context_means_no_trace(self):
         golden, measurements = _amp_measurements()
         result = Flames(golden).diagnose(measurements)

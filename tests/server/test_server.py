@@ -176,6 +176,19 @@ class TestDiagnoseRoundTrip:
                     client.batch([])
                 assert err.value.status == 400
 
+    def test_out_of_range_config_gets_400(self):
+        with RunningServer() as rs:
+            with rs.client(retries=0) as client:
+                for config in (
+                    {"conflict_threshold": 1.5},
+                    {"max_candidate_size": 2.7},
+                    {"hard_threshold": 1.0},
+                ):
+                    with pytest.raises(ClientError) as err:
+                        client.diagnose(dict(FAULTY_SPEC, config=config))
+                    assert err.value.status == 400
+                    assert "config" in err.value.payload["error"]["message"]
+
     def test_non_json_body_gets_400(self):
         with RunningServer() as rs:
             conn = http.client.HTTPConnection("127.0.0.1", rs.server.port, timeout=10)

@@ -116,8 +116,52 @@ class TestJobViews:
                 DiagnosisJob.build("u", NETLIST, _measure(), config={"kernel": name})
 
     def test_unknown_config_field_rejected(self):
-        with pytest.raises(ManifestError):
-            DiagnosisJob.build("u", NETLIST, _measure(), config={"bogus": 1})
+        # ``hard_threshold`` and ``t_norm`` were engine knobs nothing read.
+        for name in ("bogus", "hard_threshold", "t_norm"):
+            with pytest.raises(ManifestError, match="unknown config field"):
+                DiagnosisJob.build("u", NETLIST, _measure(), config={name: 1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("conflict_threshold", float("nan")),
+            ("conflict_threshold", float("inf")),
+            ("conflict_threshold", -0.1),
+            ("conflict_threshold", 1.5),
+            ("max_candidate_size", float("inf")),
+            ("max_candidate_size", float("nan")),
+            ("max_candidate_size", -3),
+            ("max_candidate_size", 0),
+            ("max_candidate_size", 2.7),
+            ("assumable_nodes", 2),
+            ("assumable_nodes", 0.5),
+            ("assumable_nodes", float("nan")),
+            ("conflict_threshold", "x"),
+            ("max_candidate_size", None),
+        ],
+    )
+    def test_out_of_range_config_value_rejected(self, field, value):
+        with pytest.raises(ManifestError, match=f"bad config value for '{field}'"):
+            DiagnosisJob.build("u", NETLIST, _measure(), config={field: value})
+
+    def test_boundary_config_values_accepted_with_stable_hash(self):
+        config = {"conflict_threshold": 0.0, "max_candidate_size": 1, "assumable_nodes": True}
+        job = DiagnosisJob.build("u", NETLIST, _measure(), config=config)
+        assert job.config == (
+            ("assumable_nodes", 1.0), ("conflict_threshold", 0.0), ("max_candidate_size", 1.0)
+        )
+        cfg = job.flames_config()
+        assert (cfg.assumable_nodes, cfg.conflict_threshold, cfg.max_candidate_size) == (
+            True, 0.0, 1
+        )
+        # Whole-number floats and ints store the same, so keys do not move.
+        same = DiagnosisJob.build(
+            "u", NETLIST, _measure(),
+            config={"conflict_threshold": 0, "max_candidate_size": 1.0, "assumable_nodes": 1},
+        )
+        assert same.content_hash == job.content_hash
+        top = DiagnosisJob.build("u", NETLIST, _measure(), config={"conflict_threshold": 1})
+        assert top.config == (("conflict_threshold", 1.0),)
 
     def test_job_is_picklable(self):
         import pickle

@@ -143,6 +143,19 @@ class TestTables:
         assert main(["tables", "figure2"]) == 0
         assert "masking demonstration" in capsys.readouterr().out
 
+    def test_ablations_table_sections(self, capsys):
+        assert main(["tables", "ablations"]) == 0
+        out = capsys.readouterr().out
+        for heading in (
+            "conflict-threshold ablation (figure-7 scenarios)",
+            "entropy term form",
+            "linguistic granularity (best-test choice, scenario 1)",
+            "prediction envelopes vs Monte Carlo vs worst-case corners",
+        ):
+            assert heading in out
+        # The engine has no t-norm setting, so there is nothing to ablate.
+        assert "t-norm" not in out
+
     def test_unknown_table(self, capsys):
         # Names are validated before any table is rendered.
         with pytest.raises(SystemExit) as exc:
