@@ -13,13 +13,17 @@ tier-1 suite:
 3. **fleet cache** — 24 units over 8 distinct defects: the cold pass
    runs one propagation per defect and replays the rest, the warm pass
    is all cache hits and faster;
-4. **server** — a cold diagnosis misses the cache, the repeat hits it
+4. **shared model** — a second, distinct cold ladder-40 job on the
+   same netlist reads the nominal predictions from the process's
+   shared model (``model: "hit"``, zero nominal builds); a work
+   count, not a stopwatch, so it is deterministic;
+5. **server** — a cold diagnosis misses the cache, the repeat hits it
    with an equal diagnosis and is faster; 50 concurrent in-flight
    diagnoses are all answered (zero dropped);
-5. **stream** — on an 8-section ladder the warm incremental tick
+6. **stream** — on an 8-section ladder the warm incremental tick
    re-asserts one measurement, ranks like a cold chain and beats both
    the cold chain and a one-shot diagnosis;
-6. **cluster** — 12 cold diagnoses through the gateway at 1 and 2
+7. **cluster** — 12 cold diagnoses through the gateway at 1 and 2
    replicas, zero dropped; a repeat pass over 6 contents on 2 replicas
    hits its shard owners' caches 6/6.  ``REPRO_BENCH_STRICT=1`` runs the
    sweep at 1 → 2 → 4 replicas (18 requests) and requires ≥3x aggregate
@@ -44,10 +48,11 @@ from repro.circuit.measurements import Measurement, probe_all
 from repro.circuit.simulate import DCSolver
 from repro.circuit.spice import write_netlist
 from repro.core.diagnosis import Flames
+from repro.core.model import shared_model
 from repro.fuzzy import FuzzyInterval
 from repro.runtime import RunContext
 from repro.server import DiagnosisClient
-from repro.service import FleetEngine
+from repro.service import DiagnosisJob, FleetEngine
 from repro.service.jobs import job_from_spec, measurement_to_dict
 from repro.stream.incremental import IncrementalDiagnosisEngine
 
@@ -177,6 +182,28 @@ def check_fleet_cache(units=24, distinct=len(DEFECTS)):
     assert warm < cold, f"warm pass {warm:.4f}s not faster than cold {cold:.4f}s"
     print(f"fleet cache ok: cold {cold:.2f}s ({distinct} passes, "
           f"{cold_report.cache_hits} replays), warm {warm:.4f}s")
+
+
+def check_shared_model(sections=40):
+    golden = resistor_ladder(sections)
+    netlist = write_netlist(golden)
+    op = DCSolver(apply_fault(golden, Fault(FaultKind.OPEN, "Rp7"))).solve()
+    probes = ("n5", "n10", "n20", "n30", "n40")
+    engine = FleetEngine(workers=1, executor="serial", tracing=True)
+    model = shared_model(netlist)
+    builds = []
+    for i, imprecision in enumerate((0.02, 0.021)):
+        job = DiagnosisJob.build(f"ladder-{i}", netlist, probe_all(op, probes, imprecision))
+        before = model.nominal_builds
+        result = engine.run_job(job)
+        builds.append(model.nominal_builds - before)
+        assert result.ok and not result.cache_hit, f"{job.unit}: {result.status}"
+    (root,) = result.trace["spans"]
+    nominal = next(span for span in root["children"] if span["name"] == "nominal")
+    assert nominal["meta"]["model"] == "hit", nominal["meta"]
+    assert builds[1] == 0, f"the second job built the nominal predictions {builds[1]} time(s)"
+    print(f"shared model ok: second cold ladder-{sections} job read a warm model "
+          f"(nominal builds per job: {builds})")
 
 
 def check_server(inflight=50):
@@ -325,6 +352,7 @@ def main():
     check_tracing_overhead()
     check_worker_scaling()
     check_fleet_cache()
+    check_shared_model()
     check_server()
     check_stream_tick()
     check_cluster(strict=bool(os.environ.get("REPRO_BENCH_STRICT")))

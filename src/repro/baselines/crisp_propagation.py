@@ -55,12 +55,13 @@ class CrispDiagnoser(Flames):
                 if isinstance(value, FuzzyInterval):
                     setattr(constraint, attribute, crispify(value))
 
-    def _ensure_nominal(self) -> None:
-        super()._ensure_nominal()
+    def _ensure_nominal(self) -> bool:
+        held = super()._ensure_nominal()
         self._nominal = {
             name: Prediction(crispify(p.value), p.support)
             for name, p in self._nominal.items()
         }
+        return held
 
     # ------------------------------------------------------------------
     def diagnose(self, measurements: Sequence[Measurement]) -> DiagnosisResult:

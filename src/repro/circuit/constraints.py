@@ -20,7 +20,7 @@ an ON state" is exactly such a mode guard).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuit.components import (
     Amplifier,
@@ -395,7 +395,7 @@ class ConstraintNetwork:
         self,
         circuit: Circuit,
         assumable_nodes: bool = False,
-        nominal_modes: Optional[Dict[str, str]] = None,
+        nominal_modes: Optional[Mapping[str, str]] = None,
     ) -> None:
         circuit.validate()
         self.circuit = circuit

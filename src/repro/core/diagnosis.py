@@ -12,7 +12,17 @@ sets, plus the per-probe consistency table that figure 7 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.atms import WeightedNogood
 from repro.atms.candidates import Diagnosis
@@ -20,7 +30,8 @@ from repro.circuit.constraints import ConstraintNetwork
 from repro.circuit.measurements import Measurement
 from repro.circuit.netlist import Circuit
 from repro.core.conflicts import RecognizedConflict
-from repro.core.predict import Prediction, predict_nominal
+from repro.core.model import CircuitModel
+from repro.core.predict import Prediction
 from repro.core.propagation import (
     FuzzyPropagator,
     PropagationResult,
@@ -96,32 +107,28 @@ class DiagnosisResult:
 
 
 class Flames:
-    """A fuzzy-logic ATMS and model-based expert system for analog diagnosis."""
+    """A fuzzy-logic ATMS and model-based expert system for analog diagnosis.
 
-    def __init__(self, circuit: Circuit, config: Optional[FlamesConfig] = None) -> None:
+    The design modes and nominal predictions come from ``model``, the
+    circuit's :class:`~repro.core.model.CircuitModel`.  The fleet passes
+    one shared by every job on the same netlist text; without one the
+    engine builds a private model and computes everything itself.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        config: Optional[FlamesConfig] = None,
+        model: Optional[CircuitModel] = None,
+    ) -> None:
         self.circuit = circuit
         self.config = config if config is not None else FlamesConfig()
+        #: The circuit's model database; a private one unless shared.
+        self.model = model if model is not None else CircuitModel()
         self.network = ConstraintNetwork(
-            circuit, self.config.assumable_nodes, nominal_modes=self._design_modes(circuit)
+            circuit, self.config.assumable_nodes, nominal_modes=self.model.design_modes(circuit)
         )
-        self._nominal: Optional[Dict[str, Prediction]] = None
-
-    @staticmethod
-    def _design_modes(circuit: Circuit) -> Dict[str, str]:
-        """Designed operating region of each nonlinear device.
-
-        Obtained from a golden DC solve of the nominal circuit — the
-        model database records how the unit is *meant* to operate (the
-        paper: "the chosen values of the components ensure the linear
-        region of transistors").  Falls back to the conducting regions
-        when the nominal circuit cannot be solved.
-        """
-        from repro.circuit.simulate import DCSolver, SimulationError
-
-        try:
-            return DCSolver(circuit).solve().device_states
-        except (SimulationError, ValueError):
-            return {}
+        self._nominal: Optional[Mapping[str, Prediction]] = None
 
     # ------------------------------------------------------------------
     # Predictions (the model database's nominal values with tolerances)
@@ -138,9 +145,12 @@ class Flames:
         assert self._nominal is not None
         return {name: p.support for name, p in self._nominal.items()}
 
-    def _ensure_nominal(self) -> None:
-        if self._nominal is None:
-            self._nominal = predict_nominal(self.circuit)
+    def _ensure_nominal(self) -> bool:
+        """Read the nominal predictions; True when the model already held them."""
+        if self._nominal is not None:
+            return True
+        self._nominal, held = self.model.nominal(self.circuit)
+        return held
 
     # ------------------------------------------------------------------
     # Diagnosis

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.circuit.faults import Fault, FaultKind, apply_fault
+from repro.circuit.faults import Fault, FaultKind
 from repro.circuit.measurements import Measurement
 from repro.circuit.netlist import Circuit, Component
-from repro.circuit.simulate import DCSolver, SimulationError
+from repro.core.model import CircuitModel
 from repro.fuzzy import FuzzyInterval, consistency
 
 __all__ = [
@@ -219,14 +219,21 @@ def threshold_rule(
 
 
 class KnowledgeBase:
-    """Fault modes + qualitative rules for one circuit."""
+    """Fault modes + qualitative rules for one circuit.
+
+    Hypothesised faults are simulated through ``model``, the circuit's
+    :class:`~repro.core.model.CircuitModel` (a private one when none is
+    passed), which keeps each result for later matches.
+    """
 
     def __init__(
         self,
         circuit: Circuit,
         modes: Optional[Dict[str, List[FaultMode]]] = None,
+        model: Optional[CircuitModel] = None,
     ) -> None:
         self.circuit = circuit
+        self.model = model if model is not None else CircuitModel()
         self.modes = modes if modes is not None else common_fault_modes()
         self.rules: List[QualitativeRule] = []
 
@@ -270,7 +277,7 @@ class KnowledgeBase:
                 best_degree = -1.0
                 best_points: Dict[str, float] = {}
                 for fault in mode.faults(component):
-                    predicted = self._simulate_fault(fault)
+                    predicted = self.model.fault_voltages(self.circuit, fault)
                     if predicted is None:
                         continue
                     per_point: Dict[str, float] = {}
@@ -295,14 +302,6 @@ class KnowledgeBase:
                 matches.append(ModeMatch(name, mode.name, best_degree, best_points))
         matches.sort(key=lambda m: (-m.degree, m.component, m.mode))
         return matches
-
-    def _simulate_fault(self, fault: Fault) -> Optional[Dict[str, float]]:
-        try:
-            faulty = apply_fault(self.circuit, fault)
-            op = DCSolver(faulty).solve()
-        except (SimulationError, ValueError):
-            return None
-        return dict(op.voltages)
 
     # ------------------------------------------------------------------
     # Qualitative rules

@@ -5,7 +5,8 @@ same computation decomposed into named stages, each wrapped in a
 :class:`~repro.runtime.spans.Span` and each checking the run's
 :class:`~repro.runtime.context.RunContext`:
 
-* ``nominal``    — solve/refresh the model database's nominal predictions;
+* ``nominal``    — read the nominal predictions from the circuit's model
+  database, building them on a miss (the span's ``model`` meta says which);
 * ``seed``       — build the propagator and assert the predictions and
   measurements;
 * ``propagate``  — run the constraint-propagation fixpoint (the only
@@ -165,8 +166,10 @@ class DiagnosisPipeline:
             ctx = RunContext.background()
 
         with ctx.span("diagnose", circuit=engine.circuit.name):
-            with ctx.span("nominal"):
-                engine._ensure_nominal()
+            with ctx.span("nominal") as span:
+                held = engine._ensure_nominal()
+                if span is not None:
+                    span.meta["model"] = "hit" if held else "miss"
 
             with ctx.span("seed"):
                 propagator = engine.make_propagator()

@@ -35,6 +35,7 @@ import logging
 import threading
 import time
 import traceback
+from contextlib import nullcontext
 from concurrent.futures import (
     BrokenExecutor,
     Future,
@@ -52,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.diagnosis import Flames
 from repro.core.knowledge import KnowledgeBase
 from repro.core.learning import Episode, ExperienceBase, SymptomSignature
+from repro.core.model import shared_model
 from repro.fuzzy import FuzzyInterval
 from repro.circuit.measurements import Measurement
 from repro.resilience import faults
@@ -89,7 +91,12 @@ def execute_job(
     result, not a dead pool.
 
     ``fault_plan`` (plain data, so it crosses the pickle boundary) arms
-    the worker's deterministic injection points.
+    the worker's deterministic injection points; only an armed plan
+    needs the job's content hash as its injection key.
+
+    Design modes, nominal predictions and fault simulations come from
+    this process's :func:`~repro.core.model.shared_model` for the job's
+    netlist text, so jobs on one design build them once.
     """
     start = time.perf_counter()
     if fault_plan is not None and faults.active_plan() != fault_plan:
@@ -97,7 +104,8 @@ def execute_job(
     if ctx is None and (deadline_seconds is not None or tracing):
         ctx = RunContext.with_timeout(deadline_seconds, tracing=tracing)
     try:
-        with faults.key_scope(job.content_hash):
+        armed = faults.active_plan() is not None
+        with faults.key_scope(job.content_hash) if armed else nullcontext():
             # --- chaos: the worker-level injection points -------------
             faults.maybe_exit("pool.worker_exit")
             faults.maybe_raise("pool.worker_crash")
@@ -122,14 +130,16 @@ def execute_job(
                         "elapsed": time.perf_counter() - start,
                     }
             circuit = job.circuit()
+            model = shared_model(job.netlist_text)
             measurements = [
                 Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
                 for point, m1, m2, alpha, beta in raw
             ]
-            result = Flames(circuit, job.flames_config()).diagnose(measurements, ctx=ctx)
+            engine = Flames(circuit, job.flames_config(), model=model)
+            result = engine.diagnose(measurements, ctx=ctx)
             refinements = None
             if not result.is_consistent and not result.interrupted:
-                refinements = KnowledgeBase(circuit).refine(
+                refinements = KnowledgeBase(circuit, model=model).refine(
                     result.suspicions, measurements, top_k=5
                 )
             if result.interrupted:

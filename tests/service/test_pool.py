@@ -47,6 +47,22 @@ class TestExecuteJob:
         assert payload["status"] == "error"
         assert "NetlistError" in payload["error"]
 
+    def test_content_hash_unused_without_a_fault_plan(self, monkeypatch):
+        """Only an armed fault plan needs the job hashed for its injection key."""
+        from repro.resilience import faults
+
+        faults.uninstall_plan()
+
+        def refuse(job):
+            raise AssertionError("content_hash evaluated with no fault plan armed")
+
+        monkeypatch.setattr(DiagnosisJob, "content_hash", property(refuse))
+        try:
+            payload = execute_job(_job("u", 7.5))
+        finally:
+            faults.uninstall_plan()
+        assert payload["status"] == "ok", payload.get("error")
+
 
 class TestBatch:
     def test_results_in_job_order(self):
