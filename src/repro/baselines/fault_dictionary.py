@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.circuit.faults import Fault, apply_fault
+from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
-from repro.circuit.simulate import DCSolver, OperatingPoint, SimulationError
+from repro.circuit.simulate import DCSolver, OperatingPoint
+from repro.core.model import CircuitModel
 
 __all__ = ["DictionaryEntry", "DictionaryMatch", "FaultDictionary", "dictionary_faults"]
 
@@ -86,20 +87,16 @@ class FaultDictionary:
         self.entries: List[DictionaryEntry] = []
         self._build(faults if faults is not None else dictionary_faults(circuit))
 
-    def _signature(self, op: OperatingPoint) -> Tuple[float, ...]:
-        return tuple(op.voltage(net) for net in self.probes)
+    def _signature(self, voltages: Mapping[str, float]) -> Tuple[float, ...]:
+        return tuple(0.0 if net == "0" else voltages[net] for net in self.probes)
 
     def _build(self, faults: Sequence[Tuple[str, str, Fault]]) -> None:
-        golden_op = DCSolver(self.circuit).solve()
-        self.healthy_signature = self._signature(golden_op)
+        self.healthy_signature = self._signature(DCSolver(self.circuit).solve().voltages)
+        model = CircuitModel()
         for component, mode, fault in faults:
-            try:
-                op = DCSolver(apply_fault(self.circuit, fault)).solve()
-            except (SimulationError, ValueError):
-                continue
-            self.entries.append(
-                DictionaryEntry(component, mode, self._signature(op))
-            )
+            voltages = model.fault_voltages(self.circuit, fault)
+            if voltages is not None:
+                self.entries.append(DictionaryEntry(component, mode, self._signature(voltages)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -131,7 +128,7 @@ class FaultDictionary:
         return best
 
     def lookup_op(self, op: OperatingPoint, healthy_margin: float = 0.05) -> DictionaryMatch:
-        return self.lookup(self._signature(op), healthy_margin)
+        return self.lookup(self._signature(op.voltages), healthy_margin)
 
 
 def _rms(a: Sequence[float], b: Sequence[float]) -> float:

@@ -44,6 +44,9 @@ GMIN = 1e-9
 #: Region-check slack (amps / volts).
 _TOL = 1e-9
 
+#: Device-state flips tried before falling back to exhaustive enumeration.
+MAX_ITERATIONS = 60
+
 
 class SimulationError(RuntimeError):
     """The DC operating point could not be established."""
@@ -75,10 +78,9 @@ class OperatingPoint:
 class DCSolver:
     """Assembles and solves the MNA system for a circuit."""
 
-    def __init__(self, circuit: Circuit, max_iterations: int = 60) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         circuit.validate(strict=False)  # fault-injected clones may dangle nets
         self.circuit = circuit
-        self.max_iterations = max_iterations
         self._nets = [n for n in circuit.nets if not n.is_ground]
         self._net_index = {n.name: i for i, n in enumerate(self._nets)}
         self._nonlinear = [
@@ -90,7 +92,7 @@ class DCSolver:
         """Find a consistent operating point or raise SimulationError."""
         states = {c.name: self._initial_state(c) for c in self._nonlinear}
         seen = set()
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             key = tuple(sorted(states.items()))
             if key in seen:
                 break  # cycling between state assignments

@@ -15,7 +15,6 @@ from typing import FrozenSet, Optional
 
 from repro.core.coincidence import Coincidence, classify
 from repro.core.values import FuzzyValue
-from repro.fuzzy.logic import fold, t_norm_min
 
 __all__ = ["RecognizedConflict", "recognize"]
 
@@ -28,10 +27,9 @@ class RecognizedConflict:
     """A discrepancy between two values for the same quantity.
 
     ``environment`` is the union of the supporting assumption sets — the
-    nogood; ``degree`` its seriousness (``1 - Dc`` damped by the
-    certainty of the participating derivations); ``direction`` locates
-    the *newer* value relative to the older one, which is the sign
-    information figure 7 exploits.
+    nogood; ``degree`` its seriousness, the coincidence's conflict
+    degree ``1 - Dc``; ``direction`` locates the *newer* value relative
+    to the older one, which is the sign information figure 7 exploits.
     """
 
     variable: str
@@ -67,10 +65,7 @@ def recognize(
     if newer.environment & older.environment:
         return None
     coincidence = classify(newer.interval, older.interval)
-    raw = coincidence.conflict_degree
-    if raw <= MIN_CONFLICT_DEGREE:
-        return None
-    degree = fold(t_norm_min, (raw, newer.degree, older.degree), empty=1.0)
+    degree = coincidence.conflict_degree
     if degree <= MIN_CONFLICT_DEGREE:
         return None
     return RecognizedConflict(

@@ -32,11 +32,7 @@ from repro.circuit.netlist import Circuit
 from repro.core.conflicts import RecognizedConflict
 from repro.core.model import CircuitModel
 from repro.core.predict import Prediction
-from repro.core.propagation import (
-    FuzzyPropagator,
-    PropagationResult,
-    PropagatorConfig,
-)
+from repro.core.propagation import FuzzyPropagator, PropagationResult
 from repro.fuzzy import Consistency, FuzzyInterval
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -63,7 +59,6 @@ class FlamesConfig:
     assumable_nodes: bool = False
     conflict_threshold: float = 0.05
     max_candidate_size: int = 3
-    propagator: PropagatorConfig = field(default_factory=PropagatorConfig)
 
 
 @dataclass
@@ -174,9 +169,9 @@ class Flames:
         return DiagnosisPipeline(self).run(measurements, ctx=ctx)
 
     def make_propagator(self) -> FuzzyPropagator:
-        """A propagator over this engine's network and tuning.
+        """A propagator over this engine's network.
 
         The pipeline's seed stage and the streaming plane's incremental
         engine (see README "Streaming mode") both build theirs here.
         """
-        return FuzzyPropagator(self.network, config=self.config.propagator)
+        return FuzzyPropagator(self.network)

@@ -71,10 +71,9 @@ class DynamicDiagnoser:
         circuit: the golden design.
         waveforms: stimulus (source name -> waveform).
         dt: simulation step.
-        duration: how long the response is observed.
-        sample_times: the probe instants; defaults to five points spread
-            over the duration (skipping t=0, where every response
-            trivially matches).
+        duration: how long the response is observed; the probe instants
+            are five points spread over it (skipping t=0, where every
+            response trivially matches).
         conflict_threshold: Dc-complement below which a sample
             discrepancy is treated as tolerance noise.
     """
@@ -85,7 +84,6 @@ class DynamicDiagnoser:
         waveforms: Dict[str, Waveform],
         dt: float,
         duration: float,
-        sample_times: Optional[Sequence[float]] = None,
         conflict_threshold: float = 0.05,
         max_candidate_size: int = 2,
     ) -> None:
@@ -96,9 +94,7 @@ class DynamicDiagnoser:
         self.waveforms = waveforms
         self.dt = dt
         self.duration = duration
-        if sample_times is None:
-            sample_times = [duration * k / 5.0 for k in range(1, 6)]
-        self.sample_times = list(sample_times)
+        self.sample_times = [duration * k / 5.0 for k in range(1, 6)]
         self.conflict_threshold = conflict_threshold
         self.max_candidate_size = max_candidate_size
         self._predictions: Optional[Dict[Tuple[str, float], DynamicPrediction]] = None

@@ -35,6 +35,11 @@ __all__ = [
     "threshold_rule",
 ]
 
+#: How far a fault-mode hypothesis's predicted voltage is widened, per
+#: volt of magnitude, to absorb mode-representative imprecision (a
+#: "short" hypothesis is a class of defects, not one value).
+MODE_BLUR = 0.05
+
 
 @dataclass(frozen=True)
 class FaultMode:
@@ -221,20 +226,16 @@ def threshold_rule(
 class KnowledgeBase:
     """Fault modes + qualitative rules for one circuit.
 
+    The fault modes are the common catalogue (:func:`common_fault_modes`).
     Hypothesised faults are simulated through ``model``, the circuit's
     :class:`~repro.core.model.CircuitModel` (a private one when none is
     passed), which keeps each result for later matches.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        modes: Optional[Dict[str, List[FaultMode]]] = None,
-        model: Optional[CircuitModel] = None,
-    ) -> None:
+    def __init__(self, circuit: Circuit, model: Optional[CircuitModel] = None) -> None:
         self.circuit = circuit
         self.model = model if model is not None else CircuitModel()
-        self.modes = modes if modes is not None else common_fault_modes()
+        self.modes = common_fault_modes()
         self.rules: List[QualitativeRule] = []
 
     def add_rule(self, rule: QualitativeRule) -> None:
@@ -252,17 +253,15 @@ class KnowledgeBase:
         self,
         measurements: Sequence[Measurement],
         candidates: Optional[Sequence[str]] = None,
-        blur: float = 0.05,
     ) -> List[ModeMatch]:
         """Score every (candidate, mode) hypothesis against the evidence.
 
         For each candidate component and each of its common fault modes,
         the hypothesised defect is simulated and the predicted probe
         values are compared (Dc) with the actual measurements; the match
-        degree is the worst per-point consistency.  ``blur`` widens the
-        hypothesis predictions to absorb mode-representative imprecision
-        (a "short" hypothesis is a class of defects, not one value).
-        Results come back best-explanation first.
+        degree is the worst per-point consistency.  Each hypothesis
+        prediction is widened by :data:`MODE_BLUR`.  Results come back
+        best-explanation first.
         """
         names = list(candidates) if candidates is not None else [
             c.name for c in self.circuit.components
@@ -289,7 +288,7 @@ class KnowledgeBase:
                         if net not in predicted:
                             continue
                         hypothesis = FuzzyInterval.number(
-                            predicted[net], blur * (1.0 + abs(predicted[net]))
+                            predicted[net], MODE_BLUR * (1.0 + abs(predicted[net]))
                         )
                         per_point[point] = consistency(m.value, hypothesis).degree
                     if not per_point:

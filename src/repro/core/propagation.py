@@ -15,15 +15,15 @@ one-shot local propagation; iterating the projections from wide seeds
 converges geometrically for the contraction-dominant networks that
 well-designed bias circuits form, which is why the engine loops to
 quiescence instead of doing a single pass.  A value only counts as new
-information when it narrows the quantity beyond a configurable slack, so
-the loop terminates.
+information when it narrows the quantity beyond a slack, so the loop
+terminates.  The loop's tunables are the module constants below.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.context import RunContext
@@ -35,10 +35,24 @@ from repro.fuzzy import FuzzyInterval
 
 __all__ = [
     "FuzzyPropagator",
-    "PropagatorConfig",
     "PropagationResult",
     "PropagatorState",
 ]
+
+#: Stored values per variable (measurements are always kept).
+MAX_VALUES_PER_VARIABLE = 8
+#: Values considered per input variable when projecting.
+VALUES_PER_INPUT = 3
+#: Cross-product cap per (constraint, target) projection.
+MAX_COMBINATIONS = 12
+#: Absolute slack under which a narrowing is not new information.
+ABSOLUTE_SLACK = 1e-6
+#: Relative (to current width) slack for the same test.
+RELATIVE_SLACK = 2e-2
+#: Narrowing merges allowed per stored entry before it freezes.
+NARROWING_BUDGET = 50
+#: Hard cap on processed queue entries (termination backstop).
+MAX_STEPS = 20000
 
 #: Sources whose entries are evidence or database predictions, never
 #: merged or narrowed — they must stay pristine for conflict attribution.
@@ -48,26 +62,6 @@ _IMMUTABLE_SOURCES = frozenset({"measurement", "premise", "prediction"})
 def _rank(value: FuzzyValue) -> tuple:
     """Preference order of stored values: evidence first, then narrow, then few assumptions."""
     return (value.source not in _IMMUTABLE_SOURCES, value.width, len(value.environment))
-
-
-@dataclass(frozen=True)
-class PropagatorConfig:
-    """Tuning knobs for the propagation loop."""
-
-    #: Stored values per variable (measurements are always kept).
-    max_values_per_variable: int = 8
-    #: Values considered per input variable when projecting.
-    values_per_input: int = 3
-    #: Cross-product cap per (constraint, target) projection.
-    max_combinations: int = 12
-    #: Absolute slack under which a narrowing is not new information.
-    absolute_slack: float = 1e-6
-    #: Relative (to current width) slack for the same test.
-    relative_slack: float = 2e-2
-    #: Narrowing merges allowed per stored entry before it freezes.
-    narrowing_budget: int = 50
-    #: Hard cap on processed queue entries (termination backstop).
-    max_steps: int = 20000
 
 
 @dataclass
@@ -111,13 +105,8 @@ class PropagatorState:
 class FuzzyPropagator:
     """Work-list propagation over a circuit's constraint network."""
 
-    def __init__(
-        self,
-        network: ConstraintNetwork,
-        config: Optional[PropagatorConfig] = None,
-    ) -> None:
+    def __init__(self, network: ConstraintNetwork) -> None:
         self.network = network
-        self.config = config if config is not None else PropagatorConfig()
         self._values: Dict[str, List[FuzzyValue]] = {}
         self._watchers: Dict[str, List[Constraint]] = {}
         self._watched: Dict[int, tuple] = {}
@@ -165,9 +154,9 @@ class FuzzyPropagator:
         for name, var in self.network.variables.items():
             if name == "V(0)":
                 # The ground reference is a premise: crisp and immutable.
-                value = FuzzyValue(FuzzyInterval.crisp(0.0), frozenset(), 1.0, "premise")
+                value = FuzzyValue(FuzzyInterval.crisp(0.0), frozenset(), "premise")
             else:
-                value = FuzzyValue(var.seed, frozenset(), 1.0, "seed", from_seed=True)
+                value = FuzzyValue(var.seed, frozenset(), "seed", from_seed=True)
             self._values[name] = [value]
 
     def checkpoint(self) -> PropagatorState:
@@ -213,7 +202,6 @@ class FuzzyPropagator:
         name: str,
         interval: FuzzyInterval,
         environment: FrozenSet[str] = frozenset(),
-        degree: float = 1.0,
         source: str = "measurement",
     ) -> None:
         """Assert a value (typically a measurement) for a variable.
@@ -223,7 +211,7 @@ class FuzzyPropagator:
         """
         if name not in self._values:
             raise KeyError(f"unknown variable {name!r}")
-        self._record(name, FuzzyValue(interval, environment, degree, source))
+        self._record(name, FuzzyValue(interval, environment, source))
 
     # ------------------------------------------------------------------
     # Queries
@@ -271,11 +259,7 @@ class FuzzyPropagator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(
-        self,
-        constraints: Optional[Sequence[Constraint]] = None,
-        ctx: Optional["RunContext"] = None,
-    ) -> PropagationResult:
+    def run(self, ctx: Optional["RunContext"] = None) -> PropagationResult:
         """Propagate to quiescence (or the step cap, or the context's stop).
 
         The fixpoint is sensitive to firing order (combination caps,
@@ -295,16 +279,13 @@ class FuzzyPropagator:
         result is flagged ``interrupted``.  Everything established up to
         that point remains sound.
         """
-        if constraints is not None:
-            queue: List[Constraint] = list(constraints)
-        else:
-            queue = list(self.network.constraints)
+        queue = list(self.network.constraints)
         queued = {id(c) for c in queue}
         steps = 0
         while queue:
             if ctx is not None and ctx.tick():
                 return PropagationResult(steps, quiescent=False, interrupted=True)
-            if steps >= self.config.max_steps:
+            if steps >= MAX_STEPS:
                 return PropagationResult(steps, quiescent=False)
             constraint = queue.pop(0)
             queued.discard(id(constraint))
@@ -346,7 +327,7 @@ class FuzzyPropagator:
             if any(not p for p in pools):
                 continue
             combos = itertools.islice(
-                itertools.product(*pools), self.config.max_combinations
+                itertools.product(*pools), MAX_COMBINATIONS
             )
             for combo in combos:
                 self.projections += 1
@@ -354,18 +335,13 @@ class FuzzyPropagator:
                 if projected is None:
                     continue
                 envs = []
-                degree = combo[0].degree if combo else 1.0
                 tainted = False
                 for val in combo:
                     envs.append(val.environment)
-                    if val.degree < degree:
-                        degree = val.degree
                     if val.from_seed:
                         tainted = True
                 env = env_base.union(*envs) if envs else env_base
-                value = FuzzyValue(
-                    projected, env, degree, constraint.name, from_seed=tainted
-                )
+                value = FuzzyValue(projected, env, constraint.name, from_seed=tainted)
                 if self._record(target.name, value):
                     if target.name not in changed:
                         changed.append(target.name)
@@ -382,7 +358,7 @@ class FuzzyPropagator:
 
     def _select(self, name: str) -> tuple:
         """Input values for a projection: measurements first, then narrow."""
-        return self._ranked_values(name)[: self.config.values_per_input]
+        return self._ranked_values(name)[:VALUES_PER_INPUT]
 
     def _ranked_values(self, name: str) -> tuple:
         """The store of ``name`` sorted by :func:`_rank`, memoised per change tick."""
@@ -408,7 +384,7 @@ class FuzzyPropagator:
         circuits with feedback loops: every entry always contains the
         true value whenever its supporting assumptions hold.
         """
-        fingerprint = (new.interval.as_tuple(), new.environment, round(new.degree, 6))
+        fingerprint = (new.interval.as_tuple(), new.environment)
         seen = self._seen.setdefault(name, set())
         if new.source not in _IMMUTABLE_SOURCES:
             if fingerprint in seen:
@@ -421,7 +397,7 @@ class FuzzyPropagator:
         # did, and skipping it avoids the (comparatively expensive)
         # coincidence classification on the quiescent tail.  Evidence
         # values are exempt — they must always be checked and stored.
-        slack = self.config.absolute_slack + self.config.relative_slack * new.width
+        slack = ABSOLUTE_SLACK + RELATIVE_SLACK * new.width
         if new.source not in _IMMUTABLE_SOURCES:
             for existing in stored:
                 if existing.subsumes(new, slack):
@@ -463,7 +439,7 @@ class FuzzyPropagator:
                 continue
             if existing.environment != new.environment:
                 continue
-            if existing.revision >= self.config.narrowing_budget:
+            if existing.revision >= NARROWING_BUDGET:
                 self.records_dropped += 1
                 return False  # frozen: relaxation budget exhausted
             hull = existing.interval.intersection_hull(new.interval)
@@ -472,7 +448,6 @@ class FuzzyPropagator:
             merged = FuzzyValue(
                 hull,
                 new.environment,
-                min(existing.degree, new.degree),
                 new.source or existing.source,
                 existing.revision + 1,
                 # Intersection with an untainted value bounds the result by
@@ -507,7 +482,7 @@ class FuzzyPropagator:
         work list busy forever.
         """
         stored = self._values[name]
-        cap = self.config.max_values_per_variable
+        cap = MAX_VALUES_PER_VARIABLE
         if len(stored) < cap or new.source in _IMMUTABLE_SOURCES:
             stored.append(new)
             return True

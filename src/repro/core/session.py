@@ -8,10 +8,11 @@ base's learned rules, offers fault-mode refinements and next-best-test
 recommendations, and — when the expert confirms the repair — records
 the episode so the next unit benefits.
 
-The session is deliberately *open*: the knowledge base, experience base
-and planner are injectable, and every intermediate artefact (the raw
-:class:`DiagnosisResult`, the mode matches, the ranked tests) is
-exposed rather than hidden behind a verdict.
+The session builds its own knowledge base and planner over its engine
+(one session, one :class:`~repro.core.model.CircuitModel`); only the
+experience base is shared across sessions.  Every intermediate artefact
+(the raw :class:`DiagnosisResult`, the mode matches, the ranked tests)
+is exposed rather than hidden behind a verdict.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class TroubleshootingSession:
         config: engine configuration.
         experience: a shared :class:`ExperienceBase` carried across
             sessions (the repair shop's memory); a fresh one by default.
-        knowledge: the fault-mode/rule base; built with the common
-            catalogue by default.
-        planner: the best-test strategy unit.
         sanitize: measurement policy at the observation boundary —
             ``"strict"`` (the default: observations enter verbatim,
             byte-identical to the pre-resilience session) or ``"repair"``
@@ -57,8 +55,6 @@ class TroubleshootingSession:
         circuit: Circuit,
         config: Optional[FlamesConfig] = None,
         experience: Optional[ExperienceBase] = None,
-        knowledge: Optional[KnowledgeBase] = None,
-        planner: Optional[BestTestPlanner] = None,
         sanitize: str = "strict",
     ) -> None:
         from repro.resilience.sanitize import POLICIES, SanitizeReport
@@ -69,8 +65,10 @@ class TroubleshootingSession:
             )
         self.engine = Flames(circuit, config)
         self.experience = experience if experience is not None else ExperienceBase()
-        self.knowledge = knowledge if knowledge is not None else KnowledgeBase(circuit)
-        self.planner = planner if planner is not None else BestTestPlanner(self.engine)
+        #: The fault-mode/rule base, simulating through the engine's model.
+        self.knowledge = KnowledgeBase(circuit, model=self.engine.model)
+        #: The best-test strategy unit.
+        self.planner = BestTestPlanner(self.engine)
         self.sanitize = sanitize
         self.sanitize_report = SanitizeReport()
         self.measurements: List[Measurement] = []

@@ -62,15 +62,9 @@ class TestRecommendation:
 class BestTestPlanner:
     """Fuzzy-entropy probe selection for one engine instance."""
 
-    def __init__(
-        self,
-        engine: Flames,
-        scale: LinguisticVariable = FAULTINESS_5,
-        estimation_spread: float = 0.08,
-    ) -> None:
+    def __init__(self, engine: Flames, scale: LinguisticVariable = FAULTINESS_5) -> None:
         self.engine = engine
         self.scale = scale
-        self.estimation_spread = estimation_spread
 
     # ------------------------------------------------------------------
     # Fuzzy faultiness estimations

@@ -3,8 +3,10 @@
 A quantity's *label* (in the paper's interval-labelling sense — not to
 be confused with the ATMS label) is the set of fuzzy values currently
 believed for it.  Each value records the fuzzy interval, the set of
-component assumptions supporting it, the certainty degree accumulated
-along its derivation, and a provenance string for explanations.
+component assumptions supporting it, and a provenance string for
+explanations.  Values carry no certainty degree of their own: every
+assumption holds at degree 1, so a conflict's degree is the
+coincidence's alone (``1 - Dc``).
 """
 
 from __future__ import annotations
@@ -25,15 +27,12 @@ class FuzzyValue:
         interval: the fuzzy interval of possible values.
         environment: names of the components whose correctness supports
             this value (empty for seeds and measurements).
-        degree: certainty accumulated along the derivation (1.0 unless an
-            uncertain rule participated).
         source: provenance — ``"seed"``, ``"measurement"`` or the name of
             the constraint that produced it.
     """
 
     interval: FuzzyInterval
     environment: FrozenSet[str] = frozenset()
-    degree: float = 1.0
     source: str = ""
     #: How many narrowing merges produced this entry; the propagator
     #: freezes entries past its narrowing budget so loop relaxation has a
@@ -44,10 +43,6 @@ class FuzzyValue:
     #: ignorance, not the model's implication, so the conflict engine
     #: must not read Dc mass into it.
     from_seed: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.degree <= 1.0:
-            raise ValueError(f"value degree {self.degree} outside (0, 1]")
 
     @property
     def is_measurement(self) -> bool:
@@ -67,11 +62,9 @@ class FuzzyValue:
         A value is redundant when a no-stronger assumption set already
         supports an interval at least as narrow (up to ``slack`` on both
         the support and the core — the slack is what guarantees the
-        propagation loop terminates) at an equal-or-higher degree.
+        propagation loop terminates).
         """
         if not self.environment <= other.environment:
-            return False
-        if self.degree < other.degree:
             return False
         mine, theirs = self.interval, other.interval
         return (
@@ -83,5 +76,4 @@ class FuzzyValue:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         env = "{" + ",".join(sorted(self.environment)) + "}"
-        deg = "" if self.degree == 1.0 else f"@{self.degree:g}"
-        return f"{self.interval!r}{env}{deg}<{self.source}>"
+        return f"{self.interval!r}{env}<{self.source}>"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.fault_dictionary import FaultDictionary
-from repro.circuit.faults import Fault, FaultKind, apply_fault
+from repro.circuit.faults import Fault, FaultKind, apply_faults
 from repro.circuit.library import amplifier_cascade, three_stage_amplifier
 from repro.circuit.measurements import probe_all
 from repro.circuit.simulate import DCSolver
@@ -66,10 +66,7 @@ def run_dictionary_eval(imprecision: float = 0.02) -> List[DictionaryRow]:
         ),
     )
     for label, culprits, faults in cases:
-        faulty = golden
-        for fault in faults:
-            faulty = apply_fault(faulty, fault)
-        op = DCSolver(faulty).solve()
+        op = DCSolver(apply_faults(golden, faults)).solve()
         match = dictionary.lookup_op(op)
         verdict = (
             "healthy" if match.is_healthy else f"{match.component}:{match.mode}"
@@ -92,9 +89,12 @@ def run_dictionary_eval(imprecision: float = 0.02) -> List[DictionaryRow]:
     cascade_probes = ["b", "c", "d"]
     cascade_dictionary = FaultDictionary(cascade, cascade_probes)
     cascade_engine = Flames(cascade, FlamesConfig(max_candidate_size=2))
-    faulty = apply_fault(
-        apply_fault(cascade, Fault(FaultKind.PARAM, "amp2", "gain", 1.4)),
-        Fault(FaultKind.PARAM, "amp3", "gain", 4.0),
+    faulty = apply_faults(
+        cascade,
+        [
+            Fault(FaultKind.PARAM, "amp2", "gain", 1.4),
+            Fault(FaultKind.PARAM, "amp3", "gain", 4.0),
+        ],
     )
     op = DCSolver(faulty).solve()
     match = cascade_dictionary.lookup_op(op)

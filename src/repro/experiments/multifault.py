@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.circuit.faults import Fault, FaultKind, apply_fault
+from repro.circuit.faults import Fault, FaultKind, apply_faults
 from repro.circuit.library import amplifier_cascade
 from repro.circuit.measurements import probe_all
 from repro.circuit.simulate import DCSolver
@@ -57,10 +57,7 @@ def run_multifault(
 ) -> List[MultiFaultOutcome]:
     """Diagnose the double defect under different cardinality bounds."""
     golden = amplifier_cascade()
-    faulty = golden
-    for fault in faults:
-        faulty = apply_fault(faulty, fault)
-    op = DCSolver(faulty).solve()
+    op = DCSolver(apply_faults(golden, faults)).solve()
     measurements = probe_all(op, ["b", "c", "d"], imprecision=imprecision)
     outcomes = []
     for max_size in max_sizes:

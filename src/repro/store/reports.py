@@ -18,20 +18,12 @@ and the tenant's experience-base version and rule count.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
+from repro.service.telemetry import percentile
 from repro.store.db import DiagnosisStore
 
 __all__ = ["build_report"]
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (matches the telemetry plane's rule)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-    return ordered[idx]
 
 
 def build_report(
@@ -58,12 +50,15 @@ def build_report(
     completed = statuses.get("ok", 0) + statuses.get("degraded", 0)
     consistent = sum(1 for row in rows if row["consistent"])
     cache_hits = sum(1 for row in rows if row["cache_hit"])
-    executed_ms = [
+    executed_ms = sorted(
         row["elapsed"] * 1000.0 for row in rows if not row["cache_hit"]
-    ]
+    )
 
     def rate(n: int) -> float:
         return round(n / total, 4) if total else 0.0
+
+    def latency(q: float) -> float:
+        return round(percentile(executed_ms, q), 3) if executed_ms else 0.0
 
     experience, experience_version = store.load_experience(tenant)
 
@@ -97,9 +92,9 @@ def build_report(
         ],
         "latency_ms": {
             "executed": len(executed_ms),
-            "p50": round(_percentile(executed_ms, 0.50), 3),
-            "p95": round(_percentile(executed_ms, 0.95), 3),
-            "p99": round(_percentile(executed_ms, 0.99), 3),
+            "p50": latency(0.50),
+            "p95": latency(0.95),
+            "p99": latency(0.99),
         },
         "experience": {
             "version": experience_version,

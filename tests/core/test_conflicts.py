@@ -1,14 +1,17 @@
 """Tests for the conflict-recognition engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.conflicts import recognize
+from repro.core.coincidence import classify
+from repro.core.conflicts import MIN_CONFLICT_DEGREE, recognize
 from repro.core.values import FuzzyValue
 from repro.fuzzy import FuzzyInterval
 
 
-def val(interval, env=(), degree=1.0, source="model"):
-    return FuzzyValue(interval, frozenset(env), degree, source)
+def val(interval, env=(), source="model"):
+    return FuzzyValue(interval, frozenset(env), source)
 
 
 class TestRecognition:
@@ -37,13 +40,6 @@ class TestRecognition:
         conflict = recognize("I(d1)", measured, bound)
         assert conflict.degree == pytest.approx(0.5)
         assert conflict.environment == frozenset({"d1"})
-
-    def test_degrees_damp_conflicts(self):
-        """An uncertain derivation cannot yield a certain nogood."""
-        a = val(FuzzyInterval.crisp(0.0), env={"a"}, degree=0.6)
-        b = val(FuzzyInterval.crisp(5.0), env={"b"})
-        conflict = recognize("x", a, b)
-        assert conflict.degree == pytest.approx(0.6)
 
     def test_tiny_conflicts_filtered(self):
         a = val(FuzzyInterval(0.0, 1.0, 0.0, 1e-9))
@@ -77,3 +73,37 @@ class TestRecognition:
         b = val(FuzzyInterval.crisp(5.0), env={"b"})
         text = repr(recognize("x", a, b))
         assert "a" in text and "b" in text
+
+
+_coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_spreads = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def intervals(draw):
+    m1 = draw(_coords)
+    m2 = draw(st.floats(min_value=m1, max_value=1e6, allow_nan=False))
+    return FuzzyInterval(m1, m2, draw(_spreads), draw(_spreads))
+
+
+class TestConflictDegreeRange:
+    """Values carry no degree, so nothing clamps the conflict degree at
+    recognition time: the coincidence itself must keep it in [0, 1]."""
+
+    @given(intervals(), intervals())
+    @settings(max_examples=400, deadline=None)
+    def test_coincidence_degree_in_unit_interval(self, a, b):
+        assert 0.0 <= classify(a, b).conflict_degree <= 1.0
+
+    @given(intervals(), intervals())
+    @settings(max_examples=400, deadline=None)
+    def test_recognized_degree_is_the_coincidence_degree(self, a, b):
+        raw = classify(a, b).conflict_degree
+        conflict = recognize("x", val(a, env={"a"}), val(b, env={"b"}))
+        if conflict is None:
+            assert raw <= MIN_CONFLICT_DEGREE
+        else:
+            assert conflict.degree == raw

@@ -15,7 +15,8 @@ from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.measurements import probe_all
 from repro.circuit.simulate import DCSolver
 from repro.core.diagnosis import Flames
-from repro.core.propagation import FuzzyPropagator, PropagatorConfig, _rank
+from repro.core import propagation
+from repro.core.propagation import FuzzyPropagator, _rank
 from repro.fuzzy import FuzzyInterval
 
 
@@ -146,9 +147,9 @@ class TestConflictDetection:
 
 
 class TestTermination:
-    def test_step_cap_respected(self):
-        config = PropagatorConfig(max_steps=5)
-        p = FuzzyPropagator(divider_network(), config=config)
+    def test_step_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(propagation, "MAX_STEPS", 5)
+        p = FuzzyPropagator(divider_network())
         result = p.run()
         assert result.steps <= 5
 
@@ -168,9 +169,9 @@ class TestTermination:
         assert second <= len(p.network.constraints)
         assert first >= second
 
-    def test_value_cap_enforced(self):
-        config = PropagatorConfig(max_values_per_variable=3)
-        p = FuzzyPropagator(divider_network(), config=config)
+    def test_value_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(propagation, "MAX_VALUES_PER_VARIABLE", 3)
+        p = FuzzyPropagator(divider_network())
         p.set_value("V(mid)", FuzzyInterval.number(5.0, 0.02))
         p.run()
         for name in p.network.variables:
@@ -222,10 +223,10 @@ class TestSeedTaintProvenance:
         from repro.core.values import FuzzyValue
 
         tainted = FuzzyValue(
-            FuzzyInterval(0.0, 10.0), frozenset({"a"}), 1.0, "c", from_seed=True
+            FuzzyInterval(0.0, 10.0), frozenset({"a"}), "c", from_seed=True
         )
         clean = FuzzyValue(
-            FuzzyInterval(4.0, 6.0), frozenset({"a"}), 1.0, "c", from_seed=False
+            FuzzyInterval(4.0, 6.0), frozenset({"a"}), "c", from_seed=False
         )
         # The merge rule: from_seed = existing.from_seed and new.from_seed.
         assert (tainted.from_seed and clean.from_seed) is False
@@ -253,7 +254,7 @@ class TestRankedMemo:
 
     @staticmethod
     def _assert_fresh(p):
-        n = p.config.values_per_input
+        n = propagation.VALUES_PER_INPUT
         for name in p.network.variables:
             stored = p.values(name)
             assert p.best(name) is min(stored, key=_rank), name

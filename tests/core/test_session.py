@@ -169,4 +169,3 @@ class TestConfigDefaults:
         a = TroubleshootingSession(golden)
         b = TroubleshootingSession(golden)
         assert a.engine.config is not b.engine.config
-        assert a.engine.config.propagator is not b.engine.config.propagator

@@ -48,7 +48,7 @@ class NoSkipFlames(Flames):
     """An engine whose pipeline runs on :class:`NoSkipPropagator`."""
 
     def make_propagator(self):
-        return NoSkipPropagator(self.network, config=self.config.propagator)
+        return NoSkipPropagator(self.network)
 
 
 ENGINES = {"skip": Flames, "noskip": NoSkipFlames}

@@ -6,8 +6,8 @@ from repro.core.values import FuzzyValue
 from repro.fuzzy import FuzzyInterval
 
 
-def value(interval, env=(), degree=1.0, source="c"):
-    return FuzzyValue(interval, frozenset(env), degree, source)
+def value(interval, env=(), source="c"):
+    return FuzzyValue(interval, frozenset(env), source)
 
 
 class TestBasics:
@@ -15,12 +15,6 @@ class TestBasics:
         assert value(FuzzyInterval.crisp(1.0), source="measurement").is_measurement
         assert value(FuzzyInterval.crisp(1.0), source="seed").is_seed
         assert not value(FuzzyInterval.crisp(1.0)).is_measurement
-
-    def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            value(FuzzyInterval.crisp(1.0), degree=0.0)
-        with pytest.raises(ValueError):
-            value(FuzzyInterval.crisp(1.0), degree=1.5)
 
     def test_width(self):
         assert value(FuzzyInterval(1.0, 2.0, 0.5, 0.5)).width == pytest.approx(2.0)
@@ -37,12 +31,6 @@ class TestSubsumption:
         a = value(FuzzyInterval(1.0, 2.0), env={"a"})
         b = value(FuzzyInterval(0.0, 3.0), env={"b"})
         assert not a.subsumes(b)
-
-    def test_lower_degree_does_not_subsume(self):
-        weak = value(FuzzyInterval(1.0, 2.0), env={"a"}, degree=0.5)
-        strong = value(FuzzyInterval(0.0, 3.0), env={"a"}, degree=1.0)
-        assert not weak.subsumes(strong)
-        assert strong.subsumes(weak) is False  # strong is wider
 
     def test_slack_tolerates_jitter(self):
         base = value(FuzzyInterval(1.0, 2.0))

@@ -79,6 +79,24 @@ class TestBuildReport:
         assert report["latency_ms"]["executed"] == 4
         assert report["latency_ms"]["p50"] > 0
 
+    def test_latency_percentiles_follow_the_telemetry_rule(self, store):
+        """Executed latencies [1, 2, 3, 4] ms: nearest rank gives p50 = 2."""
+        from repro.service.telemetry import percentile
+
+        store.provision_tenant("acme")
+        for i, elapsed in enumerate((0.004, 0.001, 0.003, 0.002)):
+            store.record_history("acme", f"u{i}", f"h{i}", "ok", False, "R1", elapsed, False)
+        store.record_history("acme", "u9", "h9", "ok", False, "R1", 0.5, True)  # cache hit
+        latency = build_report(store, "acme")["latency_ms"]
+        assert latency == {"executed": 4, "p50": 2.0, "p95": 4.0, "p99": 4.0}
+        assert latency["p50"] == percentile([1.0, 2.0, 3.0, 4.0], 0.50)
+
+    def test_no_executed_runs_reads_zero(self, store):
+        store.provision_tenant("acme")
+        store.record_history("acme", "u1", "h1", "ok", False, "R1", 0.5, True)
+        latency = build_report(store, "acme")["latency_ms"]
+        assert latency == {"executed": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+
     def test_limit_narrows_the_window(self, store):
         store.provision_tenant("acme")
         for i in range(4):
