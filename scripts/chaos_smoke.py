@@ -73,7 +73,7 @@ def fleet_leg():
         executor="thread",
         timeout=0.5,
         retries=2,
-        supervisor=FleetSupervisor(quarantine_after=3),
+        supervisor=FleetSupervisor(),
         fault_plan=PLAN,
     )
     statuses = Counter()

@@ -57,13 +57,19 @@ from repro.cluster.ring import HashRing
 from repro.resilience import FaultPlan, faults
 from repro.server.app import ServerConfig
 from repro.server.client import ClientError, DiagnosisClient, ServerUnavailable
-from repro.server.http import HttpError, HttpRequest, HttpService
+from repro.server.http import DRAIN_GRACE, HttpError, HttpRequest, HttpService
 from repro.service import ManifestError, job_from_spec
 from repro.service.telemetry import Telemetry
 
 __all__ = ["ClusterConfig", "ClusterGateway", "run"]
 
 log = logging.getLogger("repro.cluster")
+
+#: Forwarding attempts = 1 + this (ring failover).
+CLIENT_RETRIES = 3
+
+#: Base delay of the forwarding client's backoff, seconds.
+CLIENT_BACKOFF = 0.05
 
 
 @dataclass
@@ -79,14 +85,8 @@ class ClusterConfig:
     cache_size: int = 1024
     timeout: float = 30.0  # per-request budget inside each replica
     retries: int = 1  # per-replica crashed-job retries
-    client_retries: int = 3  # forwarding attempts = 1 + this (ring failover)
-    client_backoff: float = 0.05
     poll_interval: float = 1.0  # replica health tick, seconds
     gossip_interval: float = 2.0  # experience circulation period, seconds
-    drain_grace: float = 30.0
-    boot_timeout: float = 60.0
-    health_decay: float = 0.7
-    health_floor: float = 0.3
     supervise: bool = False  # per-replica fleet supervisor
     faults: str = ""  # JSON FaultPlan armed in the *gateway* (cluster.* points)
     replica_faults: str = ""  # JSON FaultPlan forwarded to every replica
@@ -143,11 +143,7 @@ class ClusterGateway(HttpService):
     def __init__(self, config: ClusterConfig, fleet=None):
         super().__init__(config, Telemetry(), id_prefix="gw-")
         self.fleet = fleet if fleet is not None else ReplicaManager(
-            config.replicas,
-            config=config.replica_config(),
-            health_decay=config.health_decay,
-            health_floor=config.health_floor,
-            boot_timeout=config.boot_timeout,
+            config.replicas, config=config.replica_config()
         )
         self.ring = HashRing(self.fleet.replica_ids, vnodes=config.vnodes)
         self.gossip = ExperienceGossip()
@@ -224,9 +220,7 @@ class ClusterGateway(HttpService):
     async def _teardown(self, drained: bool) -> None:
         """Drain the replicas and join them, then the gateway's own pools."""
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._control, self.fleet.stop, self.config.drain_grace
-        )
+        await loop.run_in_executor(self._control, self.fleet.stop, DRAIN_GRACE)
         self._forward.shutdown(wait=drained)
         self._control.shutdown(wait=True)
         for client in self._clients:
@@ -334,8 +328,8 @@ class ClusterGateway(HttpService):
         client = getattr(self._local, "client", None)
         if client is None:
             client = DiagnosisClient(
-                retries=self.config.client_retries,
-                backoff=self.config.client_backoff,
+                retries=CLIENT_RETRIES,
+                backoff=CLIENT_BACKOFF,
                 timeout=self.config.timeout * 1.5 + 5.0,
             )
             self._local.client = client

@@ -56,6 +56,9 @@ log = logging.getLogger("repro.cluster")
 
 _PORT_RE = re.compile(r'"port": (\d+)')
 
+#: Seconds a spawned replica has to report its bound port.
+BOOT_TIMEOUT = 60.0
+
 
 def _spawn_env() -> Dict[str, str]:
     """The child environment, with the repro package importable."""
@@ -77,13 +80,11 @@ class ReplicaProcess:
         replica_id: str,
         config: ServerConfig,
         host: str = "127.0.0.1",
-        health_decay: float = 0.7,
-        health_floor: float = 0.3,
     ) -> None:
         self.replica_id = replica_id
         self.config = config
         self.host = host
-        self.health = EwmaHealth(decay=health_decay, floor=health_floor)
+        self.health = EwmaHealth()
         self.process: Optional[subprocess.Popen] = None
         self.port: Optional[int] = None
         self.epoch = 0  # bumps on every (re)spawn
@@ -97,7 +98,7 @@ class ReplicaProcess:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def spawn(self, boot_timeout: float = 60.0) -> None:
+    def spawn(self) -> None:
         """Start the subprocess and wait for its bound port."""
         cmd = [sys.executable, "-m", "repro", "serve", *self.config.to_argv()]
         self.process = subprocess.Popen(
@@ -109,7 +110,7 @@ class ReplicaProcess:
         )
         self.epoch += 1
         self.ready = False
-        self.port = self._scrape_port(boot_timeout)
+        self.port = self._scrape_port()
         self._client = DiagnosisClient(
             host=self.host, port=self.port, retries=0, timeout=5.0
         )
@@ -125,9 +126,9 @@ class ReplicaProcess:
             self.replica_id, self.port, self.epoch,
         )
 
-    def _scrape_port(self, boot_timeout: float) -> int:
+    def _scrape_port(self) -> int:
         assert self.process is not None and self.process.stdout is not None
-        deadline = time.monotonic() + boot_timeout
+        deadline = time.monotonic() + BOOT_TIMEOUT
         while time.monotonic() < deadline:
             if self.process.poll() is not None:
                 break
@@ -230,19 +231,12 @@ class ReplicaManager:
         count: int,
         config: Optional[ServerConfig] = None,
         host: str = "127.0.0.1",
-        health_decay: float = 0.7,
-        health_floor: float = 0.3,
-        boot_timeout: float = 60.0,
     ) -> None:
         if count < 1:
             raise ValueError("need at least one replica")
         self.config = config or ServerConfig(port=0, workers=2)
-        self.boot_timeout = boot_timeout
         self.replicas: Dict[str, ReplicaProcess] = {
-            f"r{i}": ReplicaProcess(
-                f"r{i}", self.config, host=host,
-                health_decay=health_decay, health_floor=health_floor,
-            )
+            f"r{i}": ReplicaProcess(f"r{i}", self.config, host=host)
             for i in range(count)
         }
         self._retired_metrics: List[Dict] = []  # final snapshots of evicted runs
@@ -259,7 +253,7 @@ class ReplicaManager:
 
     def start(self) -> None:
         for replica in self.replicas.values():
-            replica.spawn(self.boot_timeout)
+            replica.spawn()
 
     def stop(self, grace: float = 30.0) -> None:
         """Cascade the drain: SIGTERM every replica, then join them."""
@@ -334,7 +328,7 @@ class ReplicaManager:
                 self._retired_metrics.append(replica.last_metrics)
             replica.last_metrics = {}
         replica.terminate(grace=2.0)
-        replica.spawn(self.boot_timeout)
+        replica.spawn()
         replica.health.reset()
         replica.restarts += 1
         with self._lock:
@@ -369,15 +363,12 @@ class ReplicaManager:
 class _AttachedReplica:
     """StaticFleet's per-endpoint record (no process to manage)."""
 
-    def __init__(
-        self, replica_id: str, endpoint: str,
-        health_decay: float = 0.7, health_floor: float = 0.3,
-    ) -> None:
+    def __init__(self, replica_id: str, endpoint: str) -> None:
         self.replica_id = replica_id
         host, _, port = endpoint.replace("http://", "").rstrip("/").rpartition(":")
         self.host = host
         self.port = int(port)
-        self.health = EwmaHealth(decay=health_decay, floor=health_floor)
+        self.health = EwmaHealth()
         self.epoch = 1
         self.restarts = 0
         self.ready = True
@@ -415,18 +406,11 @@ class StaticFleet:
     is simply routed around until it answers again.
     """
 
-    def __init__(
-        self,
-        endpoints: List[str],
-        health_decay: float = 0.7,
-        health_floor: float = 0.3,
-    ) -> None:
+    def __init__(self, endpoints: List[str]) -> None:
         if not endpoints:
             raise ValueError("need at least one endpoint")
         self.replicas: Dict[str, _AttachedReplica] = {
-            f"r{i}": _AttachedReplica(
-                f"r{i}", endpoint, health_decay=health_decay, health_floor=health_floor
-            )
+            f"r{i}": _AttachedReplica(f"r{i}", endpoint)
             for i, endpoint in enumerate(endpoints)
         }
         self.restarts_total = 0

@@ -157,16 +157,16 @@ class Flames:
     ) -> DiagnosisResult:
         """Run the full conflict-recognition + candidate-generation cycle.
 
-        The cycle itself lives in :class:`repro.runtime.pipeline.
-        DiagnosisPipeline`, decomposed into named stages.  Passing a
+        The cycle itself is :func:`repro.runtime.pipeline.diagnose`,
+        decomposed into named stages.  Passing a
         ``ctx`` bounds the run (deadline / cancellation / step budget)
         and, when its tracing flag is on, collects a span tree on the
         returned result.  Without a context the call is unbounded and
         byte-identical to the pre-staged engine.
         """
-        from repro.runtime.pipeline import DiagnosisPipeline
+        from repro.runtime import pipeline
 
-        return DiagnosisPipeline(self).run(measurements, ctx=ctx)
+        return pipeline.diagnose(self, measurements, ctx=ctx)
 
     def make_propagator(self) -> FuzzyPropagator:
         """A propagator over this engine's network.

@@ -26,7 +26,6 @@ from repro.corpus.metrics import (
     CERTAIN,
     low_degree_nogoods,
     no_certain_culprit,
-    percentile,
     rank_of_true_fault,
     ranking_from_payload,
     scenario_hit,
@@ -47,7 +46,6 @@ __all__ = [
     "CERTAIN",
     "low_degree_nogoods",
     "no_certain_culprit",
-    "percentile",
     "rank_of_true_fault",
     "ranking_from_payload",
     "scenario_hit",

@@ -26,13 +26,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.metrics import (
     low_degree_nogoods,
-    percentile,
     rank_of_true_fault,
     scenario_hit,
 )
 from repro.core.diagnosis import FlamesConfig
 from repro.corpus.scenarios import CorpusManifest, Scenario
 from repro.service.jobs import DiagnosisJob, JobResult
+from repro.service.telemetry import percentile
 from repro.service.pool import FleetEngine
 
 __all__ = [
@@ -102,9 +102,14 @@ class ClassStats:
         return data
 
     def latency_dict(self) -> Dict:
+        ordered = sorted(self.latencies)
+
+        def ms(q: float) -> float:
+            return round(percentile(ordered, q) * 1e3, 3) if ordered else 0.0
+
         return {
-            "p50_ms": round(percentile(self.latencies, 50) * 1e3, 3),
-            "p95_ms": round(percentile(self.latencies, 95) * 1e3, 3),
+            "p50_ms": ms(0.50),
+            "p95_ms": ms(0.95),
             "mean_ms": (
                 round(sum(self.latencies) / len(self.latencies) * 1e3, 3)
                 if self.latencies

@@ -20,7 +20,6 @@ Scoring rules per scenario class:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "no_certain_culprit",
     "scenario_hit",
     "low_degree_nogoods",
-    "percentile",
 ]
 
 #: Suspicion degree treated as a certain indictment (1.0 modulo float fuzz).
@@ -82,19 +80,3 @@ def low_degree_nogoods(diagnosis: Dict) -> bool:
     """
     nogoods = diagnosis.get("nogoods") or []
     return any(ng.get("degree", 1.0) < CERTAIN for ng in nogoods)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank-with-interpolation percentile; 0 <= q <= 100."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (len(ordered) - 1) * q / 100.0
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return ordered[lower]
-    weight = position - lower
-    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight

@@ -13,7 +13,7 @@ Policy (:class:`SanitizePolicy`):
   error: the session raises, the server answers a structured 400.
   Byte-identical to the pre-resilience engine for well-formed inputs;
 * ``repair`` — the sanitizer **drops** non-finite readings, **widens**
-  merely out-of-range ones (clamping the core into ``±clamp_abs`` while
+  merely out-of-range ones (clamping the core into ``±CLAMP_ABS`` while
   stretching the slopes so the support still covers the original
   claim), and the diagnosis runs *degraded*: a well-formed ranked
   result flagged with the actions taken, mirroring how the engine
@@ -99,46 +99,43 @@ def _finite(*values: float) -> bool:
 
 
 def _sanitize_raw(
-    point: str, m1: float, m2: float, alpha: float, beta: float,
-    clamp_abs: float, hard_limit: float,
+    point: str, m1: float, m2: float, alpha: float, beta: float
 ) -> Tuple[Optional[RawMeasurement], Optional[SanitizeAction]]:
     """Sanitise one raw tuple; returns ``(tuple-or-None, action-or-None)``."""
     if not _finite(m1, m2, alpha, beta):
         return None, SanitizeAction(point, "dropped", "non-finite reading")
-    if abs(m1) > hard_limit or abs(m2) > hard_limit:
+    if abs(m1) > HARD_LIMIT or abs(m2) > HARD_LIMIT:
         return None, SanitizeAction(
-            point, "dropped", f"core magnitude beyond {hard_limit:g}"
+            point, "dropped", f"core magnitude beyond {HARD_LIMIT:g}"
         )
     if m1 > m2:
         return None, SanitizeAction(point, "dropped", "inverted core")
     if alpha < 0 or beta < 0:
         return None, SanitizeAction(point, "dropped", "negative slope width")
     action = None
-    if abs(m1) > clamp_abs or abs(m2) > clamp_abs:
+    if abs(m1) > CLAMP_ABS or abs(m2) > CLAMP_ABS:
         # Clamp the core into range; stretch the slopes so the support
         # still covers the original core — vaguer, never *wrong*.
         lo, hi = m1 - alpha, m2 + beta
-        m1c = min(max(m1, -clamp_abs), clamp_abs)
-        m2c = min(max(m2, -clamp_abs), clamp_abs)
+        m1c = min(max(m1, -CLAMP_ABS), CLAMP_ABS)
+        m2c = min(max(m2, -CLAMP_ABS), CLAMP_ABS)
         alpha = max(m1c - lo, 0.0)
         beta = max(hi - m2c, 0.0)
         m1, m2 = m1c, m2c
         action = SanitizeAction(
-            point, "widened", f"core clamped into ±{clamp_abs:g}"
+            point, "widened", f"core clamped into ±{CLAMP_ABS:g}"
         )
-    if alpha > hard_limit or beta > hard_limit:
-        alpha = min(alpha, hard_limit)
-        beta = min(beta, hard_limit)
+    if alpha > HARD_LIMIT or beta > HARD_LIMIT:
+        alpha = min(alpha, HARD_LIMIT)
+        beta = min(beta, HARD_LIMIT)
         action = SanitizeAction(
-            point, "widened", f"slope widths clamped to {hard_limit:g}"
+            point, "widened", f"slope widths clamped to {HARD_LIMIT:g}"
         )
     return (point, m1, m2, alpha, beta), action
 
 
 def sanitize_tuples(
     measurements: Sequence[RawMeasurement],
-    clamp_abs: float = CLAMP_ABS,
-    hard_limit: float = HARD_LIMIT,
 ) -> Tuple[List[RawMeasurement], SanitizeReport]:
     """Sanitise raw ``(point, m1, m2, alpha, beta)`` tuples.
 
@@ -155,9 +152,7 @@ def sanitize_tuples(
                 SanitizeAction(str(point), "dropped", "non-numeric reading")
             )
             continue
-        cleaned, action = _sanitize_raw(
-            str(point), m1, m2, alpha, beta, clamp_abs, hard_limit
-        )
+        cleaned, action = _sanitize_raw(str(point), m1, m2, alpha, beta)
         if action is not None:
             report.actions.append(action)
         if cleaned is not None:
@@ -165,11 +160,7 @@ def sanitize_tuples(
     return survivors, report
 
 
-def sanitize_measurements(
-    measurements: Sequence["Measurement"],
-    clamp_abs: float = CLAMP_ABS,
-    hard_limit: float = HARD_LIMIT,
-):
+def sanitize_measurements(measurements: Sequence["Measurement"]):
     """Sanitise rich :class:`~repro.circuit.measurements.Measurement` objects.
 
     Non-finite values cannot exist inside a constructed
@@ -185,7 +176,7 @@ def sanitize_measurements(
         (m.point, m.value.m1, m.value.m2, m.value.alpha, m.value.beta)
         for m in measurements
     ]
-    cleaned, report = sanitize_tuples(raw, clamp_abs=clamp_abs, hard_limit=hard_limit)
+    cleaned, report = sanitize_tuples(raw)
     survivors = [
         Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
         for point, m1, m2, alpha, beta in cleaned

@@ -8,13 +8,13 @@ both deterministic (counted in events, never in wall-clock time):
 
 * **poison-job quarantine** — a job whose content keeps failing is
   eventually the job's fault, not the fleet's.  After
-  ``quarantine_after`` recorded failures for one content hash the job is
+  :data:`QUARANTINE_AFTER` recorded failures for one content hash the job is
   quarantined: it returns a structured ``quarantined``
   :class:`~repro.service.jobs.JobResult` immediately and never re-enters
   the retry loop (or the pool at all);
 * **worker health scoring** — an exponentially-weighted success score
   per pool; sustained crashes/hangs drive the score below
-  ``health_floor`` and the engine proactively evicts and restarts the
+  :data:`HEALTH_FLOOR` and the engine proactively evicts and restarts the
   pool (the ``concurrent.futures`` granularity of "restart the sick
   worker").
 """
@@ -29,6 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 __all__ = ["EwmaHealth", "FleetSupervisor"]
 
+#: Recorded failures of one content hash before the job is quarantined.
+QUARANTINE_AFTER = 3
+
+#: Weight of the old score when an outcome folds into a health score.
+HEALTH_DECAY = 0.7
+
+#: A health score below this marks the entity for eviction.
+HEALTH_FLOOR = 0.3
+
 
 class EwmaHealth:
     """An exponentially-weighted success score for one supervised entity.
@@ -37,18 +46,13 @@ class EwmaHealth:
     pool, extracted so the cluster's :class:`~repro.cluster.replicas.
     ReplicaManager` can score each server replica with the identical
     machinery: every outcome folds in as
-    ``decay * score + (1 - decay) * (1 if ok else 0)``, and a score
-    below ``floor`` marks the entity for eviction.  Deterministic —
-    counted in events, never in wall-clock time.
+    ``HEALTH_DECAY * score + (1 - HEALTH_DECAY) * (1 if ok else 0)``,
+    and a score below :data:`HEALTH_FLOOR` marks the entity for
+    eviction.  Deterministic — counted in events, never in wall-clock
+    time.
     """
 
-    def __init__(self, decay: float = 0.7, floor: float = 0.3) -> None:
-        if not 0.0 < decay < 1.0:
-            raise ValueError("health decay must be in (0, 1)")
-        if not 0.0 <= floor < 1.0:
-            raise ValueError("health floor must be in [0, 1)")
-        self.decay = decay
-        self.floor = floor
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._score = 1.0
 
@@ -59,13 +63,13 @@ class EwmaHealth:
 
     def record(self, ok: bool) -> None:
         with self._lock:
-            self._score = self.decay * self._score + (1.0 - self.decay) * (
+            self._score = HEALTH_DECAY * self._score + (1.0 - HEALTH_DECAY) * (
                 1.0 if ok else 0.0
             )
 
     def below_floor(self) -> bool:
         with self._lock:
-            return self._score < self.floor
+            return self._score < HEALTH_FLOOR
 
     def reset(self) -> None:
         """Restart optimism: a fresh entity starts perfectly healthy."""
@@ -80,29 +84,15 @@ class FleetSupervisor:
     :class:`~repro.service.pool.FleetEngine` (serial, thread pool, the
     server's ``run_job``).  Quarantine and health are scored engine-side
     from the results coming back, so they cover every executor kind.
+    The engine that owns it assigns :attr:`telemetry`.
     """
 
-    def __init__(
-        self,
-        quarantine_after: int = 3,
-        health_floor: float = 0.3,
-        health_decay: float = 0.7,
-        telemetry: Optional["Telemetry"] = None,
-    ) -> None:
-        if quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1")
-        if not 0.0 < health_decay < 1.0:
-            raise ValueError("health_decay must be in (0, 1)")
-        if not 0.0 <= health_floor < 1.0:
-            raise ValueError("health_floor must be in [0, 1)")
-        self.quarantine_after = quarantine_after
-        self.health_floor = health_floor
-        self.health_decay = health_decay
-        self.telemetry = telemetry
+    def __init__(self) -> None:
+        self.telemetry: Optional["Telemetry"] = None
         self._lock = threading.Lock()
         self._failures: Dict[str, int] = {}
         self._quarantined: Dict[str, str] = {}  # content hash -> first error
-        self._health = EwmaHealth(decay=health_decay, floor=health_floor)
+        self._health = EwmaHealth()
         self.evictions = 0
 
     # ------------------------------------------------------------------
@@ -117,7 +107,7 @@ class FleetSupervisor:
             error = self._quarantined.get(key, "")
         detail = f": {error}" if error else ""
         return (
-            f"quarantined after {self.quarantine_after} failures{detail}"
+            f"quarantined after {QUARANTINE_AFTER} failures{detail}"
         )
 
     def record_failure(self, key: str, error: str = "") -> bool:
@@ -132,7 +122,7 @@ class FleetSupervisor:
                 return True
             count = self._failures.get(key, 0) + 1
             self._failures[key] = count
-            if count < self.quarantine_after:
+            if count < QUARANTINE_AFTER:
                 return False
             self._quarantined[key] = error.splitlines()[0] if error else ""
         if self.telemetry is not None:

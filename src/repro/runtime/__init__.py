@@ -12,7 +12,7 @@ the engine:
 * :mod:`repro.runtime.spans`    — :class:`Span` trees, the single
   timing mechanism behind engine traces, service telemetry phases and
   server metrics;
-* :mod:`repro.runtime.pipeline` — :class:`DiagnosisPipeline`: the
+* :mod:`repro.runtime.pipeline` — :func:`diagnose`: the
   engine's diagnose cycle as named, observable, interruptible stages
   (``nominal``→``seed``→``propagate``→``classify``→``nogoods``→
   ``candidates``→``score``).
@@ -24,14 +24,14 @@ ticks the context per work-list pop and winds down cooperatively.
 """
 
 from repro.runtime.context import CancelToken, RunContext
-from repro.runtime.pipeline import STAGES, DiagnosisPipeline
+from repro.runtime.pipeline import STAGES, diagnose
 from repro.runtime.spans import Span, render_trace
 
 __all__ = [
     "CancelToken",
     "RunContext",
-    "DiagnosisPipeline",
     "STAGES",
+    "diagnose",
     "Span",
     "render_trace",
 ]

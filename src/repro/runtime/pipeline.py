@@ -1,7 +1,7 @@
 """The staged diagnosis pipeline — figure 3 as explicit, observable stages.
 
-``Flames.diagnose`` used to be one opaque method; this module is the
-same computation decomposed into named stages, each wrapped in a
+``Flames.diagnose`` calls :func:`diagnose`, the engine's computation
+decomposed into named stages, each wrapped in a
 :class:`~repro.runtime.spans.Span` and each checking the run's
 :class:`~repro.runtime.context.RunContext`:
 
@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> runtime)
     from repro.core.diagnosis import DiagnosisResult, Flames
     from repro.core.propagation import FuzzyPropagator, PropagationResult
 
-__all__ = ["DiagnosisPipeline", "STAGES", "check_points", "finish_diagnosis", "seed"]
+__all__ = ["STAGES", "check_points", "diagnose", "finish_diagnosis", "seed"]
 
 #: The stage names, in execution order (also the span names).
 STAGES = (
@@ -91,6 +91,37 @@ def seed(
             )
     for m in measurements:
         propagator.set_value(m.point, m.value)
+
+
+def diagnose(
+    engine: "Flames",
+    measurements: Sequence[Measurement],
+    ctx: Optional[RunContext] = None,
+) -> "DiagnosisResult":
+    """Run every stage of one diagnose cycle; always returns a well-formed result."""
+    if ctx is None:
+        ctx = RunContext.background()
+
+    with ctx.span("diagnose", circuit=engine.circuit.name):
+        with ctx.span("nominal") as span:
+            held = engine._ensure_nominal()
+            if span is not None:
+                span.meta["model"] = "hit" if held else "miss"
+
+        with ctx.span("seed"):
+            propagator = engine.make_propagator()
+            seed(engine, propagator, measurements)
+
+        with ctx.span("propagate") as span:
+            before = propagator.counts() if span is not None else None
+            outcome = propagator.run(ctx=ctx)
+            if span is not None:
+                span.meta["steps"] = outcome.steps
+                span.meta["quiescent"] = outcome.quiescent
+                after = propagator.counts()
+                span.meta.update({key: after[key] - before[key] for key in after})
+
+        return finish_diagnosis(engine, measurements, propagator, outcome, ctx)
 
 
 def finish_diagnosis(
@@ -147,41 +178,3 @@ def finish_diagnosis(
         interrupted=ctx.interrupted or outcome.interrupted,
         trace=ctx.trace() if ctx.tracing else None,
     )
-
-
-class DiagnosisPipeline:
-    """One engine's diagnose cycle as explicit, interruptible stages."""
-
-    def __init__(self, engine: "Flames") -> None:
-        self.engine = engine
-
-    def run(
-        self,
-        measurements: Sequence[Measurement],
-        ctx: Optional[RunContext] = None,
-    ) -> "DiagnosisResult":
-        """Run every stage; always returns a well-formed result."""
-        engine = self.engine
-        if ctx is None:
-            ctx = RunContext.background()
-
-        with ctx.span("diagnose", circuit=engine.circuit.name):
-            with ctx.span("nominal") as span:
-                held = engine._ensure_nominal()
-                if span is not None:
-                    span.meta["model"] = "hit" if held else "miss"
-
-            with ctx.span("seed"):
-                propagator = engine.make_propagator()
-                seed(engine, propagator, measurements)
-
-            with ctx.span("propagate") as span:
-                before = propagator.counts() if span is not None else None
-                outcome = propagator.run(ctx=ctx)
-                if span is not None:
-                    span.meta["steps"] = outcome.steps
-                    span.meta["quiescent"] = outcome.quiescent
-                    after = propagator.counts()
-                    span.meta.update({key: after[key] - before[key] for key in after})
-
-            return finish_diagnosis(engine, measurements, propagator, outcome, ctx)

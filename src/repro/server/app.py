@@ -115,13 +115,11 @@ class ServerConfig:
     cache_size: int = 1024
     timeout: float = 30.0  # per-request budget, seconds
     retries: int = 1
-    drain_grace: float = 30.0  # seconds to wait for in-flight work on shutdown
     max_streams: int = 4  # concurrent /v1/stream connections
     heartbeat: float = 5.0  # SSE keep-alive cadence during quiet stretches, seconds
     supervise: bool = False  # engage the FleetSupervisor (quarantine + health)
     faults: str = ""  # JSON FaultPlan armed server-wide (chaos testing only)
     store: str = ""  # sqlite persistence-plane path; "" = in-memory only
-    disk_cache_size: int = 4096  # store cache-table row bound
     lifecycle: bool = True  # run StoreMaintenance (cluster replicas turn it off)
     checkpoint_interval: float = 60.0  # WAL checkpoint cadence, seconds (0 = never)
     retain_history_days: float = 30.0  # history age window, days (0 = keep forever)
@@ -145,9 +143,7 @@ class ServerConfig:
     def to_argv(self) -> List[str]:
         """The ``repro serve`` arguments that rebuild this config.
 
-        Used to spawn cluster replicas.  ``drain_grace`` and
-        ``disk_cache_size`` have no flag, so a spawned server keeps
-        their defaults.
+        Used to spawn cluster replicas; every field has a flag.
         """
         argv = [
             "--host", self.host,
@@ -208,7 +204,6 @@ class DiagnosisServer(HttpService):
             supervisor=FleetSupervisor() if config.supervise else None,
             fault_plan=FaultPlan.from_json(config.faults) if config.faults else None,
             store=self.store,
-            disk_cache_size=config.disk_cache_size,
         )
         super().__init__(config, self.engine.telemetry)
         self.admission = AdmissionQueue(config.workers, config.queue_size)

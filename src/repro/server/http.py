@@ -47,6 +47,9 @@ __all__ = [
     "REASONS",
 ]
 
+#: Seconds a draining service waits for in-flight work on shutdown.
+DRAIN_GRACE = 30.0
+
 #: Reason phrases for the statuses the server actually emits.
 REASONS = {
     200: "OK",
@@ -254,9 +257,9 @@ class HttpService:
     itself, mints or honours request ids, counts ``http_requests`` /
     ``http_status_N`` / ``http_seconds_{METHOD} {path}``, logs one JSON
     line per request, and on SIGTERM/SIGINT stops accepting, waits up to
-    ``config.drain_grace`` for in-flight work, then tears down.
+    :data:`DRAIN_GRACE` for in-flight work, then tears down.
 
-    ``config`` needs ``host``, ``port`` and ``drain_grace``.
+    ``config`` needs ``host`` and ``port``.
     """
 
     #: Names the drain telemetry events, the draining 503 and the summary.
@@ -392,7 +395,7 @@ class HttpService:
             self._server.close()
             await self._server.wait_closed()
         try:
-            await asyncio.wait_for(self._idle.wait(), timeout=self.config.drain_grace)
+            await asyncio.wait_for(self._idle.wait(), timeout=DRAIN_GRACE)
             drained = True
         except asyncio.TimeoutError:
             drained = False

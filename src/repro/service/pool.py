@@ -226,12 +226,8 @@ class FleetEngine:
             retried).
         tracing: collect engine span trees on every job; traces ride on
             the results and fold into the telemetry phase table.
-        cache: shared :class:`ResultCache` (one is built when omitted);
-            persists across batches for warm-pass speedups.
-        cache_size: capacity of the built cache when ``cache`` is None.
-        telemetry: shared :class:`Telemetry` (one is built when omitted).
-        experience: the shared fleet :class:`ExperienceBase` that
-            confirmed repairs merge into after every batch.
+        cache_size: capacity of the engine's in-memory result cache,
+            which persists across batches for warm-pass speedups.
         supervisor: the resilience plane's :class:`FleetSupervisor`
             (quarantine + worker health).  ``None``
             (the default) preserves the pre-resilience retry semantics
@@ -240,17 +236,14 @@ class FleetEngine:
         fault_plan: a deterministic :class:`~repro.resilience.faults.
             FaultPlan` armed in every worker (chaos testing only).
         store: an optional :class:`~repro.store.db.DiagnosisStore` — the
-            persistence plane.  When armed (and no explicit ``cache``
-            was passed) the result cache becomes the two-tier
-            :class:`~repro.store.cache.PersistentResultCache`, the
+            persistence plane.  When armed the result cache becomes the
+            two-tier :class:`~repro.store.cache.PersistentResultCache`, the
             shared experience base is restored from the store at boot
             (its restored occurrence counts are kept in
             ``experience_seed`` so gossip can tell restored from fresh),
             every merge writes through per tenant, and each result
             appends a diagnosis-history row.  ``None`` (the default)
             keeps everything in-memory and byte-identical to before.
-        disk_cache_size: row bound of the store's cache table when the
-            engine builds the persistent cache itself.
         maintenance: an optional
             :class:`~repro.store.lifecycle.StoreMaintenance` driven
             *opportunistically*: after each batch the engine calls
@@ -265,15 +258,11 @@ class FleetEngine:
         executor: str = "process",
         timeout: Optional[float] = None,
         retries: int = 1,
-        cache: Optional[ResultCache] = None,
         cache_size: int = 256,
-        telemetry: Optional[Telemetry] = None,
-        experience: Optional[ExperienceBase] = None,
         tracing: bool = False,
         supervisor: Optional[FleetSupervisor] = None,
         fault_plan: Optional[faults.FaultPlan] = None,
         store: "Optional[DiagnosisStore]" = None,
-        disk_cache_size: int = 4096,
         maintenance: "Optional[StoreMaintenance]" = None,
     ) -> None:
         if workers < 1:
@@ -288,37 +277,37 @@ class FleetEngine:
         self.retries = retries
         self.store = store
         self.maintenance = maintenance
-        if cache is None and store is not None:
+        self.cache: ResultCache
+        if store is not None:
             from repro.store.cache import PersistentResultCache
 
-            cache = PersistentResultCache(
-                store, capacity=cache_size, disk_capacity=disk_cache_size
-            )
-        self.cache = cache if cache is not None else ResultCache(cache_size)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+            self.cache = PersistentResultCache(store, capacity=cache_size)
+        else:
+            self.cache = ResultCache(cache_size)
+        self.telemetry = Telemetry()
         #: rule identity -> occurrences restored from the store at boot.
         #: Gossip peers subtract this baseline so a restarted replica
         #: never re-reports persisted occurrences as fresh evidence.
         self.experience_seed: Dict[str, int] = {}
         self.experience_seed_episodes = 0
-        if experience is None and store is not None:
+        self.experience = ExperienceBase()
+        if store is not None:
             from repro.core.learning import rule_identity
             from repro.store.db import PUBLIC_TENANT
 
             data, _version = store.load_experience(PUBLIC_TENANT)
-            experience = ExperienceBase.from_dict(data)
+            self.experience = ExperienceBase.from_dict(data)
             self.experience_seed = {
                 rule_identity(r.signature, r.component, r.mode): r.occurrences
-                for r in experience.rules
+                for r in self.experience.rules
             }
             self.experience_seed_episodes = int(data.get("episode_count", 0))
-        self.experience = experience if experience is not None else ExperienceBase()
         #: tenant id -> that tenant's isolated base, lazily restored.
         self._tenant_experience: Dict[str, ExperienceBase] = {}
         self._experience_lock = threading.Lock()
         self.tracing = bool(tracing)
         self.supervisor = supervisor
-        if supervisor is not None and supervisor.telemetry is None:
+        if supervisor is not None:
             supervisor.telemetry = self.telemetry
         self.fault_plan = fault_plan
         if fault_plan is not None:

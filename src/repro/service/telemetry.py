@@ -47,6 +47,13 @@ __all__ = ["Telemetry", "percentile"]
 #: Percentiles reported for every observation stream.
 PERCENTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
+#: Bound of the structured event log (and of a merged snapshot's).
+MAX_EVENTS = 256
+
+#: How many recent values each observation stream keeps for percentile
+#: estimation; count/total/min/max stay exact over the full stream.
+RESERVOIR = 512
+
 
 def percentile(sorted_values: List[float], q: float) -> float:
     """Nearest-rank percentile of an already-sorted, non-empty list."""
@@ -57,22 +64,16 @@ def percentile(sorted_values: List[float], q: float) -> float:
 
 
 class Telemetry:
-    """Thread-safe counters, value summaries, phase timers, event log.
+    """Thread-safe counters, value summaries, phase timers, event log."""
 
-    ``reservoir`` bounds how many recent values each observation stream
-    keeps for percentile estimation; count/total/min/max stay exact over
-    the full stream regardless.
-    """
-
-    def __init__(self, max_events: int = 256, reservoir: int = 512) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._observations: Dict[str, List[float]] = {}  # [count, total, min, max]
         self._samples: Dict[str, "deque[float]"] = {}  # recent values per stream
-        self._reservoir = max(1, int(reservoir))
         self._phases: Dict[str, List[float]] = {}  # [seconds, entries]
-        self._events: "deque[Dict]" = deque(maxlen=max_events)
+        self._events: "deque[Dict]" = deque(maxlen=MAX_EVENTS)
 
     # ------------------------------------------------------------------
     # Recording
@@ -96,7 +97,7 @@ class Telemetry:
             stats = self._observations.get(name)
             if stats is None:
                 self._observations[name] = [1, value, value, value]
-                self._samples[name] = deque([value], maxlen=self._reservoir)
+                self._samples[name] = deque([value], maxlen=RESERVOIR)
             else:
                 stats[0] += 1
                 stats[1] += value
@@ -199,7 +200,7 @@ class Telemetry:
             }
 
     @staticmethod
-    def merge(snapshots: "Sequence[Dict]", max_events: int = 256) -> Dict:
+    def merge(snapshots: "Sequence[Dict]") -> Dict:
         """Fold telemetry snapshots from several processes into one.
 
         Input snapshots are cumulative per source (each replica's
@@ -215,7 +216,7 @@ class Telemetry:
         sources were snapshotted with ``samples=True`` (percentiles are
         omitted otherwise — merging per-source percentiles would be
         statistically meaningless).  Events interleave in input order,
-        bounded by ``max_events``.
+        bounded by :data:`MAX_EVENTS`.
         """
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
@@ -266,7 +267,7 @@ class Telemetry:
                 name: {"seconds": secs, "entries": int(n)}
                 for name, (secs, n) in phases.items()
             },
-            "events": events[-max_events:],
+            "events": events[-MAX_EVENTS:],
         }
 
     def summary(self, title: str = "telemetry") -> str:

@@ -40,6 +40,10 @@ __all__ = ["PersistentResultCache", "NAMESPACE_SEP", "namespaced_key"]
 #: the split is unambiguous.
 NAMESPACE_SEP = "::"
 
+#: Row bound of the store's cache table; the least recently used rows
+#: are evicted past it.
+DISK_CAPACITY = 4096
+
 
 def namespaced_key(key: str, tenant: Optional[str] = None) -> str:
     """The cache key for ``key`` as seen by ``tenant`` (None = public)."""
@@ -51,17 +55,9 @@ def namespaced_key(key: str, tenant: Optional[str] = None) -> str:
 class PersistentResultCache(ResultCache):
     """Two-tier sealed result cache: memory LRU over sqlite rows."""
 
-    def __init__(
-        self,
-        store: DiagnosisStore,
-        capacity: int = 256,
-        disk_capacity: int = 4096,
-    ) -> None:
+    def __init__(self, store: DiagnosisStore, capacity: int = 256) -> None:
         super().__init__(capacity=capacity)
-        if disk_capacity < 0:
-            raise ValueError("disk capacity must be non-negative")
         self.store = store
-        self.disk_capacity = disk_capacity
         self.disk_evictions = 0
 
     @staticmethod
@@ -102,7 +98,7 @@ class PersistentResultCache(ResultCache):
         self._put_mem(key, result, blob, digest)
         namespace, bare = self._split(key)
         evicted = self.store.cache_put(
-            namespace, bare, blob, digest, max_rows=self.disk_capacity
+            namespace, bare, blob, digest, max_rows=DISK_CAPACITY
         )
         if evicted:
             with self._lock:
@@ -120,7 +116,7 @@ class PersistentResultCache(ResultCache):
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
         snap = super().snapshot()
-        snap["disk_capacity"] = self.disk_capacity
+        snap["disk_capacity"] = DISK_CAPACITY
         snap["disk_evictions"] = self.disk_evictions
         snap["disk_rows"] = self.store.cache_rows()
         return snap

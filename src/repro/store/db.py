@@ -30,7 +30,7 @@ Concurrency: the store opens in WAL mode so a crashed writer replays
 cleanly on the next open (kill -9 mid-write loses at most the
 uncommitted transaction) and replica *processes* sharing one file
 coexist — WAL allows concurrent readers alongside a single writer,
-with ``busy_timeout`` absorbing write collisions.  In-process, one
+with :data:`BUSY_TIMEOUT` absorbing write collisions.  In-process, one
 connection is shared behind an :class:`threading.RLock`; every public
 method is safe to call from the server's executor threads.
 """
@@ -54,6 +54,9 @@ __all__ = ["DiagnosisStore", "StoreError", "TenantRecord", "PUBLIC_TENANT"]
 #: store (or without an API key) behaves exactly as before; the public
 #: tenant just gives that traffic a durable home too.
 PUBLIC_TENANT = "public"
+
+#: Seconds a connection waits on another writer's lock before failing.
+BUSY_TIMEOUT = 5.0
 
 _SCHEMA_VERSION = 2
 
@@ -168,11 +171,11 @@ def _hash_key(api_key: str) -> str:
 class DiagnosisStore:
     """The sqlite-backed persistence plane shared by cache/experience/tenants."""
 
-    def __init__(self, path: Union[str, Path], busy_timeout: float = 5.0) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = str(path)
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(
-            self.path, check_same_thread=False, timeout=busy_timeout
+            self.path, check_same_thread=False, timeout=BUSY_TIMEOUT
         )
         self._conn.isolation_level = None  # explicit transactions only
         with self._lock:
@@ -182,7 +185,7 @@ class DiagnosisStore:
             cur.execute("PRAGMA auto_vacuum=INCREMENTAL")
             cur.execute("PRAGMA journal_mode=WAL")
             cur.execute("PRAGMA synchronous=NORMAL")
-            cur.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
+            cur.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT * 1000)}")
             # executescript manages its own transaction (and commits any
             # pending one), so the schema is not wrapped in BEGIN here.
             cur.executescript(_SCHEMA)

@@ -45,6 +45,21 @@ __all__ = ["RetentionPolicy", "LifecycleConfig", "StoreMaintenance"]
 DEFAULT_HISTORY_MAX_AGE = 30 * 86400.0
 DEFAULT_HISTORY_MAX_ROWS = 100_000
 
+#: Rows one retention ``DELETE`` removes at most.
+RETENTION_BATCH = 500
+
+#: Retention batches per tick, so one tick never stalls a live writer.
+MAX_BATCHES_PER_TICK = 4
+
+#: +/- fraction of the checkpoint interval drawn at random per wait.
+JITTER = 0.2
+
+#: Interval multiplier after a busy checkpoint.
+BACKOFF_FACTOR = 2.0
+
+#: Cap on the accumulated multiplier.
+MAX_BACKOFF = 8.0
+
 
 @dataclass
 class RetentionPolicy:
@@ -53,7 +68,6 @@ class RetentionPolicy:
     history_max_age: float = DEFAULT_HISTORY_MAX_AGE
     history_max_rows: int = DEFAULT_HISTORY_MAX_ROWS
     cache_max_age: float = 0.0
-    batch: int = 500
 
 
 @dataclass
@@ -61,10 +75,6 @@ class LifecycleConfig:
     """Tuning for the maintenance loop."""
 
     checkpoint_interval: float = 60.0
-    jitter: float = 0.2          # +/- fraction of the interval
-    backoff_factor: float = 2.0  # interval multiplier after a busy checkpoint
-    max_backoff: float = 8.0     # cap on the accumulated multiplier
-    max_batches_per_tick: int = 4
     retention: RetentionPolicy = field(default_factory=RetentionPolicy)
 
     @classmethod
@@ -148,8 +158,7 @@ class StoreMaintenance:
 
     def _interval(self) -> float:
         base = self.config.checkpoint_interval * self._backoff
-        spread = self.config.jitter
-        return base * (1.0 + self._rng.uniform(-spread, spread))
+        return base * (1.0 + self._rng.uniform(-JITTER, JITTER))
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval()):
@@ -170,10 +179,7 @@ class StoreMaintenance:
                 self._last_checkpoint = {"busy": busy, "log": log, "done": done}
                 if busy:
                     self._counters["checkpoint_busy"] += 1
-                    self._backoff = min(
-                        self._backoff * self.config.backoff_factor,
-                        self.config.max_backoff,
-                    )
+                    self._backoff = min(self._backoff * BACKOFF_FACTOR, MAX_BACKOFF)
                 else:
                     self._backoff = 1.0
                 result["checkpoint"] = self._last_checkpoint
@@ -189,15 +195,15 @@ class StoreMaintenance:
             return 0
         deleted = 0
         try:
-            for _ in range(max(1, self.config.max_batches_per_tick)):
+            for _ in range(MAX_BATCHES_PER_TICK):
                 got = self.store.retain_history(
                     max_age=policy.history_max_age,
                     max_rows=policy.history_max_rows,
-                    batch=policy.batch,
+                    batch=RETENTION_BATCH,
                     now=now,
                 )
                 deleted += got
-                if got < policy.batch:
+                if got < RETENTION_BATCH:
                     break
         except sqlite3.DatabaseError:
             self._counters["errors"] += 1
@@ -210,12 +216,12 @@ class StoreMaintenance:
             return 0
         deleted = 0
         try:
-            for _ in range(max(1, self.config.max_batches_per_tick)):
+            for _ in range(MAX_BATCHES_PER_TICK):
                 got = self.store.retain_cache(
-                    policy.cache_max_age, batch=policy.batch, now=now
+                    policy.cache_max_age, batch=RETENTION_BATCH, now=now
                 )
                 deleted += got
-                if got < policy.batch:
+                if got < RETENTION_BATCH:
                     break
         except sqlite3.DatabaseError:
             self._counters["errors"] += 1

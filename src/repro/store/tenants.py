@@ -15,7 +15,7 @@ this module owns the hot-path mechanics the server needs per request:
 The auth cache is process-local by design: it is just a read-through
 memo over the shared store.  Its TTL doubles as the advertised
 revocation latency: a rotated-away or revoked key keeps working from
-the cache for at most ``ttl`` seconds before the next store read
+the cache for at most :data:`TTL` seconds before the next store read
 rejects it.
 """
 
@@ -28,6 +28,9 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.store.db import DiagnosisStore, TenantRecord
 
 __all__ = ["TenantRegistry", "QuotaDecision"]
+
+#: Seconds a resolved API key stays cached; also the revocation latency.
+TTL = 5.0
 
 
 class QuotaDecision:
@@ -50,11 +53,9 @@ class TenantRegistry:
     def __init__(
         self,
         store: DiagnosisStore,
-        ttl: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.store = store
-        self.ttl = ttl
         self._clock = clock
         self._lock = threading.Lock()
         # api_key -> (expires_at, record-or-None); unknown keys are
@@ -73,7 +74,7 @@ class TenantRegistry:
         with self._lock:
             if len(self._cache) >= 1024:  # junk-key flood bound
                 self._cache.clear()
-            self._cache[api_key] = (now + self.ttl, record)
+            self._cache[api_key] = (now + TTL, record)
         return record
 
     def invalidate(self) -> None:

@@ -86,9 +86,10 @@ class StreamingSession:
         tick_deadline: per-re-diagnosis budget in seconds (None =
             unbounded).
         top: how many ranked components each update carries.
-        always_diagnose_first: diagnose the first complete snapshot
-            even if nothing has drifted — gives consumers a baseline
-            "all healthy" event to render before anything breaks.
+
+    The first complete snapshot is always diagnosed, even if nothing has
+    drifted — it gives consumers a baseline "all healthy" event to
+    render before anything breaks.
     """
 
     engine: Flames
@@ -98,7 +99,6 @@ class StreamingSession:
     telemetry: Telemetry = field(default_factory=Telemetry)
     tick_deadline: Optional[float] = None
     top: int = 5
-    always_diagnose_first: bool = True
 
     def __post_init__(self) -> None:
         self._incremental = IncrementalDiagnosisEngine(self.engine)
@@ -110,7 +110,7 @@ class StreamingSession:
     # ------------------------------------------------------------------
     def run(self) -> Iterator[StreamUpdate]:
         """Consume the source; yield an update per re-diagnosis."""
-        baseline_pending = self.always_diagnose_first
+        baseline_pending = True
         first_t: Optional[float] = None
         for reading in self.source:
             # Keyed per sample so a fractional drop rate thins the stream

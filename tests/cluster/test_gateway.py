@@ -58,9 +58,6 @@ class RunningCluster:
             replicas=len(endpoints),
             poll_interval=600.0,
             gossip_interval=600.0,
-            drain_grace=5.0,
-            client_retries=3,
-            client_backoff=0.02,
             timeout=10.0,
         )
         self.gateway = ClusterGateway(self.config, fleet=StaticFleet(endpoints))

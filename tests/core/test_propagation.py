@@ -222,14 +222,18 @@ class TestSeedTaintProvenance:
     def test_intersection_with_untainted_clears_taint(self):
         from repro.core.values import FuzzyValue
 
-        tainted = FuzzyValue(
-            FuzzyInterval(0.0, 10.0), frozenset({"a"}), "c", from_seed=True
-        )
-        clean = FuzzyValue(
-            FuzzyInterval(4.0, 6.0), frozenset({"a"}), "c", from_seed=False
-        )
-        # The merge rule: from_seed = existing.from_seed and new.from_seed.
-        assert (tainted.from_seed and clean.from_seed) is False
+        p = FuzzyPropagator(divider_network())
+        env = frozenset({"Rb"})
+        tainted = FuzzyValue(FuzzyInterval(3.0, 7.0), env, "Rb", from_seed=True)
+        clean = FuzzyValue(FuzzyInterval(4.0, 6.0), env, "Rb")
+        assert p._record("V(mid)", tainted)
+        assert p._record("V(mid)", clean)
+        # The narrower untainted value merged into the tainted entry:
+        # intersection with it bounds the entry by model implication.
+        (merged,) = [v for v in p.values("V(mid)") if v.environment == env]
+        assert merged.interval == FuzzyInterval(4.0, 6.0)
+        assert merged.from_seed is False
+        assert p.counts()["merged"] == 1
 
 
 def _amp_case():

@@ -1,17 +1,15 @@
 """Unit tests for corpus scoring, reporting and the accuracy floor."""
 
-import math
-
 import pytest
 
 from repro.corpus import (
+    ClassStats,
     CorpusReport,
     ScenarioOutcome,
     check_floor,
     generate_corpus,
     low_degree_nogoods,
     no_certain_culprit,
-    percentile,
     rank_of_true_fault,
     ranking_from_payload,
     run_corpus,
@@ -60,12 +58,14 @@ class TestMetrics:
         assert not low_degree_nogoods(hard_only)
         assert not low_degree_nogoods(CONSISTENT)
 
-    def test_percentile(self):
-        assert percentile([], 50) == 0.0
-        assert percentile([3.0], 95) == 3.0
-        assert math.isclose(percentile([1.0, 2.0, 3.0, 4.0], 50), 2.5)
-        assert math.isclose(percentile([4.0, 1.0, 3.0, 2.0], 0), 1.0)
-        assert math.isclose(percentile([4.0, 1.0, 3.0, 2.0], 100), 4.0)
+    def test_latency_percentiles_are_nearest_rank(self):
+        # The same rule /metrics uses: no interpolation between samples.
+        stats = ClassStats(latencies=[0.004, 0.001, 0.003, 0.002])
+        assert stats.latency_dict()["p50_ms"] == 2.0
+        assert stats.latency_dict()["p95_ms"] == 4.0
+        assert ClassStats().latency_dict() == {
+            "p50_ms": 0.0, "p95_ms": 0.0, "mean_ms": 0.0
+        }
 
 
 def _outcome(cls, rank, top1, elapsed=0.01, status="ok"):

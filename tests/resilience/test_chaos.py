@@ -10,7 +10,7 @@ pre-resilience engine.
 
 from repro.circuit.measurements import Measurement
 from repro.fuzzy import FuzzyInterval
-from repro.resilience import FaultPlan, FaultRule, FleetSupervisor, faults
+from repro.resilience import FaultPlan, FaultRule, FleetSupervisor, faults, supervisor
 from repro.service.jobs import DiagnosisJob
 from repro.service.pool import FleetEngine
 
@@ -48,8 +48,9 @@ class TestWorkerCrash:
         assert res.attempts == 3  # the full retry budget was spent
         assert engine.telemetry.counter("retries") == 2
 
-    def test_supervisor_quarantines_inside_the_retry_loop(self):
-        sup = FleetSupervisor(quarantine_after=2)
+    def test_supervisor_quarantines_inside_the_retry_loop(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "QUARANTINE_AFTER", 2)
+        sup = FleetSupervisor()
         engine = FleetEngine(
             workers=1,
             executor="serial",
@@ -64,8 +65,9 @@ class TestWorkerCrash:
         assert engine.telemetry.counter("retries") == 1
         assert engine.telemetry.counter("jobs_quarantined_total") == 1
 
-    def test_quarantined_job_never_reenters_the_pool(self):
-        sup = FleetSupervisor(quarantine_after=1)
+    def test_quarantined_job_never_reenters_the_pool(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "QUARANTINE_AFTER", 1)
+        sup = FleetSupervisor()
         engine = FleetEngine(
             workers=1,
             executor="serial",
@@ -84,8 +86,9 @@ class TestWorkerCrash:
         third = engine.run_job(_job("u1"))
         assert third.status == "quarantined" and third.attempts == 0
 
-    def test_health_eviction_restarts_a_sick_pool(self):
-        sup = FleetSupervisor(quarantine_after=100, health_floor=0.3)
+    def test_health_eviction_restarts_a_sick_pool(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "QUARANTINE_AFTER", 100)
+        sup = FleetSupervisor()
         engine = FleetEngine(
             workers=2,
             executor="thread",
@@ -216,7 +219,7 @@ class TestChaosAcceptance:
 
     def test_200_jobs_all_structured_and_reference_identical(self):
         jobs = self._fleet()
-        sup = FleetSupervisor(quarantine_after=3)
+        sup = FleetSupervisor()
         engine = FleetEngine(
             workers=4,
             executor="thread",

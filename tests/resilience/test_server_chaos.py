@@ -25,7 +25,7 @@ class RunningServer:
 
     def __init__(self, config=None):
         self.config = config or ServerConfig(
-            port=0, workers=2, queue_size=8, timeout=10.0, drain_grace=10.0
+            port=0, workers=2, queue_size=8, timeout=10.0
         )
         self.server = DiagnosisServer(self.config)
         self.loop = asyncio.new_event_loop()
@@ -112,7 +112,7 @@ class TestServerIoChaos:
     def test_injected_dispatch_fault_is_a_structured_500(self):
         plan = FaultPlan.build(seed=0, server_io=1.0)
         config = ServerConfig(
-            port=0, workers=2, queue_size=8, timeout=10.0, drain_grace=10.0,
+            port=0, workers=2, queue_size=8, timeout=10.0,
             faults=plan.to_json(),
         )
         with RunningServer(config) as rs:
@@ -140,7 +140,7 @@ class TestServerIoChaos:
 class TestSupervisedServer:
     def test_metrics_expose_the_supervisor(self):
         config = ServerConfig(
-            port=0, workers=2, queue_size=8, timeout=10.0, drain_grace=10.0,
+            port=0, workers=2, queue_size=8, timeout=10.0,
             supervise=True,
         )
         with RunningServer(config) as rs:

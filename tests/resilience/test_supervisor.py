@@ -1,6 +1,6 @@
 """Supervisor state machines, plus cache-corruption handling."""
 
-from repro.resilience import FleetSupervisor
+from repro.resilience import FleetSupervisor, supervisor
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobResult
 from repro.service.telemetry import Telemetry
@@ -8,7 +8,8 @@ from repro.service.telemetry import Telemetry
 
 class TestQuarantine:
     def test_quarantines_after_k_failures(self):
-        sup = FleetSupervisor(quarantine_after=3, telemetry=Telemetry())
+        sup = FleetSupervisor()
+        sup.telemetry = Telemetry()
         assert sup.record_failure("job-a", "boom") is False
         assert sup.record_failure("job-a", "boom") is False
         assert sup.record_failure("job-a", "boom") is True
@@ -18,21 +19,23 @@ class TestQuarantine:
         assert sup.telemetry.counter("jobs_quarantined_total") == 1
 
     def test_counts_are_cumulative_across_batches(self):
-        sup = FleetSupervisor(quarantine_after=3)
+        sup = FleetSupervisor()
         sup.record_failure("job-a")  # batch 1
         sup.record_failure("job-a")  # batch 2
         assert not sup.is_quarantined("job-a")
         assert sup.record_failure("job-a") is True  # batch 3
 
-    def test_success_forgives_the_streak(self):
-        sup = FleetSupervisor(quarantine_after=2)
+    def test_success_forgives_the_streak(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "QUARANTINE_AFTER", 2)
+        sup = FleetSupervisor()
         sup.record_failure("job-a")
         sup.record_job_success("job-a")
         assert sup.failure_count("job-a") == 0
         assert sup.record_failure("job-a") is False
 
-    def test_already_quarantined_stays_quarantined(self):
-        sup = FleetSupervisor(quarantine_after=1)
+    def test_already_quarantined_stays_quarantined(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "QUARANTINE_AFTER", 1)
+        sup = FleetSupervisor()
         assert sup.record_failure("job-a", "first") is True
         assert sup.record_failure("job-a", "second") is True
         assert "first" in sup.quarantine_reason("job-a")
@@ -41,7 +44,7 @@ class TestQuarantine:
 
 class TestWorkerHealth:
     def test_health_decays_on_failures_and_recovers(self):
-        sup = FleetSupervisor(health_floor=0.3, health_decay=0.7)
+        sup = FleetSupervisor()
         assert sup.health == 1.0
         for _ in range(4):
             sup.record_worker_outcome(False)
@@ -59,7 +62,8 @@ class TestWorkerHealth:
 
     def test_eviction_recorded_in_telemetry(self):
         tel = Telemetry()
-        sup = FleetSupervisor(telemetry=tel)
+        sup = FleetSupervisor()
+        sup.telemetry = tel
         sup.record_eviction()
         assert tel.counter("worker_evictions") == 1
         assert any(e["kind"] == "worker_evicted" for e in tel.snapshot()["events"])

@@ -14,9 +14,9 @@ from repro.circuit.generators import resistor_ladder
 from repro.circuit.library import three_stage_amplifier
 from repro.circuit.measurements import probe_all
 from repro.circuit.simulate import DCSolver
-from repro.core.diagnosis import Flames, FlamesConfig
+from repro.core.diagnosis import Flames
 from repro.core.session import TroubleshootingSession
-from repro.runtime import STAGES, DiagnosisPipeline, RunContext
+from repro.runtime import STAGES, RunContext, diagnose
 
 
 def _amp_measurements():
@@ -104,7 +104,7 @@ class TestStages:
         golden, measurements = _amp_measurements()
         engine = Flames(golden)
         via_engine = engine.diagnose(measurements)
-        via_pipeline = DiagnosisPipeline(engine).run(measurements)
+        via_pipeline = diagnose(engine, measurements)
         assert via_engine.suspicions == via_pipeline.suspicions
         assert via_engine.propagation.steps == via_pipeline.propagation.steps
 

@@ -15,6 +15,7 @@ import asyncio
 
 import pytest
 
+from repro.core.model import shared_model
 from repro.server import (
     ClientError,
     DiagnosisClient,
@@ -22,7 +23,7 @@ from repro.server import (
     ServerConfig,
     ServerUnavailable,
 )
-from repro.service import FleetEngine
+from repro.service import FleetEngine, job_from_spec
 
 NETLIST = (
     ".title divider\n"
@@ -40,7 +41,7 @@ class RunningServer:
 
     def __init__(self, config=None, engine=None):
         self.config = config or ServerConfig(
-            port=0, workers=2, queue_size=8, timeout=10.0, drain_grace=10.0
+            port=0, workers=2, queue_size=8, timeout=10.0
         )
         self.server = DiagnosisServer(self.config, engine=engine)
         self.loop = asyncio.new_event_loop()
@@ -206,7 +207,7 @@ class TestDiagnoseRoundTrip:
 class TestOverload:
     def overload_config(self):
         return ServerConfig(
-            port=0, workers=1, queue_size=1, timeout=30.0, drain_grace=30.0
+            port=0, workers=1, queue_size=1, timeout=30.0
         )
 
     def test_503_with_retry_after_when_queue_full(self):
@@ -249,7 +250,7 @@ class TestOverload:
     def test_client_retries_through_overload(self):
         engine, release = gated_engine()
         config = ServerConfig(
-            port=0, workers=1, queue_size=0, timeout=30.0, drain_grace=30.0
+            port=0, workers=1, queue_size=0, timeout=30.0
         )
         with RunningServer(config, engine=engine) as rs:
             blocker_client = rs.client(retries=0)
@@ -277,7 +278,7 @@ class TestOverload:
     def test_retries_exhausted_raise_server_unavailable(self):
         engine, release = gated_engine()
         config = ServerConfig(
-            port=0, workers=1, queue_size=0, timeout=30.0, drain_grace=30.0
+            port=0, workers=1, queue_size=0, timeout=30.0
         )
         with RunningServer(config, engine=engine) as rs:
             blocker_client = rs.client(retries=0)
@@ -338,6 +339,14 @@ def _ladder_spec(rungs=40, probes=12):
 class TestDeadlinesAndCancellation:
     def test_504_carries_partial_interrupted_result(self):
         spec = _ladder_spec()
+        # The server runs jobs in-process: build the model's design modes
+        # and nominal predictions now, so the cold build (not
+        # interruptible) cannot outlast the event-loop backstop and the
+        # in-band deadline is what stops the run, inside propagate.
+        circuit = job_from_spec(spec).circuit()
+        model = shared_model(spec["netlist_text"])
+        model.design_modes(circuit)
+        model.nominal(circuit)
         config = ServerConfig(port=0, workers=1, queue_size=4, timeout=0.05)
         with RunningServer(config) as rs:
             with rs.client(retries=0) as client:

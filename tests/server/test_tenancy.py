@@ -20,7 +20,7 @@ def _provision(tmp_path, **kwargs):
 
 def _server_config(store_path):
     return ServerConfig(
-        port=0, workers=2, queue_size=8, timeout=10.0, drain_grace=10.0,
+        port=0, workers=2, queue_size=8, timeout=10.0,
         store=store_path,
     )
 

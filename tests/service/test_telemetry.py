@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.service import telemetry
 from repro.service.telemetry import Telemetry
 
 
@@ -65,8 +66,9 @@ class TestPhases:
 
 
 class TestEventsAndSnapshot:
-    def test_events_bounded(self):
-        tel = Telemetry(max_events=3)
+    def test_events_bounded(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "MAX_EVENTS", 3)
+        tel = Telemetry()
         for i in range(5):
             tel.event("tick", index=i)
         events = tel.snapshot()["events"]
@@ -126,8 +128,9 @@ class TestPercentiles:
         assert obs["p99"] == pytest.approx(99.0)
         json.dumps(tel.snapshot())
 
-    def test_reservoir_bounds_memory_but_keeps_exact_extremes(self):
-        tel = Telemetry(reservoir=10)
+    def test_reservoir_bounds_memory_but_keeps_exact_extremes(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "RESERVOIR", 10)
+        tel = Telemetry()
         for v in range(1, 1001):
             tel.observe("latency", float(v))
         obs = tel.snapshot()["observations"]["latency"]

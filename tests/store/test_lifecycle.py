@@ -19,6 +19,7 @@ from repro.store import (
     LifecycleConfig,
     RetentionPolicy,
     StoreMaintenance,
+    lifecycle,
 )
 from tests.store.test_db import _seal
 
@@ -168,25 +169,25 @@ class TestStoreMaintenance:
                                                    history_max_rows=0))
         return LifecycleConfig(**kw)
 
-    def test_tick_checkpoints_and_retains(self, store):
+    def test_tick_checkpoints_and_retains(self, store, monkeypatch):
         _fill_history(store, 8)
+        monkeypatch.setattr(lifecycle, "RETENTION_BATCH", 3)
         config = LifecycleConfig(
-            retention=RetentionPolicy(history_max_age=1.0, history_max_rows=0,
-                                      batch=3),
+            retention=RetentionPolicy(history_max_age=1.0, history_max_rows=0),
         )
         maint = StoreMaintenance(store, config)
         result = maint.tick(now=time.time() + 100)
         assert result["checkpoint"]["busy"] == 0
-        # 3-row batches, at most max_batches_per_tick=4 per tick: all 8 go.
+        # 3-row batches, at most MAX_BATCHES_PER_TICK=4 per tick: all 8 go.
         assert result["history_deleted"] == 8
         assert store.history_count("acme") == 0
 
-    def test_batches_per_tick_bound_the_work(self, store):
+    def test_batches_per_tick_bound_the_work(self, store, monkeypatch):
         _fill_history(store, 10)
+        monkeypatch.setattr(lifecycle, "MAX_BATCHES_PER_TICK", 2)
+        monkeypatch.setattr(lifecycle, "RETENTION_BATCH", 3)
         config = LifecycleConfig(
-            max_batches_per_tick=2,
-            retention=RetentionPolicy(history_max_age=1.0, history_max_rows=0,
-                                      batch=3),
+            retention=RetentionPolicy(history_max_age=1.0, history_max_rows=0),
         )
         maint = StoreMaintenance(store, config)
         result = maint.tick(now=time.time() + 100)
@@ -201,7 +202,7 @@ class TestStoreMaintenance:
         maint.tick()
         maint.tick()
         maint.tick()
-        assert maint.snapshot()["backoff"] == 8.0  # capped at max_backoff
+        assert maint.snapshot()["backoff"] == 8.0  # capped at MAX_BACKOFF
         assert maint.snapshot()["checkpoint_lag_frames"] == 6
         monkeypatch.setattr(store, "checkpoint", lambda truncate=True: (0, 10, 10))
         maint.tick()
@@ -241,9 +242,9 @@ class TestStoreMaintenance:
         maint.start()
         assert not maint.running
 
-    def test_start_stop_lifecycle(self, store):
-        maint = StoreMaintenance(store, self._config(checkpoint_interval=0.01,
-                                                     jitter=0.0))
+    def test_start_stop_lifecycle(self, store, monkeypatch):
+        monkeypatch.setattr(lifecycle, "JITTER", 0.0)
+        maint = StoreMaintenance(store, self._config(checkpoint_interval=0.01))
         maint.start()
         assert maint.running
         deadline = time.time() + 5.0

@@ -5,6 +5,7 @@ namespacing."""
 import pytest
 
 from repro.service import FleetEngine
+from repro.store import cache as store_cache
 from repro.service.jobs import JobResult, job_from_spec
 from repro.store import (
     DiagnosisStore,
@@ -84,8 +85,9 @@ class TestTwoTier:
         assert cache.misses == 1
         assert store.cache_rows("public") == 1  # the bad row is gone
 
-    def test_disk_capacity_evicts_lru_rows(self, store):
-        cache = PersistentResultCache(store, capacity=1, disk_capacity=2)
+    def test_disk_capacity_evicts_lru_rows(self, store, monkeypatch):
+        monkeypatch.setattr(store_cache, "DISK_CAPACITY", 2)
+        cache = PersistentResultCache(store, capacity=1)
         cache.put("a", _result(key="a"))
         cache.put("b", _result(key="b"))
         cache.put("c", _result(key="c"))
@@ -101,8 +103,9 @@ class TestTwoTier:
         assert cache.get(namespaced_key("k", "globex")).unit == "globex-unit"
         assert cache.get("k") is None
 
-    def test_snapshot_reports_tiers(self, store):
-        cache = PersistentResultCache(store, capacity=2, disk_capacity=8)
+    def test_snapshot_reports_tiers(self, store, monkeypatch):
+        monkeypatch.setattr(store_cache, "DISK_CAPACITY", 8)
+        cache = PersistentResultCache(store, capacity=2)
         cache.put("a", _result(key="a"))
         snap = cache.snapshot()
         assert snap["disk_capacity"] == 8

@@ -88,7 +88,7 @@ class TestRevocation:
         that, the registry re-reads the store and sees the revocation."""
         key = store.provision_tenant("acme")
         clock = [0.0]
-        registry = TenantRegistry(store, ttl=5.0, clock=lambda: clock[0])
+        registry = TenantRegistry(store, clock=lambda: clock[0])
         assert registry.resolve(key) is not None
         store.revoke_keys("acme")
         assert registry.resolve(key) is not None  # inside the TTL: cached

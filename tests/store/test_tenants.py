@@ -28,7 +28,7 @@ class TestTenantRegistry:
     def test_resolves_and_caches(self, store):
         key = store.provision_tenant("acme")
         clock = _Clock()
-        registry = TenantRegistry(store, ttl=5.0, clock=clock)
+        registry = TenantRegistry(store, clock=clock)
         assert registry.resolve(key).tenant_id == "acme"
         assert registry.resolve("rk_junk") is None
         # Within the TTL a re-resolve never hits sqlite again: closing
@@ -40,14 +40,14 @@ class TestTenantRegistry:
     def test_ttl_expiry_rereads(self, store):
         key = store.provision_tenant("acme")
         clock = _Clock()
-        registry = TenantRegistry(store, ttl=5.0, clock=clock)
+        registry = TenantRegistry(store, clock=clock)
         assert registry.resolve(key) is not None
         clock.now += 6.0
         assert registry.resolve(key) is not None  # re-read, still there
 
     def test_invalidate_clears(self, store):
         key = store.provision_tenant("acme")
-        registry = TenantRegistry(store, ttl=600.0)
+        registry = TenantRegistry(store)
         assert registry.resolve(key) is not None
         registry.invalidate()
         store.close()

@@ -72,14 +72,6 @@ class TestHealthyStream:
         assert telemetry.counter("stream_rediagnoses") == 1
         assert telemetry.counter("stream_readings_ingested") == len(NETS) * 5
 
-    def test_baseline_can_be_disabled(self):
-        session = make_session(healthy_source(), always_diagnose_first=False)
-        # With no baseline and no drift, only the final drain tick fires
-        # (the readings are all undiagnosed changes at that point).
-        updates = list(session.run())
-        assert len(updates) == 1
-        assert updates[0].consistent
-
 
 class TestFaultyStream:
     def test_fault_triggers_rediagnosis_and_ranks_culprit(self):

@@ -13,7 +13,7 @@ from tests.server.test_server import RunningServer
 
 def stream_config(**overrides):
     kwargs = dict(
-        port=0, workers=2, queue_size=8, timeout=30.0, drain_grace=30.0,
+        port=0, workers=2, queue_size=8, timeout=30.0,
         max_streams=2, heartbeat=5.0,
     )
     kwargs.update(overrides)

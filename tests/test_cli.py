@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -275,43 +276,56 @@ class TestServeAndClusterOptions:
         }
         assert {name: getattr(config, name) for name in expected} == expected
 
+    def off_default(self, cls):
+        """A value other than its default for every field of ``cls``.
+
+        Derived from the dataclass itself, so a field added without a
+        CLI flag fails the round trips below.
+        """
+        values = {}
+        for spec in dataclasses.fields(cls):
+            default = spec.default
+            if spec.name.endswith("faults"):
+                values[spec.name] = self.PLAN
+            elif isinstance(default, bool):
+                values[spec.name] = not default
+            elif isinstance(default, (int, float)):
+                values[spec.name] = default + 3
+            else:
+                values[spec.name] = spec.name + default
+        assert all(
+            values[spec.name] != spec.default for spec in dataclasses.fields(cls)
+        )
+        return values
+
     def test_server_config_argv_round_trips(self, captured):
         from repro.server import ServerConfig
 
-        config = ServerConfig(
-            host="0.0.0.0", port=0, workers=3, queue_size=5, cache_size=77,
-            timeout=2.5, retries=4, max_streams=6, heartbeat=0.5, supervise=True,
-            faults=self.PLAN, store="shop.db", lifecycle=False,
-            checkpoint_interval=7.5, retain_history_days=3.5,
-            retain_history_rows=99, retain_cache_days=1.5,
-        )
+        config = ServerConfig(**self.off_default(ServerConfig))
         assert main(["serve", *config.to_argv()]) == 0
         assert captured["config"] == config
         assert main(["serve", *ServerConfig().to_argv()]) == 0
         assert captured["config"] == ServerConfig()
 
     def test_cluster_sets_every_field(self, captured):
-        argv = [
-            "cluster", "--host", "0.0.0.0", "--port", "9002", "--replicas", "3",
-            "--vnodes", "16", "--workers", "5", "--queue-size", "6",
-            "--cache-size", "88", "--timeout", "4.5", "--retries", "2",
-            "--poll-interval", "0.25", "--gossip-interval", "0.75", "--supervise",
-            "--faults", self.PLAN, "--replica-faults", self.PLAN, *self.LIFECYCLE,
-        ]
+        from repro.cluster import ClusterConfig
+
+        expected = self.off_default(ClusterConfig)
+        flags = {"retain_history_days": "--retain-history",
+                 "retain_cache_days": "--retain-cache"}
+        argv = ["cluster"]
+        for name, value in expected.items():
+            flag = flags.get(name, "--" + name.replace("_", "-"))
+            argv.extend([flag] if value is True else [flag, str(value)])
         assert main(argv) == 0
         config = captured["config"]
-        expected = {
-            "host": "0.0.0.0", "port": 9002, "replicas": 3, "vnodes": 16,
-            "workers": 5, "queue_size": 6, "cache_size": 88, "timeout": 4.5,
-            "retries": 2, "poll_interval": 0.25, "gossip_interval": 0.75,
-            "supervise": True, "faults": self.PLAN, "replica_faults": self.PLAN,
-            **self.LIFECYCLE_FIELDS,
-        }
-        assert {name: getattr(config, name) for name in expected} == expected
+        assert config == ClusterConfig(**expected)
         replica = config.replica_config()
         assert (replica.port, replica.lifecycle) == (0, False)
-        assert (replica.faults, replica.store) == (self.PLAN, "shop.db")
-        assert (replica.workers, replica.queue_size, replica.cache_size) == (5, 6, 88)
+        assert (replica.faults, replica.store) == (self.PLAN, expected["store"])
+        assert (replica.workers, replica.queue_size, replica.cache_size) == (
+            expected["workers"], expected["queue_size"], expected["cache_size"]
+        )
 
     def test_bad_serve_options_exit_two(self, captured, capsys):
         assert main(["serve", "--workers", "0"]) == 2
