@@ -56,7 +56,6 @@ from repro.circuit.spice import parse_netlist
 from repro.core.diagnosis import Flames
 from repro.core.knowledge import KnowledgeBase
 from repro.core.report import render_report
-from repro.fuzzy import FuzzyInterval
 
 #: ``repro tables`` name -> renderer over :mod:`repro.experiments`, in the
 #: order a bare ``repro tables`` prints them.
@@ -124,12 +123,10 @@ def _parse_probe_tuple(spec: str, imprecision: float):
 
 
 def _parse_probe(spec: str, imprecision: float) -> Measurement:
-    point, m1, m2, alpha, beta = _parse_probe_tuple(spec, imprecision)
     try:
-        value = FuzzyInterval(m1, m2, alpha, beta)
+        return Measurement.from_tuple(_parse_probe_tuple(spec, imprecision))
     except ValueError as exc:
         raise SystemExit(f"bad probe {spec!r}: {exc}")
-    return Measurement(point, value)
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
@@ -145,10 +142,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
         raw = [_parse_probe_tuple(p, args.imprecision) for p in args.probe]
         tuples, sanitize_report = sanitize_tuples(raw)
-        measurements = [
-            Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
-            for point, m1, m2, alpha, beta in tuples
-        ]
+        measurements = [Measurement.from_tuple(m) for m in tuples]
         if not measurements:
             print("sanitizer dropped every probe: "
                   + "; ".join(a.reason for a in sanitize_report.actions),

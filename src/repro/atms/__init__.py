@@ -1,22 +1,28 @@
-"""Assumption-based truth maintenance: the kernel substrate of FLAMES.
+"""Assumption-based nogood reasoning: the kernel substrate of FLAMES.
 
-``atms.py`` implements the classic de Kleer ATMS (nodes, justifications,
-labels that are kept minimal, sound, consistent and complete, and a
-nogood database).  ``fuzzy_atms.py`` extends it the way the paper's
-section 6 describes: environments and nogoods carry consistency degrees
-in [0, 1], justifications may be uncertain, partial conflicts weight
-candidates instead of eliminating them, and clauses are not restricted
-to Horn form.  ``nogood.py`` holds the weighted nogood database and
-the fold that builds it from a conflict log.  ``candidates.py`` turns
-minimal (weighted) nogoods into ranked minimal diagnoses via hitting
-sets.
+``assumptions.py`` holds the ``ok(component)`` assumptions and the
+environments built from them.  ``nogood.py`` holds the weighted nogood
+database (paper section 6: a frank conflict records a nogood of degree
+1, a partial one a nogood of degree ``1 - Dc`` that ranks candidates
+without pruning them) and :func:`fold_conflicts`, the one place a
+conflict log becomes minimal nogoods.  ``candidates.py`` turns those
+nogoods into ranked minimal diagnoses via hitting sets, and
+``interpretations.py`` enumerates the maximal consistent environments
+that the ATMS-growth study contrasts with them.
+
+The engine never builds ATMS labels: with every assumption at degree 1
+the fold gives exactly what de Kleer's label-weaving ATMS, extended for
+weighted nogoods, would.  That ATMS is kept under ``tests/atms/`` as
+the oracle the fold is compared against.
 """
 
 from repro.atms.assumptions import Assumption, Environment
-from repro.atms.nodes import Node, Justification
-from repro.atms.atms import ATMS
-from repro.atms.fuzzy_atms import FuzzyATMS, WeightedNogood
-from repro.atms.nogood import NogoodDatabase, admitted_conflicts, fold_conflicts
+from repro.atms.nogood import (
+    NogoodDatabase,
+    WeightedNogood,
+    admitted_conflicts,
+    fold_conflicts,
+)
 from repro.atms.candidates import (
     Diagnosis,
     minimal_hitting_sets,
@@ -28,10 +34,6 @@ from repro.atms.interpretations import interpretations
 __all__ = [
     "Assumption",
     "Environment",
-    "Node",
-    "Justification",
-    "ATMS",
-    "FuzzyATMS",
     "WeightedNogood",
     "NogoodDatabase",
     "admitted_conflicts",

@@ -9,7 +9,7 @@ derivable from those assumptions plus the premises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Iterator
+from typing import FrozenSet, Iterator
 
 __all__ = ["Assumption", "Environment"]
 
@@ -83,12 +83,3 @@ class Environment:
 
 _EMPTY = Environment(frozenset())
 
-
-def minimal_antichain(environments: Iterable[Environment]) -> set:
-    """Keep only the subset-minimal environments of a collection."""
-    envs = sorted(set(environments), key=lambda e: e.size)
-    kept: list = []
-    for env in envs:
-        if not any(k.is_subset(env) for k in kept):
-            kept.append(env)
-    return set(kept)

@@ -46,7 +46,6 @@ from repro.circuit.spice import NetlistError, parse_netlist, parse_value, write_
 from repro.circuit.analysis import (
     MonteCarloResult,
     WorstCaseResult,
-    dc_sweep,
     monte_carlo,
     worst_case,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "step_waveform",
     "MonteCarloResult",
     "WorstCaseResult",
-    "dc_sweep",
     "monte_carlo",
     "worst_case",
     "NetlistError",

@@ -1,4 +1,4 @@
-"""Tolerance analysis: Monte Carlo, worst-case corners, DC sweeps.
+"""Tolerance analysis: Monte Carlo and worst-case corners.
 
 The diagnosis engine's predictions are first-order tolerance envelopes;
 this module provides the reference analyses a bench engineer would run
@@ -11,8 +11,6 @@ against them:
 * :func:`worst_case` — extreme-value analysis over tolerance corners
   (exhaustive for small circuits, one-at-a-time plus the all-extreme
   corners otherwise).
-* :func:`dc_sweep` — a transfer curve: sweep one source, record chosen
-  nets.
 """
 
 from __future__ import annotations
@@ -23,11 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.circuit.components import VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.circuit.simulate import DCSolver, SimulationError
 
-__all__ = ["MonteCarloResult", "WorstCaseResult", "monte_carlo", "worst_case", "dc_sweep"]
+__all__ = ["MonteCarloResult", "WorstCaseResult", "monte_carlo", "worst_case"]
 
 
 def _toleranced(circuit: Circuit) -> List[Tuple[object, str, float, float]]:
@@ -177,33 +174,3 @@ def worst_case(
         raise SimulationError(f"{circuit.name}: no tolerance corner converged")
     return WorstCaseResult(corners, low, high)
 
-
-def dc_sweep(
-    circuit: Circuit,
-    source: str,
-    values: Sequence[float],
-    nets: Sequence[str],
-) -> Dict[str, List[float]]:
-    """Transfer curves: sweep a voltage source, record net voltages.
-
-    Returns ``{"<source value axis>": values, net: readings, ...}``; the
-    source is restored afterwards.
-    """
-    comp = circuit.component(source)
-    if not isinstance(comp, VoltageSource):
-        raise ValueError(f"{source!r} is not a voltage source")
-    if not values:
-        raise ValueError("sweep needs at least one source value")
-    original = comp.voltage
-    curves: Dict[str, List[float]] = {source: list(values)}
-    for net in nets:
-        curves[net] = []
-    try:
-        for value in values:
-            comp.voltage = value
-            op = DCSolver(circuit).solve()
-            for net in nets:
-                curves[net].append(op.voltage(net))
-    finally:
-        comp.voltage = original
-    return curves

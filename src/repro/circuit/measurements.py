@@ -9,12 +9,15 @@ and wraps it with the instrument's fuzziness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.circuit.simulate import OperatingPoint
 from repro.fuzzy import FuzzyInterval
 
-__all__ = ["Measurement", "probe", "probe_all"]
+__all__ = ["Measurement", "MeasurementTuple", "probe", "probe_all"]
+
+#: One fuzzy measurement as plain data: (point, m1, m2, alpha, beta).
+MeasurementTuple = Tuple[str, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,17 @@ class Measurement:
 
     point: str
     value: FuzzyInterval
+
+    @classmethod
+    def from_tuple(cls, data: MeasurementTuple) -> "Measurement":
+        """Build from the plain-data layout (validates the interval)."""
+        point, m1, m2, alpha, beta = data
+        return cls(point, FuzzyInterval(m1, m2, alpha, beta))
+
+    def as_tuple(self) -> MeasurementTuple:
+        """The plain-data layout jobs, scenarios and the sanitizer carry."""
+        v = self.value
+        return (self.point, v.m1, v.m2, v.alpha, v.beta)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.point}={self.value!r}"

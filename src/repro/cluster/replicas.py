@@ -1,18 +1,20 @@
 """Replica lifecycle for the diagnosis cluster.
 
 A replica is one ``repro serve`` process — its own GIL, its own
-admission queue, its own warm caches.  :class:`ReplicaManager` owns a
-fleet of them:
+admission queue, its own warm caches.  :class:`Fleet` is the surface
+the gateway routes and scores through (endpoints, epochs, health,
+metrics), over :class:`Replica` records.  :class:`ReplicaManager` is
+the fleet that owns its replicas:
 
-* **spawn** — each replica boots as a subprocess on an ephemeral port
-  (``--port 0``); the manager scrapes the bound port from the server's
-  structured ``"listening"`` log line, then keeps draining the pipe on
-  a daemon thread so the child never blocks on a full pipe;
+* **spawn** — each :class:`ReplicaProcess` boots as a subprocess on an
+  ephemeral port (``--port 0``); the manager scrapes the bound port from
+  the server's structured ``"listening"`` log line, then keeps draining
+  the pipe on a daemon thread so the child never blocks on a full pipe;
 * **score** — every supervision tick probes ``/readyz`` and pulls
   ``/metrics?samples=1``; outcomes fold into the same
-  :class:`~repro.resilience.supervisor.EwmaHealth` score the PR-5
-  fleet supervisor applies to pool workers (request-path failures
-  reported by the gateway count too);
+  :class:`~repro.resilience.supervisor.EwmaHealth` score the fleet
+  supervisor applies to pool workers (request-path failures reported by
+  the gateway count too);
 * **evict + restart** — a dead process or a score below the floor gets
   the replica retired (its final telemetry snapshot is kept so fleet
   totals stay monotonic) and respawned on a fresh port under the *same
@@ -27,9 +29,9 @@ Chaos: the supervision tick honours the ``cluster.replica_kill`` fault
 point — a deterministic plan can hard-kill replica *k* at tick *t*, and
 the ordinary eviction/restart path must recover.
 
-:class:`StaticFleet` is the spawn-free variant: the same scoring and
-endpoint surface over replicas somebody else runs (in-process servers
-in the tests, or an externally managed fleet), with no restarts.
+:class:`StaticFleet` is the spawn-free fleet over replicas somebody
+else runs (in-process servers in the tests, or an externally managed
+fleet): probes score health, nothing is restarted.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from typing import Dict, List, Optional
 from repro.resilience import faults
 from repro.resilience.supervisor import EwmaHealth
 from repro.server.app import ServerConfig
-from repro.server.client import ClientError, DiagnosisClient
+from repro.server.client import DiagnosisClient
 
-__all__ = ["ReplicaProcess", "ReplicaManager", "StaticFleet"]
+__all__ = ["Fleet", "Replica", "ReplicaProcess", "ReplicaManager", "StaticFleet"]
 
 log = logging.getLogger("repro.cluster")
 
@@ -58,6 +60,9 @@ _PORT_RE = re.compile(r'"port": (\d+)')
 
 #: Seconds a spawned replica has to report its bound port.
 BOOT_TIMEOUT = 60.0
+
+#: Where spawned replicas listen: the gateway dials them on loopback.
+HOST = "127.0.0.1"
 
 
 def _spawn_env() -> Dict[str, str]:
@@ -72,26 +77,79 @@ def _spawn_env() -> Dict[str, str]:
     return env
 
 
-class ReplicaProcess:
-    """One managed ``repro serve`` subprocess and its health state."""
+class Replica:
+    """One fleet member as the gateway sees it: endpoint, health, metrics.
 
-    def __init__(
-        self,
-        replica_id: str,
-        config: ServerConfig,
-        host: str = "127.0.0.1",
-    ) -> None:
+    :class:`StaticFleet` uses it as is, for a replica somebody else
+    runs (taken to be alive); :class:`ReplicaProcess` adds the process.
+    """
+
+    def __init__(self, replica_id: str, host: str) -> None:
         self.replica_id = replica_id
-        self.config = config
         self.host = host
-        self.health = EwmaHealth()
-        self.process: Optional[subprocess.Popen] = None
         self.port: Optional[int] = None
+        self.health = EwmaHealth()
         self.epoch = 0  # bumps on every (re)spawn
         self.restarts = 0
         self.ready = False
         self.last_metrics: Dict = {}
         self._client: Optional[DiagnosisClient] = None
+
+    def connect(self, port: int) -> None:
+        """Aim the record, and the client its probes use, at ``port``."""
+        self.port = port
+        self._client = DiagnosisClient(host=self.host, port=port, retries=0, timeout=5.0)
+
+    def close(self) -> None:
+        """Close the probe client's pooled connection."""
+        if self._client is not None:
+            self._client.close()
+            self._client = None
+
+    @property
+    def alive(self) -> bool:
+        return True
+
+    @property
+    def endpoint(self) -> Optional[str]:
+        if self.ready and self.alive and self.port is not None:
+            return f"{self.host}:{self.port}"
+        return None
+
+    def probe(self) -> bool:
+        """One health poll: ``/readyz`` then ``/metrics?samples=1``.
+
+        Returns True when the replica answered ready and keeps its
+        metrics payload for fleet aggregation.  Answering but not ready
+        (draining) or shedding means reachable, not routable: False.
+        """
+        if not self.alive or self._client is None:
+            return False
+        try:
+            self._client.ready()
+            self.last_metrics = self._client.metrics(samples=True)
+            return True
+        except Exception:
+            return False
+
+    def snapshot(self) -> Dict:
+        return {
+            "port": self.port,
+            "alive": self.alive,
+            "ready": self.ready,
+            "health": round(self.health.score, 4),
+            "epoch": self.epoch,
+            "restarts": self.restarts,
+        }
+
+
+class ReplicaProcess(Replica):
+    """One managed ``repro serve`` subprocess and its health state."""
+
+    def __init__(self, replica_id: str, config: ServerConfig) -> None:
+        super().__init__(replica_id, HOST)
+        self.config = config
+        self.process: Optional[subprocess.Popen] = None
         self._tail: "deque[str]" = deque(maxlen=40)  # recent child output
         self._drainer: Optional[threading.Thread] = None
 
@@ -110,10 +168,7 @@ class ReplicaProcess:
         )
         self.epoch += 1
         self.ready = False
-        self.port = self._scrape_port()
-        self._client = DiagnosisClient(
-            host=self.host, port=self.port, retries=0, timeout=5.0
-        )
+        self.connect(self._scrape_port())
         self._drainer = threading.Thread(
             target=self._drain_output,
             name=f"replica-{self.replica_id}-log",
@@ -155,12 +210,6 @@ class ReplicaProcess:
     def alive(self) -> bool:
         return self.process is not None and self.process.poll() is None
 
-    @property
-    def endpoint(self) -> Optional[str]:
-        if self.ready and self.alive and self.port is not None:
-            return f"{self.host}:{self.port}"
-        return None
-
     def kill(self) -> None:
         """Hard-kill (SIGKILL) — the chaos path, not the drain path."""
         if self.process is not None and self.process.poll() is None:
@@ -185,93 +234,30 @@ class ReplicaProcess:
                 process.wait(timeout=5.0)
         if self._drainer is not None:
             self._drainer.join(timeout=2.0)
-        if self._client is not None:
-            self._client.close()
-            self._client = None
+        self.close()
         return process.returncode
 
-    # ------------------------------------------------------------------
-    # Probing
-    # ------------------------------------------------------------------
-    def probe(self) -> bool:
-        """One health poll: ``/readyz`` then ``/metrics?samples=1``.
 
-        Returns True when the replica answered ready; stores the
-        metrics payload for fleet aggregation either way it can.
-        """
-        if not self.alive or self._client is None:
-            return False
-        try:
-            self._client.ready()
-            self.last_metrics = self._client.metrics(samples=True)
-            return True
-        except ClientError:
-            # Answering but not ready (draining) or shedding: reachable,
-            # not routable.
-            return False
-        except Exception:
-            return False
+class Fleet:
+    """The routing and scoring surface the gateway drives.
 
-    def snapshot(self) -> Dict:
-        return {
-            "port": self.port,
-            "alive": self.alive,
-            "ready": self.ready,
-            "health": round(self.health.score, 4),
-            "epoch": self.epoch,
-            "restarts": self.restarts,
-        }
+    Replica ids, endpoints, epochs, request-path health and the
+    ``fleet`` block of ``/metrics``; a fleet that spawns nothing has
+    nothing to start and no restarts or chaos kills to count.
+    """
 
-
-class ReplicaManager:
-    """Spawn, score, evict and drain a fleet of server subprocesses."""
-
-    def __init__(
-        self,
-        count: int,
-        config: Optional[ServerConfig] = None,
-        host: str = "127.0.0.1",
-    ) -> None:
-        if count < 1:
-            raise ValueError("need at least one replica")
-        self.config = config or ServerConfig(port=0, workers=2)
-        self.replicas: Dict[str, ReplicaProcess] = {
-            f"r{i}": ReplicaProcess(f"r{i}", self.config, host=host)
-            for i in range(count)
-        }
-        self._retired_metrics: List[Dict] = []  # final snapshots of evicted runs
+    def __init__(self, replicas: Dict[str, Replica]) -> None:
+        self.replicas = replicas
         self.restarts_total = 0
         self.kills_injected = 0
-        self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # Fleet lifecycle
-    # ------------------------------------------------------------------
     @property
     def replica_ids(self) -> List[str]:
         return sorted(self.replicas)
 
     def start(self) -> None:
-        for replica in self.replicas.values():
-            replica.spawn()
+        pass
 
-    def stop(self, grace: float = 30.0) -> None:
-        """Cascade the drain: SIGTERM every replica, then join them."""
-        for replica in self.replicas.values():
-            if replica.process is not None and replica.process.poll() is None:
-                replica.ready = False
-                try:
-                    replica.process.send_signal(signal.SIGTERM)
-                except (ProcessLookupError, OSError):
-                    pass
-        deadline = time.monotonic() + grace
-        for replica in self.replicas.values():
-            remaining = max(0.5, deadline - time.monotonic())
-            replica.terminate(grace=remaining)
-
-    # ------------------------------------------------------------------
-    # Routing surface
-    # ------------------------------------------------------------------
     def endpoint_of(self, replica_id: str) -> Optional[str]:
         replica = self.replicas.get(replica_id)
         return replica.endpoint if replica is not None else None
@@ -293,9 +279,56 @@ class ReplicaManager:
         if replica is not None:
             replica.health.record(ok)
 
-    # ------------------------------------------------------------------
-    # Supervision
-    # ------------------------------------------------------------------
+    def poll_once(self, tick: int = 0) -> Dict:
+        """One supervision pass: probe every replica, score the outcome."""
+        for replica in self.replicas.values():
+            replica.health.record(replica.probe())
+        return {"restarted": [], "killed": []}
+
+    def metrics_snapshots(self) -> List[Dict]:
+        """Latest per-replica ``/metrics`` payloads."""
+        return [r.last_metrics for r in self.replicas.values() if r.last_metrics]
+
+    def snapshot(self) -> Dict:
+        return {
+            "replicas": {rid: r.snapshot() for rid, r in self.replicas.items()},
+            "restarts_total": self.restarts_total,
+            "kills_injected": self.kills_injected,
+        }
+
+
+class ReplicaManager(Fleet):
+    """Spawn, score, evict and drain a fleet of server subprocesses."""
+
+    replicas: Dict[str, ReplicaProcess]
+
+    def __init__(self, count: int, config: ServerConfig) -> None:
+        if count < 1:
+            raise ValueError("need at least one replica")
+        super().__init__(
+            {f"r{i}": ReplicaProcess(f"r{i}", config) for i in range(count)}
+        )
+        self._retired_metrics: List[Dict] = []  # final snapshots of evicted runs
+        self._lock = threading.Lock()
+
+    def start(self) -> None:
+        for replica in self.replicas.values():
+            replica.spawn()
+
+    def stop(self, grace: float = 30.0) -> None:
+        """Cascade the drain: SIGTERM every replica, then join them."""
+        for replica in self.replicas.values():
+            if replica.process is not None and replica.process.poll() is None:
+                replica.ready = False
+                try:
+                    replica.process.send_signal(signal.SIGTERM)
+                except (ProcessLookupError, OSError):
+                    pass
+        deadline = time.monotonic() + grace
+        for replica in self.replicas.values():
+            remaining = max(0.5, deadline - time.monotonic())
+            replica.terminate(grace=remaining)
+
     def poll_once(self, tick: int = 0) -> Dict:
         """One supervision pass; returns what happened this tick.
 
@@ -313,8 +346,7 @@ class ReplicaManager:
                     self.kills_injected += 1
                 events["killed"].append(rid)
                 log.info('{"event": "chaos_replica_kill", "replica": "%s"}', rid)
-            ok = replica.probe()
-            replica.health.record(ok)
+            replica.health.record(replica.probe())
             if not replica.alive or replica.health.below_floor():
                 self._restart(replica)
                 events["restarted"].append(rid)
@@ -338,126 +370,33 @@ class ReplicaManager:
             replica.replica_id, replica.port,
         )
 
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
     def metrics_snapshots(self) -> List[Dict]:
         """Latest per-replica ``/metrics`` payloads plus retired runs."""
         with self._lock:
-            snapshots = list(self._retired_metrics)
-        snapshots.extend(
-            replica.last_metrics
-            for replica in self.replicas.values()
-            if replica.last_metrics
-        )
-        return snapshots
-
-    def snapshot(self) -> Dict:
-        return {
-            "replicas": {rid: r.snapshot() for rid, r in self.replicas.items()},
-            "restarts_total": self.restarts_total,
-            "kills_injected": self.kills_injected,
-        }
+            retired = list(self._retired_metrics)
+        return retired + super().metrics_snapshots()
 
 
-class _AttachedReplica:
-    """StaticFleet's per-endpoint record (no process to manage)."""
-
-    def __init__(self, replica_id: str, endpoint: str) -> None:
-        self.replica_id = replica_id
-        host, _, port = endpoint.replace("http://", "").rstrip("/").rpartition(":")
-        self.host = host
-        self.port = int(port)
-        self.health = EwmaHealth()
-        self.epoch = 1
-        self.restarts = 0
-        self.ready = True
-        self.last_metrics: Dict = {}
-        self._client = DiagnosisClient(host=host, port=self.port, retries=0, timeout=5.0)
-
-    @property
-    def endpoint(self) -> Optional[str]:
-        return f"{self.host}:{self.port}" if self.ready else None
-
-    def probe(self) -> bool:
-        try:
-            self._client.ready()
-            self.last_metrics = self._client.metrics(samples=True)
-            return True
-        except Exception:
-            return False
-
-    def snapshot(self) -> Dict:
-        return {
-            "port": self.port,
-            "alive": self.ready,
-            "ready": self.ready,
-            "health": round(self.health.score, 4),
-            "epoch": self.epoch,
-            "restarts": 0,
-        }
-
-
-class StaticFleet:
+class StaticFleet(Fleet):
     """A fixed fleet of externally-run replicas (tests, remote hosts).
 
-    Same surface as :class:`ReplicaManager` minus spawning: probes
-    score health, but nothing is evicted or restarted — a down replica
-    is simply routed around until it answers again.
+    Probes score health, but nothing is evicted or restarted — a down
+    replica is simply routed around until it answers again.
     """
 
     def __init__(self, endpoints: List[str]) -> None:
         if not endpoints:
             raise ValueError("need at least one endpoint")
-        self.replicas: Dict[str, _AttachedReplica] = {
-            f"r{i}": _AttachedReplica(f"r{i}", endpoint)
-            for i, endpoint in enumerate(endpoints)
-        }
-        self.restarts_total = 0
-        self.kills_injected = 0
-
-    @property
-    def replica_ids(self) -> List[str]:
-        return sorted(self.replicas)
-
-    def start(self) -> None:
-        pass
+        replicas: Dict[str, Replica] = {}
+        for i, endpoint in enumerate(endpoints):
+            host, _, port = endpoint.replace("http://", "").rstrip("/").rpartition(":")
+            replica = Replica(f"r{i}", host)
+            replica.connect(int(port))
+            replica.epoch = 1
+            replica.ready = True
+            replicas[replica.replica_id] = replica
+        super().__init__(replicas)
 
     def stop(self, grace: float = 30.0) -> None:
         for replica in self.replicas.values():
-            replica._client.close()
-
-    def endpoint_of(self, replica_id: str) -> Optional[str]:
-        replica = self.replicas.get(replica_id)
-        return replica.endpoint if replica is not None else None
-
-    def ready_endpoints(self) -> Dict[str, str]:
-        return {
-            rid: replica.endpoint
-            for rid, replica in self.replicas.items()
-            if replica.endpoint is not None
-        }
-
-    def epoch(self, replica_id: str) -> int:
-        replica = self.replicas.get(replica_id)
-        return replica.epoch if replica is not None else 0
-
-    def note_outcome(self, replica_id: str, ok: bool) -> None:
-        replica = self.replicas.get(replica_id)
-        if replica is not None:
-            replica.health.record(ok)
-
-    def poll_once(self, tick: int = 0) -> Dict:
-        for replica in self.replicas.values():
-            replica.health.record(replica.probe())
-        return {"restarted": [], "killed": []}
-
-    def metrics_snapshots(self) -> List[Dict]:
-        return [r.last_metrics for r in self.replicas.values() if r.last_metrics]
-
-    def snapshot(self) -> Dict:
-        return {
-            "replicas": {rid: r.snapshot() for rid, r in self.replicas.items()},
-            "restarts_total": 0,
-            "kills_injected": 0,
-        }
+            replica.close()

@@ -59,7 +59,6 @@ from repro.circuit.simulate import DCSolver, OperatingPoint, SimulationError
 from repro.circuit.spice import write_netlist
 from repro.corpus.metrics import CERTAIN
 from repro.corpus.scenarios import CorpusManifest, Scenario
-from repro.fuzzy import FuzzyInterval
 
 __all__ = ["CLASSES", "FAMILIES", "TopologyFamily", "generate_corpus", "class_rng"]
 
@@ -168,8 +167,7 @@ def _readings(
 ) -> Tuple[Tuple[str, float, float, float, float], ...]:
     out = []
     for net in nets:
-        m = probe(op, net, IMPRECISION)
-        out.append((m.point, m.value.m1, m.value.m2, m.value.alpha, m.value.beta))
+        out.append(probe(op, net, IMPRECISION).as_tuple())
     return tuple(out)
 
 
@@ -249,10 +247,7 @@ def _verify_intermittent(golden: Circuit, readings, culprit: str) -> None:
     """
     from repro.core.diagnosis import Flames, FlamesConfig
 
-    measurements = [
-        Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
-        for point, m1, m2, alpha, beta in readings
-    ]
+    measurements = [Measurement.from_tuple(r) for r in readings]
     result = Flames(golden, FlamesConfig()).diagnose(measurements)
     if not any(1e-6 < ng.degree < CERTAIN for ng in result.nogoods):
         raise SimulationError("no low-degree nogood surfaced")
@@ -283,10 +278,7 @@ def _gen_intermittent(rng, family, golden, nets, index):
             vg, vf = op_golden.voltage(net), op_faulty.voltage(net)
             readings.append(_blend_reading(rng, net, vg, vf))
         else:
-            m = probe(op_golden, net, IMPRECISION)
-            readings.append(
-                (m.point, m.value.m1, m.value.m2, m.value.alpha, m.value.beta)
-            )
+            readings.append(probe(op_golden, net, IMPRECISION).as_tuple())
     _verify_intermittent(golden, readings, base.component)
     metadata = (("present", present),)
     return tuple(readings), (base.component,), (fault,), metadata

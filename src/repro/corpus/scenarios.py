@@ -20,18 +20,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.faults import Fault
-from repro.circuit.measurements import Measurement
+from repro.circuit.measurements import Measurement, MeasurementTuple
 from repro.circuit.netlist import Circuit
 from repro.circuit.spice import parse_netlist
-from repro.fuzzy import FuzzyInterval
 
 __all__ = ["Scenario", "CorpusManifest", "MANIFEST_VERSION"]
 
 #: Bumped when the serialised shape changes incompatibly.
 MANIFEST_VERSION = 1
-
-#: One fuzzy measurement as plain data: (point, m1, m2, alpha, beta).
-MeasurementTuple = Tuple[str, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -67,10 +63,7 @@ class Scenario:
         return parse_netlist(self.netlist_text, name=self.id)
 
     def to_measurements(self) -> List[Measurement]:
-        return [
-            Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
-            for point, m1, m2, alpha, beta in self.measurements
-        ]
+        return [Measurement.from_tuple(m) for m in self.measurements]
 
     @property
     def meta(self) -> Dict[str, object]:

@@ -6,58 +6,31 @@ fuzzy numbers and fuzzy intervals — with a single trapezoidal 4-tuple
 Bonissone/Decker LR arithmetic.  This package implements that
 representation, the associated arithmetic, the degree-of-consistency
 ``Dc`` used by the conflict-recognition engine, linguistic variables for
-faultiness estimation, and the fuzzy Shannon entropy used by the
-best-test strategy unit.
+faultiness estimation, the ``about x`` hedge of the qualitative rules,
+and the fuzzy Shannon entropy used by the best-test strategy unit.
 """
 
 from repro.fuzzy.interval import FuzzyInterval
 from repro.fuzzy.compare import (
     Consistency,
     consistency,
-    necessity,
     possibility,
     rank_key,
 )
 from repro.fuzzy.linguistic import LinguisticTerm, LinguisticVariable, faultiness_scale
 from repro.fuzzy.entropy import fuzzy_entropy, expected_entropy
-from repro.fuzzy.hedges import very, somewhat, roughly, about, concentrate, dilate
-from repro.fuzzy.logic import (
-    TNorm,
-    TCoNorm,
-    t_norm_min,
-    t_norm_product,
-    t_norm_lukasiewicz,
-    s_norm_max,
-    s_norm_probabilistic,
-    s_norm_lukasiewicz,
-    negation,
-)
+from repro.fuzzy.hedges import about
 
 __all__ = [
     "FuzzyInterval",
     "Consistency",
     "consistency",
     "possibility",
-    "necessity",
     "rank_key",
     "LinguisticTerm",
     "LinguisticVariable",
     "faultiness_scale",
     "fuzzy_entropy",
     "expected_entropy",
-    "very",
-    "somewhat",
-    "roughly",
     "about",
-    "concentrate",
-    "dilate",
-    "TNorm",
-    "TCoNorm",
-    "t_norm_min",
-    "t_norm_product",
-    "t_norm_lukasiewicz",
-    "s_norm_max",
-    "s_norm_probabilistic",
-    "s_norm_lukasiewicz",
-    "negation",
 ]

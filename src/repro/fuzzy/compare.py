@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.fuzzy.interval import FuzzyInterval
 
-__all__ = ["Consistency", "consistency", "possibility", "necessity", "rank_key"]
+__all__ = ["Consistency", "consistency", "possibility", "rank_key"]
 
 _EPS = 1e-12
 
@@ -124,28 +124,6 @@ def possibility(a: FuzzyInterval, b: FuzzyInterval) -> float:
         right.alpha * (left.m2 + left.beta) + left.beta * (right.m1 - right.alpha)
     ) / (left.beta + right.alpha)
     return max(0.0, min(left.membership(x), right.membership(x)))
-
-
-def necessity(a: FuzzyInterval, b: FuzzyInterval) -> float:
-    """Necessity ``N(a, b) = inf_x max(mu_b(x), 1 - mu_a(x))``.
-
-    The dual of possibility: how *certain* it is that a value constrained
-    by ``a`` lies in ``b``.
-    """
-    # inf over the support of a; outside it 1 - mu_a = 1.
-    lo, hi = a.support
-    worst = 1.0
-    # The infimum of max(mu_b, 1-mu_a) over a piecewise-linear pair is
-    # attained at a breakpoint or slope crossing; sample those.
-    xs = {lo, hi, a.m1, a.m2, b.m1, b.m2, b.support[0], b.support[1]}
-    grid = sorted(x for x in xs if lo <= x <= hi)
-    for left, right in zip(grid, grid[1:]):
-        mid = 0.5 * (left + right)
-        for x in (left, mid, right):
-            worst = min(worst, max(b.membership(x), 1.0 - a.membership(x)))
-    if not grid:
-        worst = min(worst, max(b.membership(lo), 1.0 - a.membership(lo)))
-    return worst
 
 
 def rank_key(value: FuzzyInterval) -> tuple:

@@ -1,79 +1,18 @@
-"""Linguistic hedges: *very*, *somewhat*, *roughly* ...
+"""Linguistic hedges: ``about x``.
 
 The expert's semi-qualitative vocabulary (paper §5: "a simple while
 accurate (said semi-qualitative) representation of the human
-expertise") needs modifiers — "R2 has to be **very** low", "the output
-is **somewhat** high".  Classical hedges act on membership functions
-(``very A = A²``, ``somewhat A = sqrt(A)``); powers of a trapezoid are
-not trapezoidal, so we use the standard alpha-cut construction: the
-hedged set keeps the core and rescales the slopes so that its 0.5-cut
-matches the 0.5-cut of the exact power transform.  That preserves the
-two invariants that matter for the engine:
-
-* ``very A`` is contained in ``A`` (concentration),
-* ``A`` is contained in ``somewhat A`` (dilation),
-
-and keeps every hedged value a plain :class:`FuzzyInterval`.
+expertise") writes eyeballed magnitudes as "about 6 volts".  The
+qualitative rules of :mod:`repro.core.knowledge` build their fuzzy
+thresholds with :func:`about`, which keeps every hedged value a plain
+:class:`FuzzyInterval`.
 """
 
 from __future__ import annotations
 
-
 from repro.fuzzy.interval import FuzzyInterval
 
-__all__ = ["very", "somewhat", "roughly", "concentrate", "dilate", "about"]
-
-
-def concentrate(value: FuzzyInterval, power: float = 2.0) -> FuzzyInterval:
-    """Concentration hedge: membership raised to ``power`` (> 1).
-
-    The trapezoidal approximation keeps the core and shrinks the slopes
-    so the 0.5-cut coincides with the exact transform's
-    (``mu^p = 0.5  <=>  mu = 0.5^(1/p)``).
-    """
-    if power <= 1.0:
-        raise ValueError("concentration needs power > 1; use dilate() otherwise")
-    # Exact transform's 0.5-cut sits where mu = 0.5**(1/power); on a
-    # linear slope that is at fraction (1 - 0.5**(1/power)) from the core.
-    # Matching 0.5-cuts scales the slope width by 0.5 / (1 - 0.5**(1/p)).
-    scale = 0.5 / (1.0 - 0.5 ** (1.0 / power))
-    return FuzzyInterval(
-        value.m1, value.m2, value.alpha / scale, value.beta / scale
-    )
-
-
-def dilate(value: FuzzyInterval, power: float = 2.0) -> FuzzyInterval:
-    """Dilation hedge: membership raised to ``1/power`` (widens slopes)."""
-    if power <= 1.0:
-        raise ValueError("dilation needs power > 1; use concentrate() otherwise")
-    scale = 0.5 / (1.0 - 0.5 ** power)
-    return FuzzyInterval(
-        value.m1, value.m2, value.alpha / scale, value.beta / scale
-    )
-
-
-def very(value: FuzzyInterval) -> FuzzyInterval:
-    """``very A``: the classical concentration (power 2)."""
-    return concentrate(value, 2.0)
-
-
-def somewhat(value: FuzzyInterval) -> FuzzyInterval:
-    """``somewhat A``: the classical dilation (power 2)."""
-    return dilate(value, 2.0)
-
-
-def roughly(value: FuzzyInterval, widen: float = 0.5) -> FuzzyInterval:
-    """``roughly A``: widen both the slopes *and* the core by a fraction
-    of the support width — the hedge experts use for eyeballed values."""
-    if widen < 0:
-        raise ValueError("widen must be non-negative")
-    extra = widen * max(value.width, abs(value.centroid) * 0.1, 1e-12) / 2.0
-    return FuzzyInterval(
-        value.m1 - extra / 2.0,
-        value.m2 + extra / 2.0,
-        value.alpha + extra,
-        value.beta + extra,
-    )
+__all__ = ["about"]
 
 
 def about(value: float, spread_fraction: float = 0.1) -> FuzzyInterval:

@@ -170,15 +170,7 @@ def sanitize_measurements(measurements: Sequence["Measurement"]):
     ``(survivors, SanitizeReport)``.
     """
     from repro.circuit.measurements import Measurement
-    from repro.fuzzy import FuzzyInterval
 
-    raw = [
-        (m.point, m.value.m1, m.value.m2, m.value.alpha, m.value.beta)
-        for m in measurements
-    ]
-    cleaned, report = sanitize_tuples(raw)
-    survivors = [
-        Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
-        for point, m1, m2, alpha, beta in cleaned
-    ]
+    cleaned, report = sanitize_tuples([m.as_tuple() for m in measurements])
+    survivors = [Measurement.from_tuple(m) for m in cleaned]
     return survivors, report

@@ -43,7 +43,6 @@ __all__ = [
     "render_stream_head",
     "write_response",
     "error_payload",
-    "parse_response_bytes",
     "REASONS",
 ]
 
@@ -219,21 +218,6 @@ async def write_response(
 ) -> None:
     writer.write(render_response(status, payload, keep_alive, extra_headers))
     await writer.drain()
-
-
-def parse_response_bytes(raw: bytes) -> Tuple[int, Dict[str, str], bytes]:
-    """Split a rendered response back into (status, headers, body).
-
-    Test helper — the production client uses :mod:`http.client`.
-    """
-    head, _, body = raw.partition(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    status = int(lines[0].split(" ")[1])
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, body
 
 
 # ----------------------------------------------------------------------

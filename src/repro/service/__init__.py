@@ -29,7 +29,6 @@ from repro.service.jobs import (
     diagnosis_to_dict,
     job_from_spec,
     load_manifest,
-    measurement_from_dict,
     measurement_to_dict,
 )
 from repro.service.pool import BatchReport, FleetEngine, execute_job
@@ -43,7 +42,6 @@ __all__ = [
     "diagnosis_to_dict",
     "job_from_spec",
     "load_manifest",
-    "measurement_from_dict",
     "measurement_to_dict",
     "ResultCache",
     "BatchReport",

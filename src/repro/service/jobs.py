@@ -36,12 +36,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.circuit.measurements import Measurement
+from repro.circuit.measurements import Measurement, MeasurementTuple
 from repro.circuit.netlist import Circuit
 from repro.circuit.spice import parse_netlist, write_netlist
 from repro.core.diagnosis import DiagnosisResult, FlamesConfig
 from repro.core.knowledge import ModeMatch
-from repro.fuzzy import FuzzyInterval
 
 __all__ = [
     "CONFIG_FIELDS",
@@ -49,7 +48,6 @@ __all__ = [
     "JobResult",
     "diagnosis_to_dict",
     "measurement_to_dict",
-    "measurement_from_dict",
     "job_from_spec",
     "load_manifest",
     "ManifestError",
@@ -63,10 +61,6 @@ CONFIG_FIELDS: Dict[str, Callable[[float], bool]] = {
     "conflict_threshold": lambda v: 0.0 <= v <= 1.0,
     "max_candidate_size": lambda v: v >= 1.0 and v.is_integer(),
 }
-
-#: One fuzzy measurement as plain data: (point, m1, m2, alpha, beta).
-MeasurementTuple = Tuple[str, float, float, float, float]
-
 
 class ManifestError(ValueError):
     """A batch manifest (or one of its job specs) is malformed."""
@@ -106,22 +100,6 @@ def _config_overrides(
 def measurement_to_dict(m: Measurement) -> Dict:
     """JSON shape of one measurement: ``{"point": ..., "value": [m1, m2, alpha, beta]}``."""
     return {"point": m.point, "value": [m.value.m1, m.value.m2, m.value.alpha, m.value.beta]}
-
-
-def measurement_from_dict(data: Dict) -> Measurement:
-    """Inverse of :func:`measurement_to_dict`.
-
-    Interval validation failures (non-finite numbers, inverted cores,
-    negative slopes) surface as :class:`ManifestError` so the server can
-    answer a structured 400 instead of a 500.
-    """
-    try:
-        point = str(data["point"])
-        m1, m2, alpha, beta = (float(x) for x in data["value"])
-        value = FuzzyInterval(m1, m2, alpha, beta)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"bad measurement spec {data!r}: {exc}") from None
-    return Measurement(point, value)
 
 
 @dataclass(frozen=True)
@@ -169,10 +147,7 @@ class DiagnosisJob:
         return cls(
             unit=unit,
             netlist_text=text,
-            measurements=tuple(
-                (m.point, m.value.m1, m.value.m2, m.value.alpha, m.value.beta)
-                for m in measurements
-            ),
+            measurements=tuple(m.as_tuple() for m in measurements),
             config=_config_overrides(config),
             confirm=tuple(confirm) if confirm else None,  # type: ignore[arg-type]
             sanitize=_resolve_sanitize(sanitize),
@@ -186,10 +161,7 @@ class DiagnosisJob:
         return parse_netlist(self.netlist_text, name=self.unit or "unit")
 
     def to_measurements(self) -> List[Measurement]:
-        return [
-            Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
-            for point, m1, m2, alpha, beta in self.measurements
-        ]
+        return [Measurement.from_tuple(m) for m in self.measurements]
 
     def flames_config(self) -> FlamesConfig:
         overrides: Dict[str, object] = dict(self.config)
@@ -409,7 +381,7 @@ def job_from_spec(
         raise ManifestError(f"job {unit!r}: bad imprecision: {exc}") from None
 
     # Collect the raw (point, m1, m2, alpha, beta) tuples first.  Under
-    # the strict policy each one must construct a valid FuzzyInterval
+    # the strict policy each one must build a valid Measurement
     # right here (malformed readings → ManifestError → HTTP 400); under
     # "repair" the resilience sanitizer vets them at execution time
     # instead, so a non-finite reading degrades the run rather than
@@ -431,12 +403,12 @@ def job_from_spec(
     if not raw:
         raise ManifestError(f"job {unit!r}: needs 'probes' and/or 'measurements'")
     if sanitize == "strict":
-        for point, m1, m2, alpha, beta in raw:
+        for entry in raw:
             try:
-                FuzzyInterval(m1, m2, alpha, beta)
+                Measurement.from_tuple(entry)
             except ValueError as exc:
                 raise ManifestError(
-                    f"job {unit!r}: bad measurement at {point}: {exc}"
+                    f"job {unit!r}: bad measurement at {entry[0]}: {exc}"
                 ) from None
 
     confirm = None

@@ -54,7 +54,6 @@ from repro.core.diagnosis import Flames
 from repro.core.knowledge import KnowledgeBase
 from repro.core.learning import Episode, ExperienceBase, SymptomSignature
 from repro.core.model import shared_model
-from repro.fuzzy import FuzzyInterval
 from repro.circuit.measurements import Measurement
 from repro.resilience import faults
 from repro.resilience.sanitize import SanitizeReport, sanitize_tuples
@@ -131,10 +130,7 @@ def execute_job(
                     }
             circuit = job.circuit()
             model = shared_model(job.netlist_text)
-            measurements = [
-                Measurement(point, FuzzyInterval(m1, m2, alpha, beta))
-                for point, m1, m2, alpha, beta in raw
-            ]
+            measurements = [Measurement.from_tuple(m) for m in raw]
             engine = Flames(circuit, job.flames_config(), model=model)
             result = engine.diagnose(measurements, ctx=ctx)
             refinements = None

@@ -2,8 +2,8 @@
 
 FLAMES diagnoses from a fixed measurement set; this package turns it
 into a long-lived monitor.  A *source* emits timestamped voltage
-:class:`~repro.stream.sources.Reading` streams (replayed from a
-transient trace or simulated live with a fault injected mid-stream), a
+:class:`~repro.stream.sources.Reading` streams (recorded, or simulated
+live with a fault injected mid-stream), a
 *detector* watches the fuzzy consistency degree (Dc) of each net and
 decides — with hysteresis — when a re-diagnosis is warranted, a
 *snapshot builder* assembles the current measurement set and diffs it
@@ -20,11 +20,10 @@ from repro.stream.detector import DetectorConfig, DriftDetector
 from repro.stream.incremental import IncrementalDiagnosisEngine
 from repro.stream.session import StreamingSession, StreamUpdate
 from repro.stream.snapshot import Snapshot, SnapshotBuilder, SnapshotDiff
-from repro.stream.sources import LiveSimulatorSource, Reading, ReplaySource
+from repro.stream.sources import LiveSimulatorSource, Reading
 
 __all__ = [
     "Reading",
-    "ReplaySource",
     "LiveSimulatorSource",
     "DriftDetector",
     "DetectorConfig",

@@ -1,20 +1,15 @@
 """Reading sources: where the telemetry stream comes from.
 
-A :class:`Reading` is one probe sample — net, time, crisp volts.  The
-two sources both ride on the dynamic-mode machinery of
-``repro.circuit.transient``:
+A :class:`Reading` is one probe sample — net, time, crisp volts.
+:class:`LiveSimulatorSource` rides on the dynamic-mode machinery of
+``repro.circuit.transient``: it runs the backward-Euler solver itself
+and swaps in a faulty clone of the circuit mid-stream, carrying the
+capacitor state across the swap — the "unit degrades while we watch"
+workload the monitoring plane exists for.
 
-* :class:`ReplaySource` walks an already-computed
-  :class:`~repro.circuit.transient.TransientResult`, optionally adding
-  seeded Gaussian instrument noise — deterministic, so tests and the
-  benchmark replay byte-identical streams.
-* :class:`LiveSimulatorSource` runs the backward-Euler solver itself
-  and swaps in a faulty clone of the circuit mid-stream, carrying the
-  capacitor state across the swap — the "unit degrades while we watch"
-  workload the monitoring plane exists for.
-
-Sources are plain iterables of readings in non-decreasing time order;
-the streaming session does not care which kind it was handed.
+A source is any iterable of readings in non-decreasing time order (a
+plain list of recorded readings works); the streaming session does not
+care which kind it was handed.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientResult, TransientSolver, Waveform
 from repro.fuzzy import FuzzyInterval
 
-__all__ = ["Reading", "ReplaySource", "LiveSimulatorSource"]
+__all__ = ["Reading", "LiveSimulatorSource"]
 
 
 @dataclass(frozen=True)
@@ -49,58 +44,6 @@ class Reading:
     def to_measurement(self, imprecision: float = 0.01) -> Measurement:
         """Wrap the sample with the instrument's fuzziness."""
         return Measurement(self.point, FuzzyInterval.number(self.volts, imprecision))
-
-
-class ReplaySource:
-    """Replay a transient trace as a reading stream.
-
-    Each time sample yields one reading per requested net, in the order
-    the nets were given.  ``noise`` adds zero-mean Gaussian jitter from
-    a seeded RNG, so two sources built with the same arguments emit the
-    same stream — determinism the differential tests lean on.
-
-    Args:
-        trace: a finished transient simulation.
-        nets: which nets to report (must exist in the trace's circuit).
-        noise: instrument noise standard deviation in volts.
-        seed: RNG seed for the noise stream.
-        stride: report every ``stride``-th time sample (thins dense
-            traces without changing their shape).
-    """
-
-    def __init__(
-        self,
-        trace: TransientResult,
-        nets: Sequence[str],
-        noise: float = 0.0,
-        seed: int = 0,
-        stride: int = 1,
-    ) -> None:
-        if not nets:
-            raise ValueError("need at least one net to watch")
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if noise < 0:
-            raise ValueError("noise must be non-negative")
-        self.trace = trace
-        self.nets = list(nets)
-        self.noise = noise
-        self.seed = seed
-        self.stride = stride
-
-    def __iter__(self) -> Iterator[Reading]:
-        rng = random.Random(self.seed)
-        for i in range(0, len(self.trace), self.stride):
-            t = self.trace.times[i]
-            op = self.trace.points[i]
-            for net in self.nets:
-                volts = op.voltage(net)
-                if self.noise:
-                    volts += rng.gauss(0.0, self.noise)
-                yield Reading(t, net, volts)
-
-    def __len__(self) -> int:
-        return len(range(0, len(self.trace), self.stride)) * len(self.nets)
 
 
 class LiveSimulatorSource:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.atms import ATMS, Environment
-from repro.atms.assumptions import Assumption
+from repro.atms import Assumption, Environment
+from tests.atms.reference_atms import ATMS
 
 
 @pytest.fixture

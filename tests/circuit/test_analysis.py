@@ -1,4 +1,4 @@
-"""Tests for tolerance analysis (Monte Carlo, worst case, sweeps)."""
+"""Tests for tolerance analysis (Monte Carlo, worst case)."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.circuit import (
     VoltageSource,
     three_stage_amplifier,
 )
-from repro.circuit.analysis import dc_sweep, monte_carlo, worst_case
+from repro.circuit.analysis import monte_carlo, worst_case
 
 
 def divider(tolerance=0.05):
@@ -98,27 +98,3 @@ class TestWorstCase:
         golden = divider()
         worst_case(golden)
         assert golden.component("Rb").resistance == 1e3
-
-
-class TestDCSweep:
-    def test_transfer_curve_linear_divider(self):
-        curves = dc_sweep(divider(), "Vin", [0.0, 5.0, 10.0], ["mid"])
-        assert curves["mid"] == pytest.approx([0.0, 2.5, 5.0], abs=1e-3)
-
-    def test_source_restored(self):
-        golden = divider()
-        dc_sweep(golden, "Vin", [1.0], ["mid"])
-        assert golden.component("Vin").voltage == 10.0
-
-    def test_sweep_follower_clips_at_cutoff(self):
-        golden = three_stage_amplifier()
-        curves = dc_sweep(golden, "Vcc", [6.0, 12.0, 18.0], ["vs"])
-        assert curves["vs"][0] < curves["vs"][1] < curves["vs"][2]
-
-    def test_requires_voltage_source(self):
-        with pytest.raises(ValueError):
-            dc_sweep(divider(), "Rt", [1.0], ["mid"])
-
-    def test_requires_values(self):
-        with pytest.raises(ValueError):
-            dc_sweep(divider(), "Vin", [], ["mid"])

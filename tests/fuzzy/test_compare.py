@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fuzzy import FuzzyInterval, consistency, possibility, necessity, rank_key
+from repro.fuzzy import FuzzyInterval, consistency, possibility, rank_key
 from repro.fuzzy.compare import Consistency
 
 
@@ -136,22 +136,6 @@ class TestPossibilityNecessity:
         b = FuzzyInterval(3.0, 4.0, 1.5, 0.0)
         # b's rising slope at x=2 has membership (2-1.5)/1.5 = 1/3.
         assert possibility(a, b) == pytest.approx(1.0 / 3.0)
-
-    def test_necessity_one_when_certainly_inside(self):
-        a = FuzzyInterval(4.0, 6.0, 0.5, 0.5)
-        b = FuzzyInterval.crisp_interval(0.0, 10.0)
-        assert necessity(a, b) == pytest.approx(1.0)
-
-    def test_necessity_zero_when_possibly_outside(self):
-        a = FuzzyInterval.crisp_interval(0.0, 10.0)
-        b = FuzzyInterval.crisp_interval(4.0, 6.0)
-        assert necessity(a, b) == pytest.approx(0.0)
-
-    def test_necessity_bounded_by_possibility(self):
-        a = FuzzyInterval(1.0, 2.0, 0.5, 1.5)
-        b = FuzzyInterval(1.5, 2.5, 0.5, 0.5)
-        assert necessity(a, b) <= possibility(a, b) + 1e-9
-
 
 class TestRanking:
     def test_rank_orders_by_centroid(self):

@@ -11,10 +11,10 @@ from repro.server.http import (
     HttpError,
     HttpRequest,
     error_payload,
-    parse_response_bytes,
     read_request,
     render_response,
 )
+from tests.server.wire import parse_response_bytes
 
 
 def parse(raw: bytes, **kwargs):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.server.http import parse_response_bytes
 from tests.cluster.test_gateway import RunningCluster
 from tests.server.test_server import RunningServer
+from tests.server.wire import parse_response_bytes
 
 
 @dataclass

@@ -17,7 +17,7 @@ from repro.service.jobs import (
     ManifestError,
     diagnosis_to_dict,
     load_manifest,
-    measurement_from_dict,
+    job_from_spec,
     measurement_to_dict,
 )
 
@@ -186,11 +186,13 @@ class TestDiagnosisDict:
 
     def test_measurement_dict_round_trip(self):
         m = Measurement("V(mid)", FuzzyInterval(5.9, 6.1, 0.02, 0.04))
-        assert measurement_from_dict(measurement_to_dict(m)) == m
+        spec = {"netlist_text": NETLIST, "measurements": [measurement_to_dict(m)]}
+        assert job_from_spec(spec).to_measurements() == [m]
 
     def test_bad_measurement_spec(self):
+        spec = {"netlist_text": NETLIST, "measurements": [{"point": "V(x)", "value": [1, 2]}]}
         with pytest.raises(ManifestError):
-            measurement_from_dict({"point": "V(x)", "value": [1, 2]})
+            job_from_spec(spec)
 
 
 class TestJobResult:

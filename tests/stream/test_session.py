@@ -10,7 +10,7 @@ from repro.stream import (
     DetectorConfig,
     DriftDetector,
     LiveSimulatorSource,
-    ReplaySource,
+    Reading,
     SnapshotBuilder,
     StreamingSession,
 )
@@ -101,7 +101,13 @@ class TestReplayAndChaos:
     def test_replay_source_drives_a_session(self):
         circuit = resistor_ladder(SECTIONS)
         trace = TransientSolver(circuit, None, dt=1e-3).run(0.004)
-        updates = list(make_session(ReplaySource(trace, NETS)).run())
+        # A recorded trace is a plain list of readings: any iterable will do.
+        readings = [
+            Reading(t, net, op.voltage(net))
+            for t, op in zip(trace.times, trace.points)
+            for net in NETS
+        ]
+        updates = list(make_session(readings).run())
         assert len(updates) == 1 and updates[0].consistent
 
     def test_reading_drop_thins_the_stream(self):

@@ -5,15 +5,10 @@ import pytest
 from repro.circuit.faults import Fault, FaultKind
 from repro.circuit.generators import resistor_ladder
 from repro.circuit.library import rc_lowpass
-from repro.circuit.transient import TransientSolver, step_waveform
-from repro.stream import LiveSimulatorSource, Reading, ReplaySource
+from repro.circuit.transient import step_waveform
+from repro.stream import LiveSimulatorSource, Reading
 
 LADDER_NETS = ["n1", "n2", "n3"]
-
-
-def ladder_trace(sections=3, duration=0.005, dt=1e-3):
-    circuit = resistor_ladder(sections)
-    return TransientSolver(circuit, None, dt=dt).run(duration)
 
 
 class TestReading:
@@ -26,50 +21,6 @@ class TestReading:
         assert m.point == "V(n1)"
         assert m.value.membership(5.0) == pytest.approx(1.0)
         assert m.value.membership(5.2) == pytest.approx(0.0)
-
-
-class TestReplaySource:
-    def test_one_reading_per_net_per_sample(self):
-        trace = ladder_trace()
-        source = ReplaySource(trace, LADDER_NETS)
-        readings = list(source)
-        assert len(readings) == len(source) == len(trace) * len(LADDER_NETS)
-        first_frame = readings[: len(LADDER_NETS)]
-        assert [r.net for r in first_frame] == LADDER_NETS
-        assert len({r.t for r in first_frame}) == 1
-
-    def test_times_non_decreasing(self):
-        readings = list(ReplaySource(ladder_trace(), LADDER_NETS))
-        times = [r.t for r in readings]
-        assert times == sorted(times)
-
-    def test_noise_is_seed_deterministic(self):
-        trace = ladder_trace()
-        a = list(ReplaySource(trace, LADDER_NETS, noise=0.05, seed=7))
-        b = list(ReplaySource(trace, LADDER_NETS, noise=0.05, seed=7))
-        c = list(ReplaySource(trace, LADDER_NETS, noise=0.05, seed=8))
-        assert a == b
-        assert a != c
-        clean = list(ReplaySource(trace, LADDER_NETS))
-        assert a != clean  # the noise actually perturbs something
-
-    def test_stride_thins_the_stream(self):
-        trace = ladder_trace()
-        full = list(ReplaySource(trace, LADDER_NETS))
-        thin = ReplaySource(trace, LADDER_NETS, stride=2)
-        readings = list(thin)
-        assert len(readings) == len(thin) < len(full)
-        # Strided frames are a subset of the full stream's frames.
-        assert {r.t for r in readings} <= {r.t for r in full}
-
-    def test_validation(self):
-        trace = ladder_trace()
-        with pytest.raises(ValueError):
-            ReplaySource(trace, [])
-        with pytest.raises(ValueError):
-            ReplaySource(trace, LADDER_NETS, stride=0)
-        with pytest.raises(ValueError):
-            ReplaySource(trace, LADDER_NETS, noise=-0.1)
 
 
 class TestLiveSimulatorSource:
