@@ -66,7 +66,7 @@ _TABLES = {
     "scaling": lambda ex: ex.format_scaling(),
     "strategy": lambda ex: ex.format_strategy_eval(),
     "learning": lambda ex: ex.format_learning_eval(),
-    "multifault": lambda ex: ex.format_multifault(),
+    "multifault": lambda ex: ex.format_multifault(ex.run_multifault()),
     "dynamic": lambda ex: ex.format_dynamic_eval(),
     "ablations": lambda ex: ex.ablations.format_ablation(),
     "atms-growth": lambda ex: ex.format_atms_growth(),
@@ -513,8 +513,9 @@ def _cmd_corpus_generate(args: argparse.Namespace) -> int:
 
 
 def _corpus_table(report) -> str:
-    lines = [f"  {'class':<20}{'n':>6}{'top1':>8}{'top3':>8}{'top5':>8}"
-             f"{'mrank':>8}{'lowdeg':>8}{'p50ms':>9}{'p95ms':>9}"]
+    columns = [f"top{k}" for k in report.top_k]
+    lines = [f"  {'class':<20}{'n':>6}" + "".join(f"{c:>8}" for c in columns)
+             + f"{'mrank':>8}{'lowdeg':>8}{'p50ms':>9}{'p95ms':>9}"]
     classes = report.stats()
     for name in sorted(classes, key=lambda c: (c == "overall", c)):
         acc = classes[name].accuracy_dict()
@@ -522,9 +523,8 @@ def _corpus_table(report) -> str:
         mean_rank = acc["mean_rank"]
         lines.append(
             f"  {name:<20}{acc['n']:>6}"
-            f"{acc.get('top1', 0.0):>8.3f}{acc.get('top3', 0.0):>8.3f}"
-            f"{acc.get('top5', 0.0):>8.3f}"
-            f"{(f'{mean_rank:.2f}' if mean_rank is not None else '-'):>8}"
+            + "".join(f"{acc.get(c, 0.0):>8.3f}" for c in columns)
+            + f"{(f'{mean_rank:.2f}' if mean_rank is not None else '-'):>8}"
             f"{acc['low_degree_rate']:>8.3f}"
             f"{lat['p50_ms']:>9.1f}{lat['p95_ms']:>9.1f}"
         )
@@ -535,6 +535,7 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
     import time
 
     from repro.corpus import CorpusManifest, check_floor, generate_corpus, run_corpus
+    from repro.corpus.harness import check_top_k
 
     if args.manifest:
         try:
@@ -552,6 +553,7 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
             return 2
     try:
         top_k = tuple(int(k) for k in args.top_k.split(",") if k.strip())
+        check_top_k(top_k)
     except ValueError as exc:
         print(f"bad --top-k: {exc}", file=sys.stderr)
         return 2

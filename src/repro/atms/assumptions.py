@@ -36,10 +36,6 @@ class Environment:
     assumptions: FrozenSet[Assumption] = field(default_factory=frozenset)
 
     @classmethod
-    def of(cls, *assumptions: Assumption) -> "Environment":
-        return cls(frozenset(assumptions))
-
-    @classmethod
     def empty(cls) -> "Environment":
         return _EMPTY
 
@@ -58,9 +54,6 @@ class Environment:
 
     def contains(self, assumption: Assumption) -> bool:
         return assumption in self.assumptions
-
-    def without(self, assumption: Assumption) -> "Environment":
-        return Environment(self.assumptions - {assumption})
 
     @property
     def size(self) -> int:

@@ -23,6 +23,12 @@ __all__ = ["WeightedNogood", "NogoodDatabase", "admitted_conflicts", "fold_confl
 #: One logged conflict as plain data: (component names, conflict degree).
 Conflict = Tuple[AbstractSet[str], float]
 
+#: Nogood degree at and above which an environment is outright
+#: inconsistent.  As in the classic ATMS only frank conflicts kill
+#: environments, which is exactly the FLAMES behaviour: partial conflicts
+#: rank candidates without pruning.
+HARD_THRESHOLD = 1.0
+
 
 @dataclass(frozen=True)
 class WeightedNogood:
@@ -40,18 +46,9 @@ class WeightedNogood:
 
 
 class NogoodDatabase:
-    """Minimal store of weighted nogoods.
+    """Minimal store of weighted nogoods."""
 
-    ``hard_threshold`` decides which nogoods render environments outright
-    inconsistent (removed from ATMS labels): the classic ATMS uses 1.0 so
-    only frank conflicts kill environments, which is exactly the FLAMES
-    behaviour — partial conflicts rank candidates without pruning.
-    """
-
-    def __init__(self, hard_threshold: float = 1.0) -> None:
-        if not 0.0 < hard_threshold <= 1.0:
-            raise ValueError("hard threshold must be in (0, 1]")
-        self.hard_threshold = hard_threshold
+    def __init__(self) -> None:
         self._store: Dict[Environment, float] = {}
 
     def __len__(self) -> int:
@@ -84,17 +81,10 @@ class NogoodDatabase:
         return changed or bool(doomed)
 
     def is_inconsistent(self, environment: Environment) -> bool:
-        """True when a hard nogood is a subset of ``environment``."""
+        """True when a nogood at :data:`HARD_THRESHOLD` is a subset of ``environment``."""
         return any(
-            d >= self.hard_threshold and env.is_subset(environment)
+            d >= HARD_THRESHOLD and env.is_subset(environment)
             for env, d in self._store.items()
-        )
-
-    def conflict_degree(self, environment: Environment) -> float:
-        """Strongest degree at which ``environment`` is known to conflict."""
-        return max(
-            (d for env, d in self._store.items() if env.is_subset(environment)),
-            default=0.0,
         )
 
     def minimal(self, threshold: float = 0.0) -> List[WeightedNogood]:
@@ -106,17 +96,6 @@ class NogoodDatabase:
         ]
         found.sort(key=lambda n: (-n.degree, n.environment.size, repr(n.environment)))
         return found
-
-    def hard(self) -> List[WeightedNogood]:
-        """The nogoods at or above the hard threshold."""
-        return self.minimal(self.hard_threshold)
-
-    def merge(self, others: Iterable[WeightedNogood]) -> None:
-        for nogood in others:
-            self.add(nogood.environment, nogood.degree)
-
-    def clear(self) -> None:
-        self._store.clear()
 
 
 def admitted_conflicts(conflicts: Iterable[Conflict], threshold: float) -> Iterator[Conflict]:

@@ -43,12 +43,6 @@ class Interval:
         spread = abs(value) * tolerance
         return cls(value - spread, value + spread)
 
-    @classmethod
-    def from_fuzzy(cls, fz: FuzzyInterval) -> "Interval":
-        """The support of a fuzzy interval — what crispification keeps."""
-        lo, hi = fz.support
-        return cls(lo, hi)
-
     def to_fuzzy(self) -> FuzzyInterval:
         return FuzzyInterval.crisp_interval(self.lo, self.hi)
 
@@ -57,10 +51,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x: "Interval | float") -> bool:
         if isinstance(x, Interval):
             return self.lo <= x.lo and x.hi <= self.hi
@@ -68,11 +58,6 @@ class Interval:
 
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        if not self.intersects(other):
-            return None
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))

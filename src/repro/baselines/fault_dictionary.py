@@ -24,6 +24,10 @@ from repro.core.model import CircuitModel
 
 __all__ = ["DictionaryEntry", "DictionaryMatch", "FaultDictionary", "dictionary_faults"]
 
+#: RMS distance (volts) from the healthy signature within which a unit
+#: is declared healthy.
+HEALTHY_MARGIN = 0.05
+
 
 def dictionary_faults(circuit: Circuit) -> List[Tuple[str, str, Fault]]:
     """The tabulated hypotheses: every component's common fault modes.
@@ -102,21 +106,19 @@ class FaultDictionary:
         return len(self.entries)
 
     # ------------------------------------------------------------------
-    def lookup(
-        self, readings: Sequence[float], healthy_margin: float = 0.05
-    ) -> DictionaryMatch:
+    def lookup(self, readings: Sequence[float]) -> DictionaryMatch:
         """Nearest tabulated signature to the measured one.
 
-        ``healthy_margin`` (volts, RMS) decides when the unit is declared
-        healthy instead.  This is the whole diagnostic procedure — no
-        reasoning, no degrees, no explanation.
+        Within :data:`HEALTHY_MARGIN` of the healthy signature the unit
+        is declared healthy instead.  This is the whole diagnostic
+        procedure — no reasoning, no degrees, no explanation.
         """
         if len(readings) != len(self.probes):
             raise ValueError(
                 f"expected {len(self.probes)} readings, got {len(readings)}"
             )
         healthy_distance = _rms(readings, self.healthy_signature)
-        if healthy_distance <= healthy_margin:
+        if healthy_distance <= HEALTHY_MARGIN:
             return DictionaryMatch("", "", healthy_distance)
         best: Optional[DictionaryMatch] = None
         for entry in self.entries:
@@ -127,8 +129,8 @@ class FaultDictionary:
             return DictionaryMatch("", "", healthy_distance)
         return best
 
-    def lookup_op(self, op: OperatingPoint, healthy_margin: float = 0.05) -> DictionaryMatch:
-        return self.lookup(self._signature(op.voltages), healthy_margin)
+    def lookup_op(self, op: OperatingPoint) -> DictionaryMatch:
+        return self.lookup(self._signature(op.voltages))
 
 
 def _rms(a: Sequence[float], b: Sequence[float]) -> float:

@@ -20,6 +20,9 @@ from repro.core.diagnosis import DiagnosisResult, Flames
 
 __all__ = ["shannon_entropy", "GdeTestPlanner", "RandomProbePlanner", "CrispTest"]
 
+#: A priori fault probability of every component.
+PRIOR = 0.02
+
 
 def shannon_entropy(probabilities: Sequence[float]) -> float:
     """``-sum p log2 p`` over independent per-component fault bits."""
@@ -48,16 +51,14 @@ class CrispTest:
 class GdeTestPlanner:
     """Minimum expected Shannon entropy probe selection.
 
-    Components get a prior fault probability; nogood membership raises
-    the posterior (scaled by suspicion degree, so FLAMES's fuzzy output
-    can feed this planner for an apples-to-apples comparison).
+    Components get the prior fault probability :data:`PRIOR`; nogood
+    membership raises the posterior (scaled by suspicion degree, so
+    FLAMES's fuzzy output can feed this planner for an apples-to-apples
+    comparison).
     """
 
-    def __init__(self, engine: Flames, prior: float = 0.02) -> None:
-        if not 0.0 < prior < 1.0:
-            raise ValueError("prior must be in (0, 1)")
+    def __init__(self, engine: Flames) -> None:
         self.engine = engine
-        self.prior = prior
 
     # ------------------------------------------------------------------
     def probabilities(self, result: DiagnosisResult) -> Dict[str, float]:
@@ -67,7 +68,7 @@ class GdeTestPlanner:
             suspicion = result.suspicions.get(comp.name, 0.0)
             # Implicated components move from the prior toward certainty
             # proportionally to how seriously they are implicated.
-            posteriors[comp.name] = self.prior + (0.5 - self.prior) * suspicion
+            posteriors[comp.name] = PRIOR + (0.5 - PRIOR) * suspicion
         return posteriors
 
     def system_entropy(self, result: DiagnosisResult) -> float:

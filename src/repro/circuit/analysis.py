@@ -16,7 +16,6 @@ against them:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,11 +50,6 @@ class MonteCarloResult:
     def mean(self, net: str) -> float:
         values = self.voltages[net]
         return sum(values) / len(values)
-
-    def std(self, net: str) -> float:
-        values = self.voltages[net]
-        mu = self.mean(net)
-        return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
 
     def minimum(self, net: str) -> float:
         return min(self.voltages[net])

@@ -121,10 +121,6 @@ class Constraint:
         #: this constraint even when they are not among its own variables.
         self.guard_variables = tuple(guard_variables)
 
-    def applicable(self, estimates: Dict[str, object]) -> bool:
-        ok, _ = self.applicable_with_environment(estimates)
-        return ok
-
     def applicable_with_environment(
         self, estimates: Dict[str, object]
     ) -> Tuple[bool, FrozenSet[str]]:
@@ -423,15 +419,6 @@ class ConstraintNetwork:
         if name not in self.variables:
             self.variables[name] = Variable(name, kind)
         return self.variables[name]
-
-    @property
-    def component_names(self) -> List[str]:
-        return [c.name for c in self.circuit.components]
-
-    def constraints_on(self, variable_name: str) -> List[Constraint]:
-        return [
-            c for c in self.constraints if variable_name in c.variable_names
-        ]
 
     # ------------------------------------------------------------------
     def _build(self) -> None:

@@ -23,6 +23,13 @@ __all__ = [
     "bridge_cascade",
 ]
 
+#: Source voltage of the ladder, mesh and bridge families.
+SUPPLY = 10.0
+#: Source voltage at the root of the divider tree.
+TREE_SUPPLY = 12.0
+#: Input voltage of the amplifier chain.
+CHAIN_INPUT = 1.0
+
 
 def _pick(rng: Optional[random.Random], nominal: float, lo: float, hi: float) -> float:
     """Nominal when unseeded, a draw from [lo, hi] when ``rng`` is given."""
@@ -31,7 +38,6 @@ def _pick(rng: Optional[random.Random], nominal: float, lo: float, hi: float) ->
 
 def resistor_ladder(
     sections: int,
-    supply: float = 10.0,
     tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
@@ -44,7 +50,7 @@ def resistor_ladder(
     if sections < 1:
         raise ValueError("need at least one ladder section")
     ckt = Circuit(f"ladder-{sections}")
-    ckt.add(VoltageSource("Vin", supply, p="in", n=GROUND))
+    ckt.add(VoltageSource("Vin", SUPPLY, p="in", n=GROUND))
     prev = "in"
     for i in range(1, sections + 1):
         node = f"n{i}"
@@ -58,7 +64,6 @@ def resistor_ladder(
 
 def amplifier_chain(
     stages: int,
-    input_voltage: float = 1.0,
     tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
@@ -70,7 +75,7 @@ def amplifier_chain(
     if stages < 1:
         raise ValueError("need at least one stage")
     ckt = Circuit(f"amp-chain-{stages}")
-    ckt.add(VoltageSource("Vin", input_voltage, p="s0", n=GROUND))
+    ckt.add(VoltageSource("Vin", CHAIN_INPUT, p="s0", n=GROUND))
     for i in range(1, stages + 1):
         gain = (2.0 if i % 2 else 0.5) if rng is None else rng.uniform(0.5, 2.0)
         ckt.add(Amplifier(f"amp{i}", gain, tolerance, inp=f"s{i-1}", out=f"s{i}"))
@@ -79,7 +84,6 @@ def amplifier_chain(
 
 def divider_tree(
     depth: int,
-    supply: float = 12.0,
     tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
@@ -93,7 +97,7 @@ def divider_tree(
     if depth < 1:
         raise ValueError("depth must be positive")
     ckt = Circuit(f"divider-tree-{depth}")
-    ckt.add(VoltageSource("Vin", supply, p="t", n=GROUND))
+    ckt.add(VoltageSource("Vin", TREE_SUPPLY, p="t", n=GROUND))
     counter = [0]
 
     def grow(parent: str, level: int) -> None:
@@ -115,7 +119,6 @@ def divider_tree(
 def mesh_grid(
     rows: int,
     cols: int,
-    supply: float = 10.0,
     tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
@@ -134,7 +137,7 @@ def mesh_grid(
     def node(r: int, c: int) -> str:
         return f"m{r}c{c}"
 
-    ckt.add(VoltageSource("Vin", supply, p=node(0, 0), n=GROUND))
+    ckt.add(VoltageSource("Vin", SUPPLY, p=node(0, 0), n=GROUND))
     counter = 0
     for r in range(rows):
         for c in range(cols):
@@ -153,7 +156,6 @@ def mesh_grid(
 
 def bridge_cascade(
     sections: int,
-    supply: float = 10.0,
     tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
@@ -168,7 +170,7 @@ def bridge_cascade(
     if sections < 1:
         raise ValueError("need at least one bridge section")
     ckt = Circuit(f"bridge-{sections}")
-    ckt.add(VoltageSource("Vin", supply, p="b0", n=GROUND))
+    ckt.add(VoltageSource("Vin", SUPPLY, p="b0", n=GROUND))
     for i in range(1, sections + 1):
         ckt.add(Resistor(f"Ra{i}", _pick(rng, 10e3, 5e3, 50e3), tolerance,
                          a=f"b{i-1}", b=f"x{i}"))

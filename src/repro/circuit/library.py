@@ -38,9 +38,16 @@ __all__ = [
 
 #: The probe points figure 7 reports on, output first.
 THREE_STAGE_PROBES = ("vs", "v2", "v1")
+#: Figure 2's source voltage at A.
+CASCADE_INPUT = 3.0
+#: Figure 6's supply.
+VCC = 18.0
+#: Per-stage resistance and capacitance of the RC low-pass ladder.
+RC_RESISTANCE = 1e3
+RC_CAPACITANCE = 1e-6
 
 
-def amplifier_cascade(input_voltage: float = 3.0, tolerance: float = 0.05) -> Circuit:
+def amplifier_cascade(tolerance: float = 0.05) -> Circuit:
     """Figure 2: three ideal gain blocks with +/-`tolerance` fuzzy gains.
 
     Topology (from the figure's values): the source drives A; amp1 (gain
@@ -48,7 +55,7 @@ def amplifier_cascade(input_voltage: float = 3.0, tolerance: float = 0.05) -> Ci
     C = 6 V and D = 9 V at nominal.
     """
     ckt = Circuit("amplifier-cascade", description="figure 2 gain cascade")
-    ckt.add(VoltageSource("Va", input_voltage, p="a", n=GROUND))
+    ckt.add(VoltageSource("Va", CASCADE_INPUT, p="a", n=GROUND))
     ckt.add(Amplifier("amp1", 1.0, tolerance, inp="a", out="b"))
     ckt.add(Amplifier("amp2", 2.0, tolerance, inp="b", out="c"))
     ckt.add(Amplifier("amp3", 3.0, tolerance, inp="b", out="d"))
@@ -79,11 +86,7 @@ def diode_resistor_circuit() -> Circuit:
     return ckt
 
 
-def three_stage_amplifier(
-    vcc: float = 18.0,
-    tolerance: float = 0.05,
-    beta_tolerance: float = 0.1,
-) -> Circuit:
+def three_stage_amplifier(tolerance: float = 0.05, beta_tolerance: float = 0.1) -> Circuit:
     """Figure 6: the three-stage amplifier with the published values.
 
     Vcc = 18 V; R1 = 200k, R2 = 12k, R3 = 24k, R4 = 3k, R5 = 2.2k,
@@ -91,7 +94,7 @@ def three_stage_amplifier(
     V1 (stage-1 output), V2 (stage-2 output), Vs (final output).
     """
     ckt = Circuit("three-stage-amplifier", description="figure 6 unit under test")
-    ckt.add(VoltageSource("Vcc", vcc, p="vcc", n=GROUND))
+    ckt.add(VoltageSource("Vcc", VCC, p="vcc", n=GROUND))
     # Stage 1: emitter follower biased by the R1/R3 divider.
     ckt.add(Resistor("R1", 200e3, tolerance, a="vcc", b="n1"))
     ckt.add(Resistor("R3", 24e3, tolerance, a="n1", b=GROUND))
@@ -107,12 +110,7 @@ def three_stage_amplifier(
     return ckt
 
 
-def rc_lowpass(
-    stages: int = 2,
-    resistance: float = 1e3,
-    capacitance: float = 1e-6,
-    tolerance: float = 0.05,
-) -> Circuit:
+def rc_lowpass(stages: int = 2, tolerance: float = 0.05) -> Circuit:
     """An RC low-pass ladder — the dynamic-mode workload.
 
     Each stage is a series resistor into a shunt capacitor; probe nets
@@ -131,7 +129,7 @@ def rc_lowpass(
     prev = "in"
     for i in range(1, stages + 1):
         node = f"m{i}"
-        ckt.add(Resistor(f"R{i}", resistance, tolerance, a=prev, b=node))
-        ckt.add(Capacitor(f"C{i}", capacitance, tolerance, a=node, b=GROUND))
+        ckt.add(Resistor(f"R{i}", RC_RESISTANCE, tolerance, a=prev, b=node))
+        ckt.add(Capacitor(f"C{i}", RC_CAPACITANCE, tolerance, a=node, b=GROUND))
         prev = node
     return ckt

@@ -42,27 +42,16 @@ class Measurement:
         return f"{self.point}={self.value!r}"
 
 
-def probe(
-    op: OperatingPoint,
-    net: str,
-    imprecision: float = 0.01,
-    relative: bool = False,
-) -> Measurement:
+def probe(op: OperatingPoint, net: str, imprecision: float = 0.01) -> Measurement:
     """Measure the voltage of ``net`` with the given instrument imprecision.
 
-    ``imprecision`` is the slope width added on both sides — absolute
-    volts by default, or relative to the reading when ``relative``.
+    ``imprecision`` is the slope width, in volts, added on both sides.
     """
-    reading = op.voltage(net)
-    spread = abs(reading) * imprecision if relative else imprecision
-    return Measurement(f"V({net})", FuzzyInterval.number(reading, spread))
+    return Measurement(f"V({net})", FuzzyInterval.number(op.voltage(net), imprecision))
 
 
 def probe_all(
-    op: OperatingPoint,
-    nets: Sequence[str],
-    imprecision: float = 0.01,
-    relative: bool = False,
+    op: OperatingPoint, nets: Sequence[str], imprecision: float = 0.01
 ) -> List[Measurement]:
     """Measure several nets with the same instrument."""
-    return [probe(op, n, imprecision, relative) for n in nets]
+    return [probe(op, n, imprecision) for n in nets]

@@ -288,7 +288,7 @@ class ClusterGateway(HttpService):
             except Exception:
                 log.exception("gossip round %d failed", round_no)
 
-    def gossip_round(self, round_no: int = 0) -> None:
+    def gossip_round(self, round_no: int) -> None:
         """One full circulation (blocking; also the tests' entry point).
 
         Pass 1 pulls every live replica's snapshot into the ledger;

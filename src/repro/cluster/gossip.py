@@ -219,10 +219,6 @@ class ExperienceGossip:
         with self._lock:
             self.dropped += 1
 
-    def rule_count(self) -> int:
-        with self._lock:
-            return len(self._ledger)
-
     def export(self) -> Dict:
         """The full ledger as an :class:`ExperienceBase` dict.
 

@@ -258,10 +258,6 @@ class Fleet:
     def start(self) -> None:
         pass
 
-    def endpoint_of(self, replica_id: str) -> Optional[str]:
-        replica = self.replicas.get(replica_id)
-        return replica.endpoint if replica is not None else None
-
     def ready_endpoints(self) -> Dict[str, str]:
         return {
             rid: replica.endpoint

@@ -92,15 +92,6 @@ class HashRing:
             positions.append(point)
         self._nodes[node] = tuple(positions)
 
-    def remove(self, node: str) -> None:
-        """Drop ``node``; its keys shift to their next-clockwise owners."""
-        if node not in self._nodes:
-            return
-        del self._nodes[node]
-        keep = [(p, o) for p, o in zip(self._points, self._owners) if o != node]
-        self._points = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------

@@ -65,10 +65,6 @@ class Coincidence:
         return min(dc_complement, 1.0 - self.overlap_possibility)
 
     @property
-    def is_conflicting(self) -> bool:
-        return self.conflict_degree > _EPS
-
-    @property
     def direction(self) -> int:
         """Deviation direction of ``a`` relative to ``b``."""
         return self.a_in_b.direction

@@ -82,23 +82,9 @@ class DiagnosisResult:
         """No conflict above the engine threshold: the unit looks healthy."""
         return not self.nogoods
 
-    def initial_suspects(self, point: str) -> FrozenSet[str]:
-        """Components supporting the prediction at a probe point.
-
-        For a single-path circuit this is "all the modules" upstream of
-        the probe — the paper's starting candidate set.
-        """
-        return self.prediction_support.get(point, frozenset())
-
     def ranked_components(self) -> List[Tuple[str, float]]:
         """(component, suspicion) pairs, most suspect first."""
         return sorted(self.suspicions.items(), key=lambda kv: (-kv[1], kv[0]))
-
-    def consistency_row(self, points: Sequence[str]) -> Dict[str, float]:
-        """Signed Dc per probe point — one row of the figure-7 table."""
-        return {
-            p: self.consistencies[p].signed for p in points if p in self.consistencies
-        }
 
 
 class Flames:

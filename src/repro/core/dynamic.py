@@ -57,12 +57,6 @@ class DynamicDiagnosisResult:
     def is_consistent(self) -> bool:
         return not self.nogoods
 
-    def worst_sample(self) -> Optional[Tuple[str, float]]:
-        """The (net, time) sample with the lowest Dc, or None if clean."""
-        if not self.consistencies:
-            return None
-        return min(self.consistencies, key=lambda k: self.consistencies[k].degree)
-
 
 class DynamicDiagnoser:
     """Step-response diagnosis of one circuit.

@@ -31,6 +31,10 @@ __all__ = [
     "rule_identity",
 ]
 
+#: Signature similarity at which a learned rule fires: 1.0 fires exact
+#: matches only, lower values allow analogical matches.
+MIN_SIMILARITY = 1.0
+
 #: Consistency buckets: fully consistent / slightly off / partial / frank.
 _BUCKETS = (
     (0.999, "consistent"),
@@ -195,30 +199,20 @@ class ExperienceBase:
         return self.record(Episode(SymptomSignature.from_result(result), component, mode))
 
     # ------------------------------------------------------------------
-    def suggest(
-        self,
-        signature: SymptomSignature,
-        min_similarity: float = 1.0,
-    ) -> List[Tuple[LearnedRule, float]]:
+    def suggest(self, signature: SymptomSignature) -> List[Tuple[LearnedRule, float]]:
         """Rules matching a new symptom signature, best first.
 
         Each hit is returned with its effective weight
-        ``min(similarity, certainty)``; with the default threshold only
-        exact signature matches fire, lower thresholds allow analogical
-        matches.
+        ``min(similarity, certainty)``; a rule fires at
+        :data:`MIN_SIMILARITY` or above.
         """
         hits: List[Tuple[LearnedRule, float]] = []
         for rule in self.rules:
             similarity = rule.signature.similarity(signature)
-            if similarity >= min_similarity:
+            if similarity >= MIN_SIMILARITY:
                 hits.append((rule, min(similarity, rule.certainty)))
         hits.sort(key=lambda rw: (-rw[1], rw[0].component))
         return hits
-
-    def suggest_for_result(
-        self, result: DiagnosisResult, min_similarity: float = 1.0
-    ) -> List[Tuple[LearnedRule, float]]:
-        return self.suggest(SymptomSignature.from_result(result), min_similarity)
 
     # ------------------------------------------------------------------
     def merge(self, other: "ExperienceBase") -> "ExperienceBase":
@@ -293,10 +287,7 @@ class ExperienceBase:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def boost_suspicions(
-        self,
-        suspicions: Dict[str, float],
-        signature: SymptomSignature,
-        min_similarity: float = 1.0,
+        self, suspicions: Dict[str, float], signature: SymptomSignature
     ) -> Dict[str, float]:
         """Re-rank suspicions using learned rules.
 
@@ -308,6 +299,6 @@ class ExperienceBase:
         a component with zero suspicion gains at most the rule weight.
         """
         boosted = dict(suspicions)
-        for rule, weight in self.suggest(signature, min_similarity):
+        for rule, weight in self.suggest(signature):
             boosted[rule.component] = boosted.get(rule.component, 0.0) + weight
         return boosted

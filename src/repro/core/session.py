@@ -158,10 +158,6 @@ class TroubleshootingSession:
             self.result.suspicions, self.measurements, top_k=top_k
         )
 
-    def matching_experience(self) -> List[Tuple[LearnedRule, float]]:
-        """Learned rules whose symptom signature matches this unit."""
-        return self.experience.suggest(self.signature())
-
     # ------------------------------------------------------------------
     # Next test
     # ------------------------------------------------------------------
@@ -191,11 +187,3 @@ class TroubleshootingSession:
                 lines.append(f"  {action.point}: {action.action} ({action.reason})")
             text += "\n".join(lines)
         return text
-
-    def next_unit(self) -> None:
-        """Start on a fresh unit under test (experience is kept)."""
-        from repro.resilience.sanitize import SanitizeReport
-
-        self.measurements = []
-        self._result = None
-        self.sanitize_report = SanitizeReport()

@@ -45,10 +45,6 @@ class FuzzyValue:
     from_seed: bool = False
 
     @property
-    def is_measurement(self) -> bool:
-        return self.source == "measurement"
-
-    @property
     def is_seed(self) -> bool:
         return self.source == "seed"
 

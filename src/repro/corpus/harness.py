@@ -41,10 +41,18 @@ __all__ = [
     "CorpusReport",
     "run_corpus",
     "check_floor",
+    "check_top_k",
     "DEFAULT_TOP_K",
 ]
 
 DEFAULT_TOP_K: Tuple[int, ...] = (1, 3, 5)
+
+
+def check_top_k(top_k: Sequence[int]) -> None:
+    """A top-k cut-off counts the true fault among the first k: k >= 1."""
+    bad = [k for k in top_k if k < 1]
+    if bad:
+        raise ValueError(f"top-k cut-offs must be at least 1, got {bad}")
 
 
 @dataclass
@@ -193,6 +201,7 @@ def run_corpus(
     up.  Scenario content is unique by construction, so the result
     cache never short-circuits a measurement.
     """
+    check_top_k(top_k)
     for kernel in kernels:
         if kernel != FlamesConfig.kernel:
             raise ValueError(f"unknown kernel {kernel!r}; the engine is {FlamesConfig.kernel!r}")

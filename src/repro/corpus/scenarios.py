@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.circuit.faults import Fault
 from repro.circuit.measurements import Measurement, MeasurementTuple
@@ -108,19 +108,6 @@ class CorpusManifest:
 
     def __len__(self) -> int:
         return len(self.scenarios)
-
-    def by_class(self) -> Dict[str, List[Scenario]]:
-        """Scenarios grouped by class, in manifest order."""
-        grouped: Dict[str, List[Scenario]] = {}
-        for s in self.scenarios:
-            grouped.setdefault(s.scenario_class, []).append(s)
-        return grouped
-
-    def select(self, classes: Optional[Sequence[str]] = None) -> List[Scenario]:
-        if classes is None:
-            return list(self.scenarios)
-        wanted = set(classes)
-        return [s for s in self.scenarios if s.scenario_class in wanted]
 
     def to_dict(self) -> Dict:
         return {

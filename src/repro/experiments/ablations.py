@@ -32,6 +32,17 @@ __all__ = [
     "format_ablation",
 ]
 
+#: The conflict thresholds the threshold ablation sweeps.
+THRESHOLDS = (0.01, 0.05, 0.2, 0.5)
+#: The fixed three-component system the entropy forms are compared on.
+ESTIMATIONS = (
+    FuzzyInterval(0.2, 0.3, 0.05, 0.05),
+    FuzzyInterval(0.5, 0.5, 0.1, 0.1),
+    FuzzyInterval(0.8, 0.9, 0.05, 0.05),
+)
+#: The linguistic-scale sizes the granularity ablation sweeps.
+GRANULARITIES = (3, 5, 7, 9)
+
 
 def _scenario_measurements(scenario: Figure7Scenario, imprecision: float = 0.02):
     golden = three_stage_amplifier()
@@ -40,12 +51,11 @@ def _scenario_measurements(scenario: Figure7Scenario, imprecision: float = 0.02)
 
 
 def run_threshold_ablation(
-    thresholds: Sequence[float] = (0.01, 0.05, 0.2, 0.5),
     scenarios: Sequence[Figure7Scenario] = FIGURE7_SCENARIOS,
 ) -> List[Tuple[float, int, int]]:
     """(threshold, faults detected, total nogoods) over the scenarios."""
     rows = []
-    for threshold in thresholds:
+    for threshold in THRESHOLDS:
         engine = Flames(
             three_stage_amplifier(), FlamesConfig(conflict_threshold=threshold)
         )
@@ -59,33 +69,24 @@ def run_threshold_ablation(
     return rows
 
 
-def run_entropy_form_ablation(
-    estimations: Sequence[FuzzyInterval] = (
-        FuzzyInterval(0.2, 0.3, 0.05, 0.05),
-        FuzzyInterval(0.5, 0.5, 0.1, 0.1),
-        FuzzyInterval(0.8, 0.9, 0.05, 0.05),
-    ),
-) -> List[Tuple[str, float, float]]:
+def run_entropy_form_ablation() -> List[Tuple[str, float, float]]:
     """(form, entropy centroid, entropy width) for a fixed system."""
     rows = []
     for name, term in (
         ("extension-principle", entropy_term),
         ("paper product form", entropy_term_product_form),
     ):
-        ent = fuzzy_entropy(estimations, term=term)
+        ent = fuzzy_entropy(ESTIMATIONS, term=term)
         rows.append((name, ent.centroid, ent.width))
     return rows
 
 
-def run_granularity_ablation(
-    granularities: Sequence[int] = (3, 5, 7, 9),
-    scenario: Figure7Scenario = FIGURE7_SCENARIOS[0],
-) -> List[Tuple[int, str, float]]:
-    """(granularity, recommended probe, expected-entropy score)."""
+def run_granularity_ablation() -> List[Tuple[int, str, float]]:
+    """(granularity, recommended probe, expected-entropy score) on scenario 1."""
     engine = Flames(three_stage_amplifier())
-    result = engine.diagnose(_scenario_measurements(scenario))
+    result = engine.diagnose(_scenario_measurements(FIGURE7_SCENARIOS[0]))
     rows = []
-    for granularity in granularities:
+    for granularity in GRANULARITIES:
         planner = BestTestPlanner(engine, scale=faultiness_scale(granularity))
         best = planner.best(result)
         rows.append(

@@ -24,6 +24,13 @@ from repro.experiments.runner import format_table
 
 __all__ = ["GrowthRow", "run_atms_growth", "format_atms_growth"]
 
+#: How many simultaneous conflicts the sweep considers, row by row.
+CONFLICT_COUNTS = (2, 4, 6, 8, 10)
+#: Assumptions in play (at least two per conflict).
+ASSUMPTIONS_COUNT = 16
+#: A defensive bound on the interpretation count.
+INTERPRETATION_LIMIT = 100_000
+
 
 @dataclass(frozen=True)
 class GrowthRow:
@@ -54,20 +61,16 @@ def _disjoint_nogoods(
     return db
 
 
-def run_atms_growth(
-    conflict_counts: Sequence[int] = (2, 4, 6, 8, 10),
-    assumptions_count: int = 16,
-    interpretation_limit: int = 100_000,
-) -> List[GrowthRow]:
+def run_atms_growth() -> List[GrowthRow]:
     """Sweep the number of simultaneous conflicts under consideration."""
     rows: List[GrowthRow] = []
-    for conflicts in conflict_counts:
-        n = max(assumptions_count, 2 * conflicts)
+    for conflicts in CONFLICT_COUNTS:
+        n = max(ASSUMPTIONS_COUNT, 2 * conflicts)
         assumptions = [Assumption(f"c{i}", f"c{i}") for i in range(n)]
         db = _disjoint_nogoods(assumptions, conflicts)
 
         start = time.perf_counter()
-        maximal = interpretations(assumptions, db, limit=interpretation_limit)
+        maximal = interpretations(assumptions, db, limit=INTERPRETATION_LIMIT)
         interp_seconds = time.perf_counter() - start
 
         start = time.perf_counter()

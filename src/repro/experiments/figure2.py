@@ -28,6 +28,9 @@ __all__ = ["run_figure2", "run_figure2_masking", "format_figure2"]
 #: The paper's amplifiers: gains 1/2/3, each with an absolute 0.05 spread.
 GAINS = (1.0, 2.0, 3.0)
 SPREAD = 0.05
+#: The masking demonstration: amp2's faulty gain and the Vc it produces.
+FAULTY_GAIN = 1.8
+MEASURED_VC = 5.6
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,7 @@ def run_figure2() -> List[PropagationRow]:
     ]
 
 
-def run_figure2_masking(
-    faulty_gain: float = 1.8, measured_vc: float = 5.6
-) -> List[MaskingOutcome]:
+def run_figure2_masking() -> List[MaskingOutcome]:
     """The crisp-masks / fuzzy-exposes comparison.
 
     Backward inference follows the paper: ``Vb = Vc / gain2``, ``Va =
@@ -83,7 +84,7 @@ def run_figure2_masking(
     """
     outcomes = []
     # Crisp representation: measured Vc is a point; amp gains are bands.
-    vb_crisp = Interval.point(measured_vc) / Interval.point(faulty_gain)
+    vb_crisp = Interval.point(MEASURED_VC) / Interval.point(FAULTY_GAIN)
     va_crisp = vb_crisp / Interval(GAINS[0] - SPREAD, GAINS[0] + SPREAD)
     measured_va_crisp = Interval(2.95, 3.05)
     masked = va_crisp.intersects(measured_va_crisp)
@@ -97,7 +98,7 @@ def run_figure2_masking(
         )
     )
     # Fuzzy representation: the same chain with membership degrees.
-    vb_fuzzy = FuzzyInterval.crisp(measured_vc) / FuzzyInterval.crisp(faulty_gain)
+    vb_fuzzy = FuzzyInterval.crisp(MEASURED_VC) / FuzzyInterval.crisp(FAULTY_GAIN)
     va_fuzzy = vb_fuzzy / FuzzyInterval.number(GAINS[0], SPREAD)
     measured_va_fuzzy = FuzzyInterval.number(3.0, SPREAD)
     degree = consistency(measured_va_fuzzy, va_fuzzy).degree

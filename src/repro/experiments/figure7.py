@@ -41,6 +41,8 @@ __all__ = ["Figure7Scenario", "Figure7Row", "FIGURE7_SCENARIOS", "run_figure7", 
 
 #: Probe points of the figure-7 table (output first, as the paper probes).
 PROBES = ("V(vs)", "V(v2)", "V(v1)")
+#: Fault-mode refinements kept per scenario.
+REFINE_TOP_K = 5
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,6 @@ class Figure7Row:
         return cells
 
     @property
-    def initial_suspects(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.result.initial_suspects("V(vs)")))
-
-    @property
     def candidates(self) -> Tuple[str, ...]:
         """Single-fault candidates, best first (suspicion order)."""
         return tuple(name for name, _ in self.result.ranked_components())
@@ -139,16 +137,10 @@ class Figure7Row:
     def detected(self) -> bool:
         return not self.result.is_consistent
 
-    @property
-    def stage_localised(self) -> bool:
-        """The injected component appears among the candidates."""
-        return self.scenario.fault.component in self.candidates
-
 
 def run_figure7(
     scenarios: Sequence[Figure7Scenario] = FIGURE7_SCENARIOS,
     imprecision: float = 0.02,
-    refine_top_k: int = 5,
 ) -> List[Figure7Row]:
     golden = three_stage_amplifier()
     engine = Flames(golden)
@@ -160,7 +152,7 @@ def run_figure7(
         measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=imprecision)
         result = engine.diagnose(measurements)
         refinements = knowledge.refine(
-            result.suspicions, measurements, top_k=refine_top_k
+            result.suspicions, measurements, top_k=REFINE_TOP_K
         )
         rows.append(Figure7Row(scenario, result, refinements))
     return rows

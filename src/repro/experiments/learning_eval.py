@@ -11,7 +11,7 @@ the candidate ordering before and after, plus the rule certainties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.library import three_stage_amplifier
@@ -51,17 +51,14 @@ def _rank_of(suspicions: Dict[str, float], culprit: str) -> Optional[int]:
     return None
 
 
-def run_learning_eval(
-    episodes: Sequence[Tuple[str, Fault]] = TRAINING_FAULTS,
-    imprecision: float = 0.02,
-) -> List[LearningRow]:
+def run_learning_eval(imprecision: float = 0.02) -> List[LearningRow]:
     golden = three_stage_amplifier()
     engine = Flames(golden)
     experience = ExperienceBase()
 
     # Phase 1: diagnose and record each confirmed episode.
     results = []
-    for culprit, fault in episodes:
+    for culprit, fault in TRAINING_FAULTS:
         op = DCSolver(apply_fault(golden, fault)).solve()
         measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=imprecision)
         result = engine.diagnose(measurements)

@@ -14,7 +14,7 @@ to manage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.circuit.faults import Fault, FaultKind, apply_faults
 from repro.circuit.library import amplifier_cascade
@@ -24,6 +24,9 @@ from repro.core.diagnosis import DiagnosisResult, Flames, FlamesConfig
 from repro.experiments.runner import format_table
 
 __all__ = ["MultiFaultOutcome", "run_multifault", "format_multifault"]
+
+#: The candidate-size bounds the double defect is diagnosed under.
+MAX_SIZES = (1, 2, 3)
 
 #: The double defect: amp2's gain sags, amp3's gain rises.
 DOUBLE_FAULT: Tuple[Fault, Fault] = (
@@ -45,14 +48,9 @@ class MultiFaultOutcome:
     def pair_found(self) -> bool:
         return ("amp2", "amp3") in self.candidate_sets
 
-    @property
-    def single_fault_explains(self) -> bool:
-        return any(len(c) == 1 for c in self.candidate_sets)
-
 
 def run_multifault(
     faults: Sequence[Fault] = DOUBLE_FAULT,
-    max_sizes: Sequence[int] = (1, 2, 3),
     imprecision: float = 0.02,
 ) -> List[MultiFaultOutcome]:
     """Diagnose the double defect under different cardinality bounds."""
@@ -60,7 +58,7 @@ def run_multifault(
     op = DCSolver(apply_faults(golden, faults)).solve()
     measurements = probe_all(op, ["b", "c", "d"], imprecision=imprecision)
     outcomes = []
-    for max_size in max_sizes:
+    for max_size in MAX_SIZES:
         engine = Flames(golden, FlamesConfig(max_candidate_size=max_size))
         outcomes.append(
             MultiFaultOutcome(engine.diagnose(measurements), max_size)
@@ -68,8 +66,7 @@ def run_multifault(
     return outcomes
 
 
-def format_multifault(outcomes: Optional[List[MultiFaultOutcome]] = None) -> str:
-    outcomes = outcomes if outcomes is not None else run_multifault()
+def format_multifault(outcomes: List[MultiFaultOutcome]) -> str:
     rows = []
     for o in outcomes:
         rows.append(

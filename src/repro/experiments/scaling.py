@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.baselines.crisp_propagation import CrispDiagnoser
 from repro.circuit.faults import Fault, FaultKind, apply_fault
@@ -29,6 +29,11 @@ from repro.core.diagnosis import Flames
 from repro.experiments.runner import format_table
 
 __all__ = ["ScalingRow", "run_scaling", "format_scaling"]
+
+#: Chain lengths the sweep diagnoses, row by row.
+STAGE_COUNTS = (2, 4, 6, 8, 10)
+#: The middle stage's gain drifts by this factor.
+DRIFT_RATIO = 1.06
 
 
 @dataclass(frozen=True)
@@ -51,18 +56,14 @@ def _relative_spread(interval, nominal: float) -> float:
     return interval.width / abs(nominal)
 
 
-def run_scaling(
-    stage_counts: Sequence[int] = (2, 4, 6, 8, 10),
-    drift_ratio: float = 1.06,
-    imprecision: float = 0.01,
-) -> List[ScalingRow]:
+def run_scaling(imprecision: float = 0.01) -> List[ScalingRow]:
     rows: List[ScalingRow] = []
-    for stages in stage_counts:
+    for stages in STAGE_COUNTS:
         golden = amplifier_chain(stages)
         faulty_component = f"amp{max(1, stages // 2)}"
         nominal_gain = golden.component(faulty_component).gain
         fault = Fault(
-            FaultKind.PARAM, faulty_component, "gain", nominal_gain * drift_ratio
+            FaultKind.PARAM, faulty_component, "gain", nominal_gain * DRIFT_RATIO
         )
         op = DCSolver(apply_fault(golden, fault)).solve()
         probes = [f"s{i}" for i in range(1, stages + 1)]

@@ -55,19 +55,6 @@ class Consistency:
         return float(self.direction) if self.direction else 0.0
 
     @property
-    def is_corroboration(self) -> bool:
-        """The measurement lies entirely within the nominal value."""
-        return self.degree >= 1.0 - _EPS
-
-    @property
-    def is_total_conflict(self) -> bool:
-        return self.degree <= _EPS
-
-    @property
-    def is_partial_conflict(self) -> bool:
-        return _EPS < self.degree < 1.0 - _EPS
-
-    @property
     def conflict_degree(self) -> float:
         """``1 - Dc`` — the degree attached to the resulting nogood."""
         return 1.0 - self.degree

@@ -111,13 +111,6 @@ class FuzzyInterval:
         return cls(value, value, alpha, alpha if beta is None else beta)
 
     @classmethod
-    def triangular(cls, low: float, peak: float, high: float) -> "FuzzyInterval":
-        """A triangular fuzzy number with support ``[low, high]`` and core ``peak``."""
-        if not low <= peak <= high:
-            raise ValueError("triangular requires low <= peak <= high")
-        return cls(peak, peak, peak - low, high - peak)
-
-    @classmethod
     def from_support_core(
         cls, support: Tuple[float, float], core: Tuple[float, float]
     ) -> "FuzzyInterval":
@@ -152,18 +145,6 @@ class FuzzyInterval:
     def core(self) -> Tuple[float, float]:
         """The set ``{x : mu(x) == 1}``."""
         return (self.m1, self.m2)
-
-    @property
-    def is_crisp_number(self) -> bool:
-        return self.m1 == self.m2 and self.alpha == 0.0 and self.beta == 0.0
-
-    @property
-    def is_crisp_interval(self) -> bool:
-        return self.alpha == 0.0 and self.beta == 0.0
-
-    @property
-    def is_fuzzy_number(self) -> bool:
-        return self.m1 == self.m2
 
     @property
     def width(self) -> float:
@@ -210,15 +191,6 @@ class FuzzyInterval:
             return max(0.0, (self.m2 + self.beta - x) / self.beta)
         return 1.0
 
-    def alpha_cut(self, level: float) -> Tuple[float, float]:
-        """The crisp interval ``{x : mu(x) >= level}`` for ``level`` in (0, 1]."""
-        if not 0.0 < level <= 1.0:
-            raise ValueError("alpha-cut level must be in (0, 1]")
-        return (
-            self.m1 - self.alpha * (1.0 - level),
-            self.m2 + self.beta * (1.0 - level),
-        )
-
     def contains(self, other: "FuzzyInterval") -> bool:
         """Fuzzy-set inclusion: ``other``'s membership never exceeds ours.
 
@@ -234,12 +206,6 @@ class FuzzyInterval:
             and self.m1 - _EPS <= other.m1
             and other.m2 <= self.m2 + _EPS
         )
-
-    def blur(self, extra: float) -> "FuzzyInterval":
-        """Widen both slopes by ``extra`` (models added measurement imprecision)."""
-        if extra < 0:
-            raise ValueError("blur amount must be non-negative")
-        return FuzzyInterval(self.m1, self.m2, self.alpha + extra, self.beta + extra)
 
     # ------------------------------------------------------------------
     # Arithmetic (Bonissone/Decker LR rules; see module docstring)
@@ -286,10 +252,6 @@ class FuzzyInterval:
 
     def __rtruediv__(self, other: "FuzzyInterval | float | int") -> "FuzzyInterval":
         return _coerce(other) / self
-
-    def reciprocal(self) -> "FuzzyInterval":
-        """``1 / self``; the support must exclude zero."""
-        return FuzzyInterval.crisp(1.0) / self
 
     def scale(self, k: float) -> "FuzzyInterval":
         """Multiplication by a crisp scalar (exact, not an approximation)."""
@@ -406,26 +368,9 @@ class FuzzyInterval:
         peak = _peak_of_min(self, other, s_lo, s_hi)
         return FuzzyInterval.from_support_core((s_lo, s_hi), (peak, peak))
 
-    def union_hull(self, other: "FuzzyInterval") -> "FuzzyInterval":
-        """Trapezoidal hull of ``max(mu_self, mu_other)`` (convex envelope)."""
-        s_lo = min(self.support[0], other.support[0])
-        s_hi = max(self.support[1], other.support[1])
-        c_lo = min(self.m1, other.m1)
-        c_hi = max(self.m2, other.m2)
-        return FuzzyInterval.from_support_core((s_lo, s_hi), (c_lo, c_hi))
-
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
-    def is_close(self, other: "FuzzyInterval", tol: float = 1e-9) -> bool:
-        """Component-wise approximate equality."""
-        return (
-            abs(self.m1 - other.m1) <= tol
-            and abs(self.m2 - other.m2) <= tol
-            and abs(self.alpha - other.alpha) <= tol
-            and abs(self.beta - other.beta) <= tol
-        )
-
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.m1, self.m2, self.alpha, self.beta)
 

@@ -135,14 +135,6 @@ class FleetSupervisor:
         with self._lock:
             self._failures.pop(key, None)
 
-    def failure_count(self, key: str) -> int:
-        with self._lock:
-            return self._failures.get(key, 0)
-
-    def quarantined_keys(self) -> Dict[str, str]:
-        with self._lock:
-            return dict(self._quarantined)
-
     # ------------------------------------------------------------------
     # Worker health
     # ------------------------------------------------------------------

@@ -225,13 +225,6 @@ class DiagnosisClient:
                 except OSError:
                     pass
 
-    def retain_endpoints(self, endpoints: Sequence[object]) -> None:
-        """Close pooled sockets to endpoints no longer in the fleet."""
-        keep = {_parse_endpoint(e) for e in endpoints}
-        for key in list(self._conns):
-            if key not in keep:
-                self._drop_connection(key)
-
     def close(self) -> None:
         self._drop_connection()
 

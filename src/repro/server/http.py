@@ -104,12 +104,9 @@ class HttpRequest:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from None
 
 
-async def read_request(
-    reader: asyncio.StreamReader,
-    max_header: int = MAX_HEADER_BYTES,
-    max_body: int = MAX_BODY_BYTES,
-) -> Optional[HttpRequest]:
+async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     """Parse one request; ``None`` means the peer closed between requests."""
+    max_header, max_body = MAX_HEADER_BYTES, MAX_BODY_BYTES
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:

@@ -16,6 +16,7 @@ appear mid-observation.  Real telemetry would slot in as another
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -29,7 +30,7 @@ from repro.core.diagnosis import Flames
 from repro.server.http import HttpError
 from repro.service.telemetry import Telemetry
 from repro.stream.detector import DetectorConfig, DriftDetector
-from repro.stream.session import StreamingSession, StreamUpdate
+from repro.stream.session import StreamingSession, StreamUpdate, check_top
 from repro.stream.snapshot import SnapshotBuilder
 from repro.stream.sources import LiveSimulatorSource
 
@@ -44,9 +45,12 @@ def _float(query: Dict[str, str], name: str, default: float) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise HttpError(400, f"query parameter {name!r} must be a number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise HttpError(400, f"query parameter {name!r} must be a finite number")
+    return value
 
 
 def _int(query: Dict[str, str], name: str, default: int) -> int:
@@ -190,17 +194,17 @@ class StreamSpec:
             noise=self.noise,
             seed=self.seed,
         )
-        if dry_run:
-            return None
-        engine = Flames(circuit)
         detector = DriftDetector(
             DetectorConfig(
                 threshold=self.threshold, hysteresis=self.hysteresis, alpha=self.alpha
             )
         )
         builder = SnapshotBuilder(imprecision=self.imprecision, epsilon=self.epsilon)
+        if dry_run:
+            check_top(self.top)  # the one check the session would make
+            return None
         return StreamingSession(
-            engine=engine,
+            engine=Flames(circuit),
             source=source,
             detector=detector,
             builder=builder,

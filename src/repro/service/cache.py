@@ -139,19 +139,6 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def tamper(self, key: str) -> bool:
-        """Corrupt ``key``'s stored blob in place (test/chaos hook).
-
-        Returns True when the entry existed.  The next ``get`` for the
-        key will detect the bad seal, purge the entry and count a miss.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            entry[1] = entry[1][:-1] + ("x" if entry[1][-1:] != "x" else "y")
-            return True
-
     def clear(self) -> None:
         """Drop all entries (the counters keep their history)."""
         with self._lock:

@@ -87,11 +87,6 @@ class Telemetry:
         with self._lock:
             self._gauges[name] = value
 
-    def gauge_add(self, name: str, delta: float) -> None:
-        """Adjust a gauge by ``delta`` (e.g. +1 on stream open, -1 on close)."""
-        with self._lock:
-            self._gauges[name] = self._gauges.get(name, 0.0) + delta
-
     def observe(self, name: str, value: float) -> None:
         with self._lock:
             stats = self._observations.get(name)
@@ -155,10 +150,6 @@ class Telemetry:
     def counter(self, name: str) -> float:
         with self._lock:
             return self._counters.get(name, 0)
-
-    def gauge_value(self, name: str) -> float:
-        with self._lock:
-            return self._gauges.get(name, 0.0)
 
     def _observation_entry(self, name: str, samples: bool = False) -> Dict:
         c, t, lo, hi = self._observations[name]

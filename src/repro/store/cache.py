@@ -19,8 +19,9 @@ Namespacing: the fleet engine keys tenant traffic as
 ``"<tenant>::<content_hash>"`` (see :data:`NAMESPACE_SEP`) and bare
 content hashes otherwise.  The memory tier treats the composite key as
 opaque — isolation falls out of key inequality — while the disk tier
-splits it so sqlite rows carry a real ``namespace`` column (per-tenant
-occupancy, targeted tampering in tests).  Bare keys land in the shared
+splits it so sqlite rows carry a real ``namespace`` column that keeps
+tenant rows apart on disk (tests poison one row by it, through
+``tests/helpers.py::corrupt_cache_row``).  Bare keys land in the shared
 ``public`` namespace, preserving pre-tenant behavior byte-for-byte.
 """
 
@@ -103,15 +104,6 @@ class PersistentResultCache(ResultCache):
         if evicted:
             with self._lock:
                 self.disk_evictions += evicted
-
-    def tamper_disk(self, key: str) -> bool:
-        """Corrupt the *disk* row for ``key`` in place (test/chaos hook).
-
-        Unlike :meth:`tamper` this leaves the memory tier alone; drop
-        the memory entry (or restart) to make the corruption visible.
-        """
-        namespace, bare = self._split(key)
-        return self.store.cache_tamper(namespace, bare)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict:

@@ -58,6 +58,9 @@ PUBLIC_TENANT = "public"
 #: Seconds a connection waits on another writer's lock before failing.
 BUSY_TIMEOUT = 5.0
 
+#: Tokens one admitted request takes from its tenant's quota bucket.
+QUOTA_COST = 1.0
+
 _SCHEMA_VERSION = 2
 
 _SCHEMA = """
@@ -334,39 +337,10 @@ class DiagnosisStore:
                 raise
             return evicted
 
-    def cache_rows(self, namespace: Optional[str] = None) -> int:
+    def cache_rows(self) -> int:
         with self._lock:
-            if namespace is None:
-                row = self._conn.execute("SELECT COUNT(*) FROM cache_entries").fetchone()
-            else:
-                row = self._conn.execute(
-                    "SELECT COUNT(*) FROM cache_entries WHERE namespace = ?", (namespace,)
-                ).fetchone()
+            row = self._conn.execute("SELECT COUNT(*) FROM cache_entries").fetchone()
             return int(row[0])
-
-    def cache_tamper(self, namespace: str, key: str) -> bool:
-        """Corrupt a stored blob in place (test/chaos hook).
-
-        The next ``cache_get`` for the key sees the broken seal, purges
-        the row and reports ``"corrupt"``.  True when the row existed.
-        """
-        with self._lock:
-            cur = self._conn.cursor()
-            row = cur.execute(
-                "SELECT blob FROM cache_entries WHERE namespace = ? AND key = ?",
-                (namespace, key),
-            ).fetchone()
-            if row is None:
-                return False
-            blob = row[0]
-            tampered = blob[:-1] + ("x" if blob[-1:] != "x" else "y")
-            cur.execute("BEGIN IMMEDIATE")
-            cur.execute(
-                "UPDATE cache_entries SET blob = ? WHERE namespace = ? AND key = ?",
-                (tampered, namespace, key),
-            )
-            cur.execute("COMMIT")
-            return True
 
     # ------------------------------------------------------------------
     # Experience (versioned, per tenant)
@@ -657,24 +631,6 @@ class DiagnosisStore:
                 raise
         return int(revoked)
 
-    def list_keys(self, tenant_id: str) -> List[Dict]:
-        """Key metadata for one tenant (digest prefixes only, no keys)."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT digest, created_at, not_after, revoked FROM tenant_keys "
-                "WHERE tenant_id = ? ORDER BY created_at",
-                (tenant_id,),
-            ).fetchall()
-        return [
-            {
-                "digest_prefix": digest[:12],
-                "created_at": float(created_at),
-                "not_after": float(not_after),
-                "revoked": bool(revoked),
-            }
-            for digest, created_at, not_after, revoked in rows
-        ]
-
     def get_tenant(self, tenant_id: str) -> Optional[TenantRecord]:
         with self._lock:
             row = self._conn.execute(
@@ -760,13 +716,6 @@ class DiagnosisStore:
                  top_culprit, elapsed, cache_hit, created_at) in rows
         ]
 
-    def history_count(self, tenant: str) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) FROM history WHERE tenant = ?", (tenant,)
-            ).fetchone()
-            return int(row[0])
-
     # ------------------------------------------------------------------
     # Quota buckets (one shared token bucket per tenant, all replicas)
     # ------------------------------------------------------------------
@@ -775,17 +724,17 @@ class DiagnosisStore:
         tenant_id: str,
         capacity: float,
         interval: float,
-        cost: float = 1.0,
         now: Optional[float] = None,
     ) -> Tuple[bool, float, float]:
         """Atomically refill and debit one tenant's token bucket.
 
         The bucket holds at most ``capacity`` tokens and refills at
-        ``capacity / interval`` tokens per second.  Refill and debit
-        happen in a single ``BEGIN IMMEDIATE`` transaction, so every
-        replica sharing the store file sees one budget and a crash
-        between refill and debit never double-charges (the transaction
-        either committed or it didn't).
+        ``capacity / interval`` tokens per second; a request costs
+        :data:`QUOTA_COST`.  Refill and debit happen in a single
+        ``BEGIN IMMEDIATE`` transaction, so every replica sharing the
+        store file sees one budget and a crash between refill and debit
+        never double-charges (the transaction either committed or it
+        didn't).
 
         Returns ``(allowed, retry_after, remaining)`` — ``retry_after``
         is the float seconds until one token accrues at the refill rate
@@ -809,11 +758,11 @@ class DiagnosisStore:
                 else:
                     elapsed = max(0.0, now - float(row[1]))
                     tokens = min(float(capacity), float(row[0]) + elapsed * rate)
-                if tokens >= cost:
-                    tokens -= cost
+                if tokens >= QUOTA_COST:
+                    tokens -= QUOTA_COST
                     allowed, retry_after = True, 0.0
                 else:
-                    allowed, retry_after = False, (cost - tokens) / rate
+                    allowed, retry_after = False, (QUOTA_COST - tokens) / rate
                 cur.execute(
                     "INSERT OR REPLACE INTO quota_buckets (tenant, tokens, updated_at) "
                     "VALUES (?, ?, ?)",
@@ -836,19 +785,18 @@ class DiagnosisStore:
     # ------------------------------------------------------------------
     # Maintenance primitives (driven by repro.store.lifecycle)
     # ------------------------------------------------------------------
-    def checkpoint(self, truncate: bool = True) -> Tuple[int, int, int]:
-        """Run a WAL checkpoint (+ incremental vacuum); ``(busy, log, done)``.
+    def checkpoint(self) -> Tuple[int, int, int]:
+        """Run a ``TRUNCATE`` WAL checkpoint (+ incremental vacuum); ``(busy, log, done)``.
 
         ``busy`` is 1 when a concurrent reader pinned the WAL and the
         checkpoint could not finish — callers back off and retry rather
         than blocking the writer.  ``log``/``done`` are total and
         checkpointed WAL frames.
         """
-        mode = "TRUNCATE" if truncate else "PASSIVE"
         with self._lock:
             cur = self._conn.cursor()
             cur.execute("PRAGMA incremental_vacuum")
-            row = cur.execute(f"PRAGMA wal_checkpoint({mode})").fetchone()
+            row = cur.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone()
         busy, log, done = (int(v) if v is not None else 0 for v in row)
         return busy, log, done
 

@@ -16,8 +16,10 @@ that, running inside batch/serve/cluster whenever ``--store`` is armed:
   (:meth:`DiagnosisStore.retain_history`) so a live writer never
   stalls behind a giant ``DELETE``;
 * **backup / scrub** — on-demand passes over the sqlite backup API and
-  the sha256 seals (:meth:`DiagnosisStore.backup` / ``scrub``), with
-  the last scrub's findings kept for ``/metrics``.
+  the sha256 seals (:meth:`DiagnosisStore.backup` / ``scrub``), run by
+  ``repro store backup|scrub``, not by this loop.  The ``/metrics``
+  block keeps its ``last_scrub`` (always null) and ``backups`` (always
+  0) keys so its shape does not change.
 
 One instance per store *file* is the intended topology: the server
 owns it in single-process mode, the cluster gateway owns it for a
@@ -33,8 +35,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 from repro.store.db import DiagnosisStore
 
@@ -126,8 +127,6 @@ class StoreMaintenance:
             "errors": 0,
         }
         self._last_checkpoint: Dict[str, int] = {"busy": 0, "log": 0, "done": 0}
-        self._last_scrub: Optional[Dict] = None
-        self._backups = 0
 
     # ------------------------------------------------------------------
     # Supervision
@@ -239,28 +238,11 @@ class StoreMaintenance:
         return self.tick(now)
 
     # ------------------------------------------------------------------
-    # On-demand passes
-    # ------------------------------------------------------------------
-    def run_backup(self, dest: Union[str, Path]) -> Dict:
-        result = self.store.backup(dest)
-        with self._lock:
-            self._backups += 1
-        return result
-
-    def run_scrub(self) -> Dict:
-        result = self.store.scrub()
-        with self._lock:
-            self._last_scrub = result
-        return result
-
-    # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
         """The lifecycle section of ``/metrics`` and ``/readyz``."""
         with self._lock:
             last = dict(self._last_checkpoint)
             counters = dict(self._counters)
-            scrub = dict(self._last_scrub) if self._last_scrub else None
-            backups = self._backups
             backoff = self._backoff
         return {
             "running": self.running,
@@ -268,7 +250,7 @@ class StoreMaintenance:
             "checkpoint_lag_frames": max(0, last["log"] - last["done"]),
             "wal_bytes": self.store.wal_size(),
             "last_checkpoint": last,
-            "last_scrub": scrub,
-            "backups": backups,
+            "last_scrub": None,
+            "backups": 0,
             **counters,
         }

@@ -25,17 +25,19 @@ from repro.store.db import DiagnosisStore
 
 __all__ = ["build_report"]
 
+#: Entries in the report's culprit leaderboard.
+TOP_CULPRITS = 5
+
 
 def build_report(
     store: DiagnosisStore,
     tenant: str,
     limit: int = 0,
-    top_n: int = 5,
 ) -> Optional[Dict]:
     """The tenant's fleet-health summary, or None for an unknown tenant.
 
     ``limit`` restricts the fold to the most recent N history rows
-    (0 = full history); ``top_n`` bounds the culprit leaderboard.
+    (0 = full history); the culprit leaderboard keeps :data:`TOP_CULPRITS`.
     """
     record = store.get_tenant(tenant)
     if record is None:
@@ -88,7 +90,7 @@ def build_report(
         },
         "top_culprits": [
             {"component": component, "count": count}
-            for component, count in culprits.most_common(top_n)
+            for component, count in culprits.most_common(TOP_CULPRITS)
         ],
         "latency_ms": {
             "executed": len(executed_ms),

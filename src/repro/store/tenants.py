@@ -76,7 +76,3 @@ class TenantRegistry:
                 self._cache.clear()
             self._cache[api_key] = (now + TTL, record)
         return record
-
-    def invalidate(self) -> None:
-        with self._lock:
-            self._cache.clear()

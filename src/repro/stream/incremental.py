@@ -230,7 +230,3 @@ class IncrementalDiagnosisEngine:
     def order(self) -> List[str]:
         """The current absorption order (for cold-baseline replays)."""
         return list(self._order)
-
-    @property
-    def chain_length(self) -> int:
-        return len(self._chain)

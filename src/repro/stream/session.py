@@ -36,7 +36,7 @@ from repro.stream.incremental import IncrementalDiagnosisEngine
 from repro.stream.snapshot import Snapshot, SnapshotBuilder
 from repro.stream.sources import Reading
 
-__all__ = ["StreamingSession", "StreamUpdate"]
+__all__ = ["StreamingSession", "StreamUpdate", "check_top"]
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,12 @@ class StreamUpdate:
         }
 
 
+def check_top(top: int) -> None:
+    """How many ranked components an update carries: at least one."""
+    if top < 1:
+        raise ValueError(f"top must be at least 1, got {top}")
+
+
 @dataclass
 class StreamingSession:
     """Wire a source, a detector and a warm engine into one loop.
@@ -101,6 +107,7 @@ class StreamingSession:
     top: int = 5
 
     def __post_init__(self) -> None:
+        check_top(self.top)
         self._incremental = IncrementalDiagnosisEngine(self.engine)
         self._last_snapshot: Optional[Snapshot] = None
         self._seq = 0

@@ -93,6 +93,12 @@ class SnapshotBuilder:
     _latest: Dict[str, Reading] = field(default_factory=dict)
     _clock: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not self.imprecision >= 0.0:
+            raise ValueError(f"imprecision must be non-negative, got {self.imprecision}")
+        if not self.epsilon >= 0.0:
+            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+
     def ingest(self, reading: Reading) -> None:
         self._latest[reading.point] = reading
         self._clock = max(self._clock, reading.t)

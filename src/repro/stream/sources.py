@@ -77,6 +77,8 @@ class LiveSimulatorSource:
             raise ValueError("fault_at must fall inside [0, duration)")
         if not nets:
             raise ValueError("need at least one net to watch")
+        if not noise >= 0.0:
+            raise ValueError(f"noise must be non-negative, got {noise}")
         self.circuit = circuit
         self.nets = list(nets)
         self.duration = duration

@@ -115,9 +115,12 @@ class ATMS:
     """
 
     def __init__(self, t_norm: TNorm = min, hard_threshold: float = 1.0) -> None:
+        if not 0.0 < hard_threshold <= 1.0:
+            raise ValueError("hard threshold must be in (0, 1]")
         self.t_norm = t_norm
+        self.hard_threshold = hard_threshold
         self.nodes: Dict[str, Node] = {}
-        self.nogoods = NogoodDatabase(hard_threshold)
+        self.nogoods = NogoodDatabase()
         self.contradiction = self.create_node("FALSE", contradiction=True)
 
     # ------------------------------------------------------------------
@@ -143,7 +146,7 @@ class ATMS:
             return node
         assumption = Assumption(name, datum or name)
         node = Node(datum=name, assumption=assumption)
-        node.label[Environment.of(assumption)] = 1.0
+        node.label[Environment(frozenset({assumption}))] = 1.0
         self.nodes[name] = node
         return node
 
@@ -194,7 +197,18 @@ class ATMS:
         return node.holds_in(env)
 
     def consistent(self, env: Environment) -> bool:
-        return not self.nogoods.is_inconsistent(env)
+        """False when a nogood at or past the hard threshold is a subset of ``env``."""
+        return not any(
+            nogood.environment.is_subset(env)
+            for nogood in self.nogoods.minimal(self.hard_threshold)
+        )
+
+    def conflict_degree(self, env: Environment) -> float:
+        """Strongest degree at which ``env`` is known to conflict."""
+        return max(
+            (nogood.degree for nogood in self.nogoods if nogood.environment.is_subset(env)),
+            default=0.0,
+        )
 
     def minimal_nogoods(self, threshold: float = 0.0) -> List[WeightedNogood]:
         return self.nogoods.minimal(threshold)
@@ -222,7 +236,7 @@ class ATMS:
             for env_a, d_a in acc.items():
                 for env_b, d_b in label.items():
                     union = env_a.union(env_b)
-                    if self.nogoods.is_inconsistent(union):
+                    if not self.consistent(union):
                         continue
                     degree = self.t_norm(d_a, d_b)
                     if degree <= 0.0:
@@ -268,7 +282,7 @@ class ATMS:
         """Merge candidate environments into a node label; return additions."""
         added: Dict[Environment, float] = {}
         for env, degree in envs.items():
-            if self.nogoods.is_inconsistent(env):
+            if not self.consistent(env):
                 continue
             if any(
                 e.is_subset(env) and node.label[e] >= degree for e in node.label
@@ -290,7 +304,7 @@ class ATMS:
         for env, degree in envs.items():
             if not self.nogoods.add(env, degree):
                 continue
-            if degree >= self.nogoods.hard_threshold:
+            if degree >= self.hard_threshold:
                 self._retract(env)
 
     def _retract(self, nogood_env: Environment) -> None:
@@ -408,4 +422,4 @@ class FuzzyATMS(ATMS):
 
     def environment_degree(self, env: Environment) -> float:
         """How consistent an environment still is: ``1 - conflict degree``."""
-        return 1.0 - self.nogoods.conflict_degree(env)
+        return 1.0 - self.conflict_degree(env)

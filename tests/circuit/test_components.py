@@ -11,6 +11,7 @@ from repro.circuit import (
     Resistor,
     VoltageSource,
 )
+from repro.fuzzy import FuzzyInterval
 
 
 class TestResistor:
@@ -22,7 +23,7 @@ class TestResistor:
 
     def test_zero_tolerance_is_crisp(self):
         r = Resistor("R1", 10e3, 0.0, a="x", b="y")
-        assert r.fuzzy_params()["resistance"].is_crisp_number
+        assert r.fuzzy_params()["resistance"] == FuzzyInterval.crisp(10e3)
 
     def test_non_positive_resistance_rejected(self):
         with pytest.raises(ValueError):
@@ -101,7 +102,7 @@ class TestAmplifier:
 class TestSources:
     def test_voltage_source_crisp_by_default(self):
         v = VoltageSource("V1", 5.0, p="p", n="n")
-        assert v.fuzzy_params()["voltage"].is_crisp_number
+        assert v.fuzzy_params()["voltage"] == FuzzyInterval.crisp(5.0)
 
     def test_voltage_source_with_tolerance(self):
         v = VoltageSource("V1", 5.0, tolerance=0.01, p="p", n="n")

@@ -123,13 +123,13 @@ class TestRangeConstraint:
 class TestGuards:
     def test_guard_defaults_to_applicable(self):
         c = RangeConstraint("r", var("x"), FuzzyInterval.crisp(0.0))
-        assert c.applicable({})
+        assert c.applicable_with_environment({})[0]
 
     def test_guard_callable_controls(self):
         c = RangeConstraint(
             "r", var("x"), FuzzyInterval.crisp(0.0), guard=lambda est: False
         )
-        assert not c.applicable({})
+        assert not c.applicable_with_environment({})[0]
 
 
 class TestNetworkBuild:
@@ -162,7 +162,7 @@ class TestNetworkBuild:
 
     def test_constraints_on_variable(self):
         net = ConstraintNetwork(diode_resistor_circuit())
-        names = {c.name for c in net.constraints_on("I(r1)")}
+        names = {c.name for c in net.constraints if "I(r1)" in c.variable_names}
         assert "Ohm(r1)" in names
         assert "KCL(vin)" in names
 
@@ -191,8 +191,8 @@ class TestNetworkBuild:
         cutoff = next(c for c in net.constraints if c.name == "CutoffIb(T1)")
         conducting = next(c for c in net.constraints if c.name == "Vbe(T1)")
         unknown = {name: None for name in net.variables}
-        assert cutoff.applicable(unknown)
-        assert not conducting.applicable(unknown)
+        assert cutoff.applicable_with_environment(unknown)[0]
+        assert not conducting.applicable_with_environment(unknown)[0]
 
     def test_diode_mode_guards_follow_estimates(self):
         net = ConstraintNetwork(diode_resistor_circuit(), nominal_modes={"d1": "on"})
@@ -200,15 +200,15 @@ class TestNetworkBuild:
         leak = next(c for c in net.constraints if c.name == "DiodeLeak(d1)")
         # Unknown estimates: nominal mode (conducting) applies.
         unknown = {"V(n1)": None, "V(n2)": None}
-        assert on.applicable(unknown)
-        assert not leak.applicable(unknown)
+        assert on.applicable_with_environment(unknown)[0]
+        assert not leak.applicable_with_environment(unknown)[0]
         # Measured 0.2 V across the junction: blocking entailed.
         est = {
             "V(n1)": FuzzyInterval.crisp(2.2),
             "V(n2)": FuzzyInterval.crisp(2.0),
         }
-        assert not on.applicable(est)
-        assert leak.applicable(est)
+        assert not on.applicable_with_environment(est)[0]
+        assert leak.applicable_with_environment(est)[0]
 
     def test_bjt_saturation_entailment_disables_beta(self):
         net = ConstraintNetwork(three_stage_amplifier())
@@ -218,7 +218,7 @@ class TestNetworkBuild:
             "V(n2)": FuzzyInterval.crisp(13.0),
             "V(v2)": FuzzyInterval.crisp(13.1),
         }
-        assert not beta.applicable(est)
+        assert not beta.applicable_with_environment(est)[0]
 
     def test_unmodelled_component_kind_rejected(self):
         class Gizmo(Resistor):

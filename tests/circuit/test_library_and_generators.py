@@ -115,11 +115,6 @@ class TestMeasurements:
         assert m.value.core[0] == pytest.approx(op.voltage("v1"))
         assert m.value.alpha == pytest.approx(0.05)
 
-    def test_probe_relative_imprecision(self):
-        op = DCSolver(three_stage_amplifier()).solve()
-        m = probe(op, "vs", imprecision=0.01, relative=True)
-        assert m.value.alpha == pytest.approx(abs(op.voltage("vs")) * 0.01)
-
     def test_probe_all(self):
         op = DCSolver(three_stage_amplifier()).solve()
         ms = probe_all(op, ["vs", "v2", "v1"])

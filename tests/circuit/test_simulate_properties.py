@@ -1,6 +1,7 @@
 """Property-based tests of the DC simulator's physical invariants."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +17,7 @@ from repro.circuit import (
     VoltageSource,
     resistor_ladder,
 )
+from repro.circuit import generators
 
 _SETTINGS = dict(
     max_examples=25,
@@ -25,9 +27,8 @@ _SETTINGS = dict(
 
 
 def _random_ladder(seed: int, sections: int, supply: float) -> Circuit:
-    return resistor_ladder(
-        sections, supply=supply, rng=random.Random(seed)
-    )
+    with mock.patch.object(generators, "SUPPLY", supply):
+        return resistor_ladder(sections, rng=random.Random(seed))
 
 
 class TestLinearInvariants:

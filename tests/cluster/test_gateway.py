@@ -166,7 +166,7 @@ class TestTeardown:
                 with rc.client() as client:
                     client.diagnose(spec_routed_to(rc.gateway, "r0"))
                     client.batch([make_spec(i) for i in range(4)])
-                rc.gateway.gossip_round()
+                rc.gateway.gossip_round(0)
                 clients = list(rc.gateway._clients)
                 sockets = [c for fc in clients for c in fc._conns.values()]
                 assert clients and sockets

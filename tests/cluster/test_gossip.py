@@ -24,7 +24,7 @@ class TestObserve:
         gossip = ExperienceGossip()
         fresh = gossip.observe("r0", 1, snapshot_with((SIG_A, "R1"), (SIG_A, "R1")))
         assert fresh == 2  # one rule, two occurrences
-        assert gossip.rule_count() == 1
+        assert gossip.snapshot()["rules"] == 1
 
     def test_reobserving_the_same_snapshot_adds_nothing(self):
         gossip = ExperienceGossip()
@@ -140,7 +140,7 @@ class TestStoreSeeding:
         persisted = snapshot_with((SIG_A, "R1"), (SIG_A, "R1"), (SIG_B, "R2"))
         added = gossip.seed(persisted)
         assert added == 3
-        assert gossip.rule_count() == 2
+        assert gossip.snapshot()["rules"] == 2
         assert gossip.snapshot()["episodes"] == 3
         # Seeding attributes nothing to any replica: a fresh replica
         # owes the whole ledger.
@@ -186,7 +186,7 @@ class TestStoreSeeding:
         gossip.seed(snapshot_with((SIG_A, "R1")))
         fresh = gossip.observe("r0", 1, snapshot_with((SIG_B, "R2")))
         assert fresh == 1
-        assert gossip.rule_count() == 2
+        assert gossip.snapshot()["rules"] == 2
 
     def test_restart_epoch_reapplies_seed_baseline(self):
         # After a replica restart (epoch bump) the expectation table

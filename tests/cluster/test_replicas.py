@@ -72,7 +72,7 @@ class TestReplicaManagerSupervision:
     def test_low_score_restarts_under_the_same_id(self, fake_processes):
         manager = _manager()
         assert manager.poll_once(0) == {"restarted": [], "killed": []}
-        old_endpoint = manager.endpoint_of("r1")
+        old_endpoint = manager.ready_endpoints().get("r1")
         fake_processes["r1"] = False
         failures = _failures_to_floor()
         for tick in range(1, failures):
@@ -81,7 +81,7 @@ class TestReplicaManagerSupervision:
 
         assert manager.replica_ids == ["r0", "r1"]
         assert manager.epoch("r1") == 2 and manager.epoch("r0") == 1
-        assert manager.endpoint_of("r1") not in (None, old_endpoint)
+        assert manager.ready_endpoints().get("r1") not in (None, old_endpoint)
         assert manager.restarts_total == 1
         replica = manager.replicas["r1"]
         assert replica.restarts == 1
@@ -107,7 +107,7 @@ class TestReplicaManagerSupervision:
     def test_dead_process_restarts_at_once(self, fake_processes):
         manager = _manager()
         manager.replicas["r0"].process.returncode = -9
-        assert manager.endpoint_of("r0") is None
+        assert manager.ready_endpoints().get("r0") is None
         assert set(manager.ready_endpoints()) == {"r1"}
         assert manager.poll_once(0)["restarted"] == ["r0"]
         assert manager.epoch("r0") == 2
@@ -133,16 +133,16 @@ class TestBothFleetsShareOneSurface:
         try:
             for fleet in (manager, static):
                 assert fleet.replica_ids == ["r0", "r1"]
-                assert fleet.endpoint_of("r9") is None
+                assert fleet.ready_endpoints().get("r9") is None
                 assert fleet.epoch("r9") == 0
                 assert fleet.epoch("r0") == 1
                 endpoints = fleet.ready_endpoints()
                 assert set(endpoints) == {"r0", "r1"}
-                assert endpoints["r0"] == fleet.endpoint_of("r0")
+                assert endpoints["r0"] == fleet.replicas["r0"].endpoint
                 assert endpoints["r0"].startswith("127.0.0.1:")
                 fleet.note_outcome("r0", False)
                 assert fleet.replicas["r0"].health.score < 1.0
-            assert static.endpoint_of("r1") == "127.0.0.1:2"
+            assert static.ready_endpoints().get("r1") == "127.0.0.1:2"
 
             snapshots = [manager.snapshot(), static.snapshot()]
             assert set(snapshots[0]) == set(snapshots[1]) == {

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.coincidence import CoincidenceKind, classify, resolve
 from repro.fuzzy import FuzzyInterval
+from tests.helpers import is_close
 
 
 class TestClassification:
@@ -11,21 +12,21 @@ class TestClassification:
         v = FuzzyInterval(1.0, 2.0, 0.5, 0.5)
         coin = classify(v, v)
         assert coin.kind is CoincidenceKind.CORROBORATION
-        assert not coin.is_conflicting
+        assert coin.conflict_degree <= 1e-9
 
     def test_a_splits_b(self):
         a = FuzzyInterval(1.4, 1.6, 0.1, 0.1)
         b = FuzzyInterval(1.0, 2.0, 0.5, 0.5)
         coin = classify(a, b)
         assert coin.kind is CoincidenceKind.A_SPLITS_B
-        assert not coin.is_conflicting
+        assert coin.conflict_degree <= 1e-9
 
     def test_b_splits_a(self):
         a = FuzzyInterval(1.0, 2.0, 0.5, 0.5)
         b = FuzzyInterval(1.4, 1.6, 0.1, 0.1)
         coin = classify(a, b)
         assert coin.kind is CoincidenceKind.B_SPLITS_A
-        assert not coin.is_conflicting
+        assert coin.conflict_degree <= 1e-9
 
     def test_partial_conflict(self):
         # Cores disjoint, slopes overlapping: a genuine partial conflict.
@@ -101,4 +102,4 @@ class TestResolution:
         v = FuzzyInterval(1.0, 2.0, 0.5, 0.5)
         narrowed, degree = resolve(v, v)
         assert degree == 0.0
-        assert narrowed.is_close(v)
+        assert is_close(narrowed, v)

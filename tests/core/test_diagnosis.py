@@ -78,7 +78,7 @@ class TestFaultyUnit:
         golden = three_stage_amplifier()
         op = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, "R2"))).solve()
         result = amp_engine.diagnose(probe_all(op, ["vs"], imprecision=0.02))
-        suspects = result.initial_suspects("V(vs)")
+        suspects = result.prediction_support["V(vs)"]
         assert {"T1", "T2", "T3", "R4"} <= suspects
 
     def test_more_probes_refine_candidates(self, amp_engine):
@@ -99,7 +99,7 @@ class TestFaultyUnit:
         result = amp_engine.diagnose(
             probe_all(op, ["vs", "v2", "v1"], imprecision=0.02)
         )
-        row = result.consistency_row(["V(vs)", "V(v2)", "V(v1)"])
+        row = {p: result.consistencies[p].signed for p in ["V(vs)", "V(v2)", "V(v1)"]}
         assert row["V(v1)"] == 1.0  # total conflict, measured high
         assert row["V(vs)"] == -1.0  # total conflict, measured low
         assert result.consistencies["V(v1)"].degree == 0.0

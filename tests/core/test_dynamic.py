@@ -114,8 +114,7 @@ class TestDiagnosis:
             golden, Fault(FaultKind.PARAM, "C1", "capacitance", 1e-12)
         )
         result = diagnoser.diagnose(measure(faulty))
-        worst = result.worst_sample()
-        assert worst is not None
+        worst = min(result.consistencies, key=lambda k: result.consistencies[k].degree)
         assert result.consistencies[worst].degree < 0.5
 
     def test_net_restriction(self, golden, diagnoser):

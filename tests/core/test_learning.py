@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit import DCSolver, Fault, FaultKind, apply_fault, probe_all, three_stage_amplifier
 from repro.core import Flames
+from repro.core import learning
 from repro.core.learning import Episode, ExperienceBase, SymptomSignature
 
 
@@ -91,12 +92,13 @@ class TestExperienceBase:
         xp.record(Episode(SIG_A, "R2", "short"))
         assert xp.suggest(SIG_B) == []
 
-    def test_suggest_analogical_with_lower_threshold(self):
+    def test_suggest_analogical_with_lower_threshold(self, monkeypatch):
         xp = ExperienceBase()
         xp.record(Episode(SIG_A, "R2", "short"))
         near = signature([("V(vs)", "conflict", 1), ("V(v1)", "partial", -1)])
         assert xp.suggest(near) == []
-        hits = xp.suggest(near, min_similarity=0.4)
+        monkeypatch.setattr(learning, "MIN_SIMILARITY", 0.4)
+        hits = xp.suggest(near)
         assert hits and hits[0][0].component == "R2"
 
     def test_boost_breaks_ties(self):

@@ -39,12 +39,12 @@ class TestVariableValues:
             names = constraint.variable_names
             if not all(n in values or n == "V(0)" for n in names):
                 continue
-            if not constraint.applicable(
+            if not constraint.applicable_with_environment(
                 {
                     n: None  # unknown estimates: designed modes apply
                     for n in set(names) | set(constraint.guard_variables)
                 }
-            ):
+            )[0]:
                 continue
             # Check the constraint's projection agrees with the simulated
             # target value (within the model's fuzzy band).

@@ -102,12 +102,11 @@ class TestExperienceFlow:
         baseline_rank = [name for name, _ in session.candidates()].index("R2")
         session.confirm("R2", "short")
 
-        session.next_unit()
-        assert not session.has_observations
+        session = TroubleshootingSession(golden, experience=shared)
         bench2 = DCSolver(apply_fault(golden, Fault(FaultKind.SHORT, "R2"))).solve()
         for net in ("vs", "v2", "v1"):
             session.observe_probe(bench2, net)
-        assert session.matching_experience()
+        assert session.experience.suggest(session.signature())
         boosted_rank = [name for name, _ in session.candidates()].index("R2")
         assert boosted_rank <= baseline_rank
         assert boosted_rank == 0
@@ -116,34 +115,15 @@ class TestExperienceFlow:
         session = TroubleshootingSession(golden)
         for net in ("vs", "v2", "v1"):
             session.observe_probe(bench, net)
-        assert session.matching_experience() == []
-
-    def test_next_unit_keeps_experience(self, golden, bench):
-        session = TroubleshootingSession(golden)
-        for net in ("vs", "v2", "v1"):
-            session.observe_probe(bench, net)
-        session.confirm("R2", "short")
-        session.next_unit()
-        assert len(session.experience) == 1
-
-    def test_next_unit_resets_measurements_and_result(self, golden, bench):
-        session = TroubleshootingSession(golden)
-        session.observe_probe(bench, "vs")
-        assert session.measurements and session.has_observations
-        session.next_unit()
-        assert session.measurements == []
-        assert not session.has_observations
-        assert not session.unit_looks_healthy
-        with pytest.raises(RuntimeError):
-            session.result
+        assert session.experience.suggest(session.signature()) == []
 
     def test_repeat_confirmations_across_units_reinforce(self, golden, bench):
-        session = TroubleshootingSession(golden)
+        shared = ExperienceBase()
         for _ in range(3):
+            session = TroubleshootingSession(golden, experience=shared)
             for net in ("vs", "v2", "v1"):
                 session.observe_probe(bench, net)
             rule = session.confirm("R2", "short")
-            session.next_unit()
         assert rule.occurrences == 3
         assert session.experience.episode_count == 3
         assert rule.certainty > session.experience.base_certainty
@@ -159,7 +139,7 @@ class TestExperienceFlow:
         second = TroubleshootingSession(golden, experience=shared)
         for net in ("vs", "v2", "v1"):
             second.observe_probe(bench, net)
-        assert second.matching_experience()
+        assert second.experience.suggest(second.signature())
         assert second.candidates()[0][0] == "R2"
         assert second.candidates()[0][1] > 1.0
 

@@ -12,9 +12,8 @@ def value(interval, env=(), source="c"):
 
 class TestBasics:
     def test_sources(self):
-        assert value(FuzzyInterval.crisp(1.0), source="measurement").is_measurement
         assert value(FuzzyInterval.crisp(1.0), source="seed").is_seed
-        assert not value(FuzzyInterval.crisp(1.0)).is_measurement
+        assert not value(FuzzyInterval.crisp(1.0), source="measurement").is_seed
 
     def test_width(self):
         assert value(FuzzyInterval(1.0, 2.0, 0.5, 0.5)).width == pytest.approx(2.0)

@@ -24,6 +24,10 @@ PER_CLASS = 2
 TOL = 1e-9
 
 
+def _of_class(manifest, scenario_class):
+    return [s for s in manifest.scenarios if s.scenario_class == scenario_class]
+
+
 @pytest.fixture(scope="module")
 def payloads():
     """{(scenario id, engine): diagnosis payload} for the whole corpus."""
@@ -39,7 +43,7 @@ def payloads():
 @pytest.mark.parametrize("scenario_class", CLASSES)
 def test_identical_ranked_candidates(scenario_class, payloads):
     manifest, table = payloads
-    scenarios = manifest.by_class()[scenario_class]
+    scenarios = _of_class(manifest, scenario_class)
     assert len(scenarios) == PER_CLASS
     for scenario in scenarios:
         ref = table[(scenario.id, "noskip")]
@@ -67,7 +71,7 @@ def test_identical_ranked_candidates(scenario_class, payloads):
 
 def test_intermittent_scenarios_surface_low_degree_nogoods(payloads):
     manifest, table = payloads
-    for scenario in manifest.by_class()["intermittent"]:
+    for scenario in _of_class(manifest, "intermittent"):
         for engine in ENGINES:
             payload = table[(scenario.id, engine)]
             degrees = [ng["degree"] for ng in payload["nogoods"]]
@@ -87,7 +91,7 @@ def test_persistent_hard_faults_pin_full_degree(payloads):
     """The contrast that makes low-degree meaningful: a persistent hard
     defect produces at least one frankly inconsistent (degree 1) nogood."""
     manifest, table = payloads
-    for scenario in manifest.by_class()["single-hard"]:
+    for scenario in _of_class(manifest, "single-hard"):
         for engine in ENGINES:
             degrees = [
                 ng["degree"] for ng in table[(scenario.id, engine)]["nogoods"]

@@ -146,3 +146,8 @@ class TestRunCorpus:
         for name in ("warp", "fast"):
             with pytest.raises(ValueError):
                 run_corpus(tiny, kernels=(name,), workers=1, executor="serial")
+
+    def test_top_k_below_one_rejected(self, tiny):
+        for top_k in ((0,), (1, -2)):
+            with pytest.raises(ValueError, match="top-k"):
+                run_corpus(tiny, workers=1, executor="serial", top_k=top_k)

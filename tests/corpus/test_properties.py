@@ -132,7 +132,7 @@ class TestCorpusDeterminism:
     def test_class_streams_independent(self, seed):
         full = generate_corpus(seed, 1, self._CLASSES)
         solo = generate_corpus(seed, 1, ["multi-fault"])
-        assert [s.to_dict() for s in full.by_class()["multi-fault"]] == [
+        assert [s.to_dict() for s in full.scenarios if s.scenario_class == "multi-fault"] == [
             s.to_dict() for s in solo.scenarios
         ]
 

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.experiments import atms_growth
 from repro.experiments.atms_growth import format_atms_growth, run_atms_growth
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_atms_growth(conflict_counts=(2, 4, 6, 8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(atms_growth, "CONFLICT_COUNTS", (2, 4, 6, 8))
+        return run_atms_growth()
 
 
 class TestGrowth:

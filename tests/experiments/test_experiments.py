@@ -21,6 +21,7 @@ from repro.experiments import (
     run_entropy_form_ablation,
     run_granularity_ablation,
 )
+from repro.experiments import ablations, scaling
 from repro.experiments.runner import format_table
 
 
@@ -109,7 +110,7 @@ class TestFigure7:
         for row in rows:
             if row.scenario.fault.kind.name == "NODE_OPEN":
                 continue  # the node fault has no component-level candidate
-            assert row.stage_localised, row.scenario.label
+            assert row.scenario.fault.component in row.candidates, row.scenario.label
 
     def test_fault_mode_refinement_finds_short(self, rows):
         by_label = {row.scenario.label: row for row in rows}
@@ -126,19 +127,22 @@ class TestFigure7:
 
 
 class TestScaling:
-    def test_rows_and_masking_shape(self):
-        rows = run_scaling(stage_counts=(2, 4, 6, 8))
+    def test_rows_and_masking_shape(self, monkeypatch):
+        monkeypatch.setattr(scaling, "STAGE_COUNTS", (2, 4, 6, 8))
+        rows = run_scaling()
         assert [r.stages for r in rows] == [2, 4, 6, 8]
         for row in rows:
             assert row.fuzzy_detected  # the fuzzy engine sees the drift
             assert row.fuzzy_spread <= row.crisp_spread + 1e-9
 
-    def test_spread_grows_with_depth(self):
-        rows = run_scaling(stage_counts=(2, 6))
+    def test_spread_grows_with_depth(self, monkeypatch):
+        monkeypatch.setattr(scaling, "STAGE_COUNTS", (2, 6))
+        rows = run_scaling()
         assert rows[1].fuzzy_spread > rows[0].fuzzy_spread
 
-    def test_format(self):
-        assert "stages" in format_scaling(run_scaling(stage_counts=(2,)))
+    def test_format(self, monkeypatch):
+        monkeypatch.setattr(scaling, "STAGE_COUNTS", (2,))
+        assert "stages" in format_scaling(run_scaling())
 
 
 class TestLearningEval:
@@ -166,8 +170,9 @@ class TestLearningEval:
 
 
 class TestAblations:
-    def test_threshold_monotone(self):
-        rows = run_threshold_ablation(thresholds=(0.05, 0.5))
+    def test_threshold_monotone(self, monkeypatch):
+        monkeypatch.setattr(ablations, "THRESHOLDS", (0.05, 0.5))
+        rows = run_threshold_ablation()
         # Higher threshold records fewer (or equal) nogoods.
         assert rows[1][2] <= rows[0][2]
 
@@ -180,8 +185,9 @@ class TestAblations:
         prod = rows["paper product form"]
         assert prod[1] >= ext[1]  # the literal product form is wider
 
-    def test_granularity_rows(self):
-        rows = run_granularity_ablation(granularities=(3, 5, 7))
+    def test_granularity_rows(self, monkeypatch):
+        monkeypatch.setattr(ablations, "GRANULARITIES", (3, 5, 7))
+        rows = run_granularity_ablation()
         assert [g for g, _, _ in rows] == [3, 5, 7]
         assert all(point.startswith("V(") for _, point, _ in rows)
 

@@ -18,7 +18,7 @@ class TestMultiFault:
     def test_single_fault_bound_finds_nothing(self, outcomes):
         by_size = {o.max_size: o for o in outcomes}
         assert by_size[1].result.diagnoses == []
-        assert not by_size[1].single_fault_explains
+        assert not any(len(c) == 1 for c in by_size[1].candidate_sets)
 
     def test_pair_found_at_double_bound(self, outcomes):
         by_size = {o.max_size: o for o in outcomes}

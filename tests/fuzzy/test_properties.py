@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the fuzzy-arithmetic invariants.
 
 These pin down the algebra FLAMES relies on: commutativity/associativity
-of the LR arithmetic, membership/cut coherence, Dc bounds and
+of the LR arithmetic, membership bounds, Dc bounds and
 monotonicity, and entropy bounds.
 """
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.fuzzy import FuzzyInterval, consistency, possibility
 from repro.fuzzy.entropy import entropy_term, fuzzy_entropy
+from tests.helpers import is_close
 
 _coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 _widths = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -46,31 +47,31 @@ def unit_fuzzy_numbers(draw):
 class TestArithmeticAlgebra:
     @given(fuzzy_intervals(), fuzzy_intervals())
     def test_addition_commutes(self, a, b):
-        assert (a + b).is_close(b + a, tol=1e-6)
+        assert is_close(a + b, b + a, tol=1e-6)
 
     @given(fuzzy_intervals(), fuzzy_intervals(), fuzzy_intervals())
     def test_addition_associates(self, a, b, c):
-        assert ((a + b) + c).is_close(a + (b + c), tol=1e-6)
+        assert is_close((a + b) + c, a + (b + c), tol=1e-6)
 
     @given(fuzzy_intervals())
     def test_additive_identity(self, a):
-        assert (a + FuzzyInterval.crisp(0.0)).is_close(a)
+        assert is_close(a + FuzzyInterval.crisp(0.0), a)
 
     @given(fuzzy_intervals())
     def test_double_negation(self, a):
-        assert (-(-a)).is_close(a)
+        assert is_close(-(-a), a)
 
     @given(fuzzy_intervals(), fuzzy_intervals())
     def test_subtraction_is_addition_of_negation(self, a, b):
-        assert (a - b).is_close(a + (-b), tol=1e-6)
+        assert is_close(a - b, a + (-b), tol=1e-6)
 
     @given(fuzzy_intervals(), fuzzy_intervals())
     def test_multiplication_commutes(self, a, b):
-        assert (a * b).is_close(b * a, tol=1e-6)
+        assert is_close(a * b, b * a, tol=1e-6)
 
     @given(fuzzy_intervals())
     def test_multiplicative_identity(self, a):
-        assert (a * FuzzyInterval.crisp(1.0)).is_close(a, tol=1e-9)
+        assert is_close(a * FuzzyInterval.crisp(1.0), a, tol=1e-9)
 
     @given(positive_fuzzy_intervals(), positive_fuzzy_intervals())
     def test_division_inverts_multiplication_core(self, a, b):
@@ -81,7 +82,7 @@ class TestArithmeticAlgebra:
 
     @given(fuzzy_intervals(), st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
     def test_scale_matches_crisp_multiplication(self, a, k):
-        assert a.scale(k).is_close(a * FuzzyInterval.crisp(k), tol=1e-6)
+        assert is_close(a.scale(k), a * FuzzyInterval.crisp(k), tol=1e-6)
 
     @given(fuzzy_intervals(), fuzzy_intervals())
     def test_sum_support_is_minkowski(self, a, b):
@@ -146,7 +147,6 @@ class TestResultsAreNormal:
 
     @given(any_fuzzy_intervals(), any_fuzzy_intervals())
     def test_hulls(self, a, b):
-        self._assert_normal(a.union_hull(b))
         meet = a.intersection_hull(b)
         if meet is not None:
             self._assert_normal(meet)
@@ -161,13 +161,6 @@ class TestShapeInvariants:
     def test_membership_in_unit_interval(self, a, x):
         assert 0.0 <= a.membership(x) <= 1.0
 
-    @given(fuzzy_intervals(), st.floats(min_value=0.01, max_value=1.0))
-    def test_alpha_cuts_nested(self, a, level):
-        lo_hi = a.alpha_cut(level)
-        full = a.alpha_cut(1.0)
-        assert lo_hi[0] <= full[0] + 1e-9
-        assert lo_hi[1] >= full[1] - 1e-9
-
     @given(fuzzy_intervals())
     def test_area_non_negative(self, a):
         assert a.area >= 0.0
@@ -176,12 +169,6 @@ class TestShapeInvariants:
     def test_centroid_within_support(self, a):
         lo, hi = a.support
         assert lo - 1e-9 <= a.centroid <= hi + 1e-9
-
-    @given(fuzzy_intervals(), fuzzy_intervals())
-    def test_union_hull_contains_both(self, a, b):
-        u = a.union_hull(b)
-        assert u.contains(a)
-        assert u.contains(b)
 
 
 class TestConsistencyProperties:

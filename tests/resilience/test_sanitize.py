@@ -114,16 +114,6 @@ class TestSessionDegradedMode:
         with pytest.raises(ValueError, match="dropped every observation"):
             session.observe(Measurement("V(mid)", FuzzyInterval(1e12, 1e12, 0.1, 0.1)))
 
-    def test_next_unit_clears_the_degraded_flag(self):
-        session = self._session(sanitize="repair")
-        session.observe(
-            Measurement("V(mid)", FuzzyInterval.number(7.5, 0.02)),
-            Measurement("V(top)", FuzzyInterval(2e6, 2e6, 0.1, 0.1)),
-        )
-        assert session.degraded
-        session.next_unit()
-        assert not session.degraded
-
     def test_interval_rejects_non_finite(self):
         # The strict boundary: a glitched reading can't even be built.
         for bad in (float("nan"), float("inf"), -float("inf")):

@@ -30,7 +30,6 @@ class TestQuarantine:
         sup = FleetSupervisor()
         sup.record_failure("job-a")
         sup.record_job_success("job-a")
-        assert sup.failure_count("job-a") == 0
         assert sup.record_failure("job-a") is False
 
     def test_already_quarantined_stays_quarantined(self, monkeypatch):
@@ -39,7 +38,7 @@ class TestQuarantine:
         assert sup.record_failure("job-a", "first") is True
         assert sup.record_failure("job-a", "second") is True
         assert "first" in sup.quarantine_reason("job-a")
-        assert sup.quarantined_keys() == {"job-a": "first"}
+        assert "second" not in sup.quarantine_reason("job-a")
 
 
 class TestWorkerHealth:
@@ -73,6 +72,12 @@ class TestWorkerHealth:
         assert set(snap) == {"health", "evictions", "quarantined"}
 
 
+def _tamper(cache, key):
+    """Flip the last byte of ``key``'s sealed blob in the memory tier."""
+    entry = cache._entries[key]
+    entry[1] = entry[1][:-1] + ("x" if entry[1][-1:] != "x" else "y")
+
+
 class TestCacheIntegrity:
     def _result(self, key="h" * 64):
         return JobResult(
@@ -82,7 +87,7 @@ class TestCacheIntegrity:
     def test_tampered_entry_is_counted_miss_not_crash(self):
         cache = ResultCache(capacity=8)
         cache.put("k1", self._result())
-        assert cache.tamper("k1")
+        _tamper(cache, "k1")
         assert cache.get("k1") is None  # purged, not served, not raised
         snap = cache.snapshot()
         assert snap["corruptions"] == 1
@@ -93,19 +98,16 @@ class TestCacheIntegrity:
     def test_refill_after_corruption_serves_again(self):
         cache = ResultCache(capacity=8)
         cache.put("k1", self._result())
-        cache.tamper("k1")
+        _tamper(cache, "k1")
         assert cache.get("k1") is None
         cache.put("k1", self._result())
         assert cache.get("k1") is not None
         assert cache.snapshot()["corruptions"] == 1
 
-    def test_tamper_missing_key_is_false(self):
-        assert ResultCache().tamper("nope") is False
-
     def test_intact_entries_unaffected(self):
         cache = ResultCache(capacity=8)
         cache.put("k1", self._result())
         cache.put("k2", self._result())
-        cache.tamper("k1")
+        _tamper(cache, "k1")
         assert cache.get("k2") is not None
         assert cache.snapshot()["corruptions"] == 0  # k1 not read yet

@@ -2,11 +2,13 @@
 
 import asyncio
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.server import http
 from repro.server.http import (
     HttpError,
     HttpRequest,
@@ -17,14 +19,17 @@ from repro.server.http import (
 from tests.server.wire import parse_response_bytes
 
 
-def parse(raw: bytes, **kwargs):
+def parse(raw: bytes, max_header=http.MAX_HEADER_BYTES, max_body=http.MAX_BODY_BYTES):
     async def go():
         reader = asyncio.StreamReader()
         reader.feed_data(raw)
         reader.feed_eof()
-        return await read_request(reader, **kwargs)
+        return await read_request(reader)
 
-    return asyncio.run(go())
+    with mock.patch.object(http, "MAX_HEADER_BYTES", max_header), mock.patch.object(
+        http, "MAX_BODY_BYTES", max_body
+    ):
+        return asyncio.run(go())
 
 
 class TestReadRequest:

@@ -151,17 +151,7 @@ class TestGauges:
         tel = Telemetry()
         tel.gauge("streams_active", 3.0)
         tel.gauge("streams_active", 1.0)
-        assert tel.gauge_value("streams_active") == 1.0
-
-    def test_gauge_add_accumulates_deltas(self):
-        tel = Telemetry()
-        tel.gauge_add("streams_active", 1.0)
-        tel.gauge_add("streams_active", 1.0)
-        tel.gauge_add("streams_active", -1.0)
-        assert tel.gauge_value("streams_active") == 1.0
-
-    def test_unknown_gauge_reads_zero(self):
-        assert Telemetry().gauge_value("nope") == 0.0
+        assert tel.snapshot()["gauges"] == {"streams_active": 1.0}
 
     def test_snapshot_carries_gauges(self):
         tel = Telemetry()
@@ -198,5 +188,5 @@ class TestGauges:
         tel = Telemetry()
         tel.gauge("streams_active", 2.0)
         tel.reset()
-        assert tel.gauge_value("streams_active") == 0.0
+        assert tel.snapshot()["gauges"] == {}
         assert Telemetry().summary().count("gauges") == 0

@@ -147,7 +147,7 @@ class TestSigkillRecovery:
         # Reopen: WAL replay must hand back every committed row, drop
         # the in-flight one, and raise nothing.
         with DiagnosisStore(path) as store:
-            assert store.cache_rows("public") == 20
+            assert store.cache_rows() == 20
             for i in range(20):
                 status, _blob = store.cache_get("public", f"k{i}")
                 assert status == "hit", f"k{i} lost or corrupt after kill"
@@ -219,10 +219,10 @@ class TestSigkillMaintenance:
         with DiagnosisStore(path) as store:
             assert store.integrity_check() == "ok"
             assert store.scrub()["purged"] == 0
-            assert store.cache_rows("public") == 20
+            assert store.cache_rows() == 20
             for i in range(20):
                 assert store.cache_get("public", f"k{i}")[0] == "hit"
-            assert store.history_count("acme") == 20
+            assert len(store.history_rows("acme")) == 20
             # The store stays maintainable after the crash, too.
             busy, _log, _done = store.checkpoint()
             assert busy == 0

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.learning import ExperienceBase, rule_identity
 from repro.store import PUBLIC_TENANT, DiagnosisStore
+from tests.helpers import corrupt_cache_row
 
 
 def _seal(payload):
@@ -44,12 +45,12 @@ class TestCacheRows:
     def test_tampered_row_is_purged(self, store):
         body, digest = _seal({"unit": "u1"})
         store.cache_put("public", "k1", body, digest)
-        assert store.cache_tamper("public", "k1")
+        assert corrupt_cache_row(store, "public", "k1")
         status, blob = store.cache_get("public", "k1")
         assert (status, blob) == ("corrupt", None)
         # Purged: the next read is an ordinary miss, not corrupt again.
         assert store.cache_get("public", "k1") == ("miss", None)
-        assert store.cache_rows("public") == 0
+        assert store.cache_rows() == 0
 
     def test_namespaces_do_not_collide(self, store):
         body_a, digest_a = _seal({"unit": "a"})
@@ -178,7 +179,7 @@ class TestHistory:
         assert [r["unit"] for r in rows] == ["u1", "u2"]
         assert rows[0]["top_culprit"] == "R1"
         assert rows[1]["cache_hit"] is True
-        assert store.history_count(PUBLIC_TENANT) == 2
+        assert len(store.history_rows(PUBLIC_TENANT)) == 2
 
     def test_limit_keeps_most_recent(self, store):
         for i in range(5):

@@ -57,12 +57,12 @@ class TestRetention:
         _fill_history(store, 10)
         cutoff = time.time() + 100  # everything is "older than 50s" from here
         assert store.retain_history(max_age=50.0, now=cutoff) == 10
-        assert store.history_count("acme") == 0
+        assert len(store.history_rows("acme")) == 0
 
     def test_age_window_spares_fresh_rows(self, store):
         _fill_history(store, 5)
         assert store.retain_history(max_age=3600.0) == 0
-        assert store.history_count("acme") == 5
+        assert len(store.history_rows("acme")) == 5
 
     def test_row_window_keeps_the_newest(self, store):
         _fill_history(store, 10)
@@ -80,7 +80,7 @@ class TestRetention:
     def test_zero_windows_delete_nothing(self, store):
         _fill_history(store, 3)
         assert store.retain_history(max_age=0.0, max_rows=0) == 0
-        assert store.history_count("acme") == 3
+        assert len(store.history_rows("acme")) == 3
 
     def test_cache_age_window(self, store):
         blob, digest = _seal({"v": 1})
@@ -180,7 +180,7 @@ class TestStoreMaintenance:
         assert result["checkpoint"]["busy"] == 0
         # 3-row batches, at most MAX_BATCHES_PER_TICK=4 per tick: all 8 go.
         assert result["history_deleted"] == 8
-        assert store.history_count("acme") == 0
+        assert len(store.history_rows("acme")) == 0
 
     def test_batches_per_tick_bound_the_work(self, store, monkeypatch):
         _fill_history(store, 10)
@@ -192,7 +192,7 @@ class TestStoreMaintenance:
         maint = StoreMaintenance(store, config)
         result = maint.tick(now=time.time() + 100)
         assert result["history_deleted"] == 6  # two batches, not all ten
-        assert store.history_count("acme") == 4
+        assert len(store.history_rows("acme")) == 4
 
     def test_busy_checkpoint_backs_off_and_recovers(self, store, monkeypatch):
         maint = StoreMaintenance(store, self._config(), seed=7)
@@ -265,10 +265,3 @@ class TestStoreMaintenance:
         maint.stop(final_tick=True)
         assert store.wal_size() == 0
 
-    def test_run_backup_and_scrub_feed_the_snapshot(self, store, tmp_path):
-        maint = StoreMaintenance(store, self._config())
-        maint.run_backup(tmp_path / "bk.db")
-        maint.run_scrub()
-        snap = maint.snapshot()
-        assert snap["backups"] == 1
-        assert snap["last_scrub"] == {"checked": 0, "purged": 0, "integrity": "ok"}

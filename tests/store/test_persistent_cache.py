@@ -12,6 +12,7 @@ from repro.store import (
     PersistentResultCache,
     namespaced_key,
 )
+from tests.helpers import corrupt_cache_row
 
 NETLIST = (
     ".title divider\n"
@@ -48,7 +49,7 @@ class TestTwoTier:
     def test_miss_populates_both_tiers(self, store):
         cache = PersistentResultCache(store, capacity=4)
         cache.put("k", _result())
-        assert store.cache_rows("public") == 1
+        assert store.cache_rows() == 1
         assert cache.get("k") is not None
         assert cache.hits_mem == 1
         assert cache.hits_disk == 0
@@ -79,11 +80,11 @@ class TestTwoTier:
         cache = PersistentResultCache(store, capacity=1)
         cache.put("a", _result(key="a"))
         cache.put("b", _result(key="b"))  # a now lives only on disk
-        assert cache.tamper_disk("a")
+        assert corrupt_cache_row(store, "public", "a")
         assert cache.get("a") is None  # corrupt -> counted miss, no crash
         assert cache.corruptions == 1
         assert cache.misses == 1
-        assert store.cache_rows("public") == 1  # the bad row is gone
+        assert store.cache_rows() == 1  # the bad row is gone
 
     def test_disk_capacity_evicts_lru_rows(self, store, monkeypatch):
         monkeypatch.setattr(store_cache, "DISK_CAPACITY", 2)
@@ -92,7 +93,7 @@ class TestTwoTier:
         cache.put("b", _result(key="b"))
         cache.put("c", _result(key="c"))
         assert cache.disk_evictions == 1
-        assert store.cache_rows("public") == 2
+        assert store.cache_rows() == 2
         assert cache.get("a") is None  # the LRU row was dropped
 
     def test_tenant_keys_do_not_collide(self, store):
@@ -165,8 +166,8 @@ class TestEngineWithStore:
             engine = self._engine(db)
             engine.run_job(job_from_spec(FAULTY_SPEC, index=0), tenant="acme")
             engine.run_job(job_from_spec(HEALTHY_SPEC, index=0))
-            assert db.history_count("acme") == 1
-            assert db.history_count("public") == 1
+            assert len(db.history_rows("acme")) == 1
+            assert len(db.history_rows("public")) == 1
             [row] = db.history_rows("acme")
             assert row["status"] == "ok"
             assert row["consistent"] is False

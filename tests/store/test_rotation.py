@@ -8,6 +8,7 @@ in on first open.
 
 import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
@@ -50,19 +51,6 @@ class TestRotation:
         with pytest.raises(ValueError):
             store.rotate_key("acme", overlap=-1.0)
 
-    def test_list_keys_shows_metadata_never_keys(self, store):
-        t = time.time()
-        old = store.provision_tenant("acme")
-        new = store.rotate_key("acme", overlap=60.0, now=t)
-        keys = store.list_keys("acme")
-        assert len(keys) == 2
-        not_afters = sorted(entry["not_after"] for entry in keys)
-        assert not_afters[0] == 0.0  # the fresh key: no expiry
-        assert not_afters[1] == pytest.approx(t + 60.0)  # the retiring one
-        for entry in keys:
-            assert old not in str(entry) and new not in str(entry)
-            assert len(entry["digest_prefix"]) == 12
-
 
 class TestRevocation:
     def test_revoke_rejects_every_key(self, store):
@@ -94,6 +82,15 @@ class TestRevocation:
         assert registry.resolve(key) is not None  # inside the TTL: cached
         clock[0] += 6.0
         assert registry.resolve(key) is None      # TTL lapsed: revoked
+
+
+def _revoked_flags(store, tenant_id):
+    """The ``revoked`` column of each key row the tenant holds."""
+    with closing(sqlite3.connect(store.path)) as conn:
+        rows = conn.execute(
+            "SELECT revoked FROM tenant_keys WHERE tenant_id = ?", (tenant_id,)
+        ).fetchall()
+    return [revoked for (revoked,) in rows]
 
 
 def _build_v1_store(path):
@@ -160,8 +157,7 @@ class TestMigration:
             status, _blob = store.cache_get("public", "k1")
             assert status == "hit"
             assert store.retain_cache(3600.0) == 0
-            keys = store.list_keys("acme")
-            assert len(keys) == 1 and not keys[0]["revoked"]
+            assert _revoked_flags(store, "acme") == [0]
 
     def test_migration_is_one_way_and_sticky(self, tmp_path):
         path = tmp_path / "legacy.db"
@@ -175,7 +171,7 @@ class TestMigration:
         assert version == "2"
         # Reopening a migrated store is a no-op, not a re-migration.
         with DiagnosisStore(path) as store:
-            assert len(store.list_keys("acme")) == 1
+            assert _revoked_flags(store, "acme") == [0]
 
     def test_future_schema_versions_are_refused(self, tmp_path):
         path = tmp_path / "future.db"

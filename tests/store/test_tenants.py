@@ -45,14 +45,6 @@ class TestTenantRegistry:
         clock.now += 6.0
         assert registry.resolve(key) is not None  # re-read, still there
 
-    def test_invalidate_clears(self, store):
-        key = store.provision_tenant("acme")
-        registry = TenantRegistry(store)
-        assert registry.resolve(key) is not None
-        registry.invalidate()
-        store.close()
-        with pytest.raises(Exception):
-            registry.resolve(key)
 
 
 class TestBuildReport:

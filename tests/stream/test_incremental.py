@@ -128,10 +128,13 @@ class TestChainContract:
         warm = IncrementalDiagnosisEngine(Flames(circuit))
         healthy = measurements_for(circuit)
         warm.diagnose(healthy)
-        assert warm.chain_length == len(NETS)
+        assert warm.last_stats.recomputed == len(NETS)
+        position = warm.order.index("V(n2)")
         subset = [m for m in healthy if m.point != "V(n2)"]
         result = warm.diagnose(subset)
-        assert warm.chain_length == len(subset)
+        # The chain is cut back to the step before the removed point.
+        assert warm.last_stats.reused_prefix == position
+        assert warm.last_stats.total == len(subset)
         assert "V(n2)" not in warm.order
         assert_same_result(result, cold_replay(circuit, warm.order, subset))
 
@@ -151,19 +154,20 @@ class TestChainContract:
         warm = IncrementalDiagnosisEngine(Flames(circuit))
         healthy = measurements_for(circuit)
         warm.diagnose(healthy)
-        chain_before = warm.chain_length
 
         changed = replace(healthy, "V(n3)", 0.1)
         # A one-step budget dies inside the changed point's re-assertion.
         ctx = RunContext(step_budget=1)
         result = warm.diagnose(changed, ctx=ctx)
         assert result.interrupted
-        # The interrupted suffix step must not have been checkpointed.
-        assert warm.chain_length < chain_before
+        reused = warm.last_stats.reused_prefix
 
         # The next unbounded tick recovers and matches a cold replay.
         recovered = warm.diagnose(changed)
         assert not recovered.interrupted
+        # The interrupted suffix step was not checkpointed: the recovery
+        # tick restores no more of the chain than the interrupted one did.
+        assert warm.last_stats.reused_prefix == reused
         assert_same_result(
             recovered, cold_replay(circuit, warm.order, changed)
         )
@@ -172,8 +176,9 @@ class TestChainContract:
         warm = IncrementalDiagnosisEngine(Flames(circuit))
         result = warm.diagnose(measurements_for(circuit), ctx=RunContext(step_budget=1))
         assert result.interrupted
-        assert warm.chain_length == 0
+        assert warm.last_stats is None
         # And it can still recover on the next unbounded call.
         ok = warm.diagnose(measurements_for(circuit))
         assert not ok.interrupted
+        assert warm.last_stats.reused_prefix == 0
         assert ok.is_consistent

@@ -86,7 +86,7 @@ class TestFaultyStream:
         assert final.candidates[0] == ("Rp3",)
         # Sequence numbers are gapless per session.
         assert [u.seq for u in updates] == list(range(len(updates)))
-        assert telemetry.gauge_value("stream_detector_fired") >= 1
+        assert telemetry.snapshot()["gauges"]["stream_detector_fired"] >= 1
 
     def test_warm_ticks_after_baseline_are_incremental(self):
         updates = list(faulty_session().run())
@@ -146,7 +146,7 @@ class TestReplayAndChaos:
         # The spurious trigger costs at most one extra tick; every
         # emitted ranking is still consistent (the unit is healthy).
         assert all(u.consistent for u in updates)
-        assert telemetry.gauge_value("stream_detector_misfires") == 1
+        assert telemetry.snapshot()["gauges"]["stream_detector_misfires"] == 1
 
 
 class TestDeadline:

@@ -86,6 +86,13 @@ class TestStreamEndpoint:
             resp, _ = read_stream(rs.server.port, "nets=zz")
             assert resp.status == 400
 
+    def test_out_of_range_values_are_a_400_before_the_stream_opens(self):
+        with RunningServer(stream_config()) as rs:
+            for query in ("imprecision=-1", "duration=nan", "alpha=2", "top=-1"):
+                resp, body = read_stream(rs.server.port, f"size=2&{query}")
+                assert resp.status == 400, query
+                assert json.loads(body)["error"]["status"] == 400
+
     def test_non_get_is_405(self):
         with RunningServer(stream_config()) as rs:
             conn = http.client.HTTPConnection("127.0.0.1", rs.server.port, timeout=30)

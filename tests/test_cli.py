@@ -175,6 +175,16 @@ class TestDemo:
         assert "minimal candidates" in out
 
 
+class TestWatch:
+    @pytest.mark.parametrize(
+        "flags", [["--imprecision", "-1"], ["--threshold", "5"], ["--top", "0"]]
+    )
+    def test_out_of_range_options_exit_two(self, flags, capsys):
+        code = main(["watch", "--size", "2", "--duration", "0.002"] + flags)
+        assert code == 2
+        assert "bad watch options" in capsys.readouterr().err
+
+
 class TestCorpus:
     # One tiny deterministic recipe keeps every CLI-level corpus test
     # in the sub-second range; the full loop lives in tests/corpus/.
@@ -221,6 +231,19 @@ class TestCorpus:
                     + self.RECIPE + self.RUN_ARGS)
         assert code == 0
         assert "accuracy floor holds" in capsys.readouterr().err
+
+    def test_top_k_columns_follow_the_flag(self, capsys):
+        code = main(["corpus", "run", "--top-k", "1,2"] + self.RECIPE + self.RUN_ARGS)
+        assert code == 0
+        header = capsys.readouterr().out.splitlines()[1].split()
+        assert header[:4] == ["class", "n", "top1", "top2"]
+        assert "top3" not in header and "top5" not in header
+
+    @pytest.mark.parametrize("top_k", ["0,-2", "1,0"])
+    def test_top_k_below_one_exit_two(self, top_k, capsys):
+        code = main(["corpus", "run", "--top-k", top_k] + self.RECIPE + self.RUN_ARGS)
+        assert code == 2
+        assert "bad --top-k" in capsys.readouterr().err
 
     def test_unknown_class_exit_two(self, capsys):
         code = main(["corpus", "generate", "--classes", "nonsense"])

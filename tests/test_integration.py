@@ -85,7 +85,7 @@ class TestEndToEnd:
         bench2 = DCSolver(apply_fault(golden, fault)).solve()
         for net in ("out", "tap", "base"):
             session2.observe_probe(bench2, net, imprecision=0.01)
-        assert session2.matching_experience()
+        assert session2.experience.suggest(session2.signature())
         assert session2.candidates()[0][0] == "Rb2"
 
     def test_flames_and_dictionary_agree_on_tabulated_faults(self, golden):
