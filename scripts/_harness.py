@@ -22,9 +22,11 @@ from collections import deque
 SERVE_PORT = r'"event": "listening".*?"port": (\d+)'
 #: The gateway's own port (replica lines carry ports too).
 CLUSTER_PORT = r'"event": "cluster_listening".*?"port": (\d+)'
+#: Seconds a spawned child has to log its port.
+SPAWN_TIMEOUT = 120.0
 
 
-def spawn(args, port_pattern=SERVE_PORT, timeout=120.0):
+def spawn(args, port_pattern=SERVE_PORT):
     """Start ``python -m repro *args``; return the process and its port.
 
     A daemon thread reads the child's output for the child's whole life,
@@ -52,7 +54,7 @@ def spawn(args, port_pattern=SERVE_PORT, timeout=120.0):
         bound.set()  # EOF: the child exited
 
     threading.Thread(target=drain, daemon=True).start()
-    if not bound.wait(timeout) or "port" not in found:
+    if not bound.wait(SPAWN_TIMEOUT) or "port" not in found:
         reap(process)
         raise RuntimeError(
             f"repro {args[0]} never reported a port; output so far: {list(tail)}"

@@ -51,7 +51,13 @@ PLAN = FaultPlan(
 )
 
 
-def build_jobs(n=40):
+#: Jobs in the chaos batch.
+JOBS = 40
+#: Requests the server leg sends.
+SERVER_REQUESTS = 30
+
+
+def build_jobs():
     from repro.circuit.measurements import Measurement
     from repro.fuzzy import FuzzyInterval
 
@@ -62,7 +68,7 @@ def build_jobs(n=40):
             [Measurement("V(mid)", FuzzyInterval.number(5.0 + i * 0.05, 0.02))],
             sanitize="repair",
         )
-        for i in range(n)
+        for i in range(JOBS)
     ]
 
 
@@ -99,7 +105,7 @@ def fleet_leg():
     return statuses
 
 
-def server_leg(requests=30):
+def server_leg():
     server_plan = FaultPlan(
         seed=0, rules=PLAN.rules + (FaultRule("server.io", rate=0.25),)
     )
@@ -120,7 +126,7 @@ def server_leg(requests=30):
         statuses = Counter()
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
         try:
-            for i in range(requests):
+            for i in range(SERVER_REQUESTS):
                 try:
                     conn.request(
                         "POST", "/v1/diagnose", body=body,
@@ -146,7 +152,7 @@ def server_leg(requests=30):
             conn.close()
         assert statuses[200] >= 1, f"no request survived: {dict(statuses)}"
         assert statuses.get(500, 0) >= 1, "server.io chaos never fired"
-        print(f"server leg ok: HTTP statuses {dict(statuses)} over {requests} requests")
+        print(f"server leg ok: HTTP statuses {dict(statuses)} over {SERVER_REQUESTS} requests")
 
         stop(process)
         print("graceful drain under chaos ok (exit 0)")

@@ -61,8 +61,23 @@ from repro.service.jobs import job_from_spec, measurement_to_dict
 from repro.stream.incremental import IncrementalDiagnosisEngine
 
 PROBES = ("vs", "v2", "v1")
-#: Timed rounds per width in the worker-scaling check.
+#: Timed rounds per width in the worker-scaling check, and jobs per batch.
 WORKER_ROUNDS = 3
+WORKER_UNITS = 16
+#: Jobs per pass in the fleet-cache check.
+CACHE_UNITS = 24
+#: Ladder sections in the shared-model check.
+SHARED_SECTIONS = 40
+#: Concurrent requests in the server drill.
+INFLIGHT = 50
+#: Stream-tick check: ladder sections, timed reps, probe imprecision,
+#: and the factor the drifting net sags to.
+STREAM_SECTIONS = 8
+STREAM_REPS = 3
+STREAM_IMPRECISION = 0.05
+DRIFT_FACTOR = 0.9
+#: Concurrent requests in the cluster sweep.
+CLUSTER_CONCURRENCY = 8
 
 #: A repair shop's recurring defects on the demo amplifier.
 DEFECTS = [
@@ -163,8 +178,9 @@ def timed_batch(engine, jobs):
     return time.perf_counter() - start, report
 
 
-def check_worker_scaling(units=16):
-    jobs = [job_from_spec(s, i) for i, s in enumerate(demo_specs(units, distinct=True))]
+def check_worker_scaling():
+    specs = demo_specs(WORKER_UNITS, distinct=True)
+    jobs = [job_from_spec(s, i) for i, s in enumerate(specs)]
 
     def batch(workers):
         # A fresh engine per batch: its result cache never short-circuits.
@@ -189,7 +205,8 @@ def check_worker_scaling(units=16):
     print(f"worker scaling ok: {summary}")
 
 
-def check_fleet_cache(units=24, distinct=len(DEFECTS)):
+def check_fleet_cache():
+    units, distinct = CACHE_UNITS, len(DEFECTS)
     jobs = [job_from_spec(s, i) for i, s in enumerate(demo_specs(units))]
     engine = FleetEngine(workers=4, executor="process")
     cold, cold_report = timed_batch(engine, jobs)
@@ -205,7 +222,8 @@ def check_fleet_cache(units=24, distinct=len(DEFECTS)):
           f"{cold_report.cache_hits} replays), warm {warm:.4f}s")
 
 
-def check_shared_model(sections=40):
+def check_shared_model():
+    sections = SHARED_SECTIONS
     golden = resistor_ladder(sections)
     netlist = write_netlist(golden)
     op = DCSolver(apply_fault(golden, Fault(FaultKind.OPEN, "Rp7"))).solve()
@@ -227,7 +245,8 @@ def check_shared_model(sections=40):
           f"(nominal builds per job: {builds})")
 
 
-def check_server(inflight=50):
+def check_server():
+    inflight = INFLIGHT
     process, port = spawn(
         ["serve", "--port", "0", "--workers", "4", "--queue-size", "64", "--timeout", "60"]
     )
@@ -266,19 +285,20 @@ def with_value(measurements, point, volts, imprecision):
     ]
 
 
-def check_stream_tick(sections=8, reps=3, imprecision=0.05, drift_factor=0.9):
+def check_stream_tick():
     """Warm tick vs chain-cold and one-shot while one ladder net sags.
 
     The net sags to 90% of nominal: inconsistent enough that a real
     diagnosis happens every tick, mild enough that conflict-set
     extraction does not drown out the propagation cost being compared.
     """
+    sections, reps, imprecision = STREAM_SECTIONS, STREAM_REPS, STREAM_IMPRECISION
     circuit = resistor_ladder(sections)
     nets = [f"n{i}" for i in range(1, sections + 1)]
     healthy = probe_all(DCSolver(circuit).solve(), nets, imprecision=imprecision)
     drift_point = f"V(n{sections // 2})"
     nominal = {m.point: m for m in healthy}[drift_point].value.centroid
-    drift_volts = nominal * drift_factor
+    drift_volts = nominal * DRIFT_FACTOR
 
     warm = IncrementalDiagnosisEngine(Flames(circuit))
     warm.diagnose(healthy)
@@ -329,7 +349,8 @@ def start_cluster(replicas):
     )
 
 
-def check_cluster(strict, concurrency=8):
+def check_cluster(strict):
+    concurrency = CLUSTER_CONCURRENCY
     counts, requests = ((1, 2, 4), 18) if strict else ((1, 2), 12)
     specs = demo_specs(requests, distinct=True)
     rates = {}

@@ -26,9 +26,13 @@ from _harness import reap, spawn
 from repro.stream.sse import parse_events
 
 
-def read_stream(port, query, timeout=120.0):
+#: Socket timeout (seconds) while reading one SSE stream.
+STREAM_TIMEOUT = 120.0
+
+
+def read_stream(port, query):
     """One full SSE stream: (status, headers, parsed events)."""
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=STREAM_TIMEOUT)
     try:
         conn.request("GET", f"/v1/stream?{query}")
         resp = conn.getresponse()

@@ -62,15 +62,15 @@ from repro.core.report import render_report
 _TABLES = {
     "figure2": lambda ex: ex.format_figure2(),
     "figure5": lambda ex: ex.format_figure5(),
-    "figure7": lambda ex: ex.format_figure7(),
-    "scaling": lambda ex: ex.format_scaling(),
-    "strategy": lambda ex: ex.format_strategy_eval(),
-    "learning": lambda ex: ex.format_learning_eval(),
+    "figure7": lambda ex: ex.format_figure7(ex.run_figure7()),
+    "scaling": lambda ex: ex.format_scaling(ex.run_scaling()),
+    "strategy": lambda ex: ex.format_strategy_eval(ex.run_strategy_eval()),
+    "learning": lambda ex: ex.format_learning_eval(ex.run_learning_eval()),
     "multifault": lambda ex: ex.format_multifault(ex.run_multifault()),
-    "dynamic": lambda ex: ex.format_dynamic_eval(),
+    "dynamic": lambda ex: ex.format_dynamic_eval(ex.run_dynamic_eval()),
     "ablations": lambda ex: ex.ablations.format_ablation(),
-    "atms-growth": lambda ex: ex.format_atms_growth(),
-    "dictionary": lambda ex: ex.format_dictionary_eval(),
+    "atms-growth": lambda ex: ex.format_atms_growth(ex.run_atms_growth()),
+    "dictionary": lambda ex: ex.format_dictionary_eval(ex.run_dictionary_eval()),
     "strategy-ladder": lambda ex: ex.format_strategy_eval(ex.run_strategy_eval_ladder()),
 }
 
@@ -558,12 +558,18 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
         print(f"bad --top-k: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    report = run_corpus(
-        manifest,
-        workers=args.workers,
-        executor=args.executor,
-        top_k=top_k or (1, 3, 5),
-    )
+    try:
+        report = run_corpus(
+            manifest,
+            workers=args.workers,
+            executor=args.executor,
+            top_k=top_k or (1, 3, 5),
+        )
+    except ValueError as exc:
+        # The fleet engine rejects its options (``--workers 0``) before
+        # any scenario runs; diagnosis faults become structured results.
+        print(f"bad engine options: {exc}", file=sys.stderr)
+        return 2
     wall = time.perf_counter() - started
     if args.out:
         Path(args.out).write_text(report.to_json(include_latency=args.latency))

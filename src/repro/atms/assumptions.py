@@ -52,9 +52,6 @@ class Environment:
     def is_proper_subset(self, other: "Environment") -> bool:
         return self.assumptions < other.assumptions
 
-    def contains(self, assumption: Assumption) -> bool:
-        return assumption in self.assumptions
-
     @property
     def size(self) -> int:
         return len(self.assumptions)

@@ -120,14 +120,10 @@ def minimal_diagnoses(
     return diagnoses
 
 
-def suspicion_scores(
-    nogoods: Iterable[WeightedNogood], threshold: float = 0.0
-) -> Dict[Assumption, float]:
+def suspicion_scores(nogoods: Iterable[WeightedNogood]) -> Dict[Assumption, float]:
     """Per-assumption suspicion: the strongest nogood implicating it."""
     scores: Dict[Assumption, float] = {}
     for nogood in nogoods:
-        if nogood.degree < threshold:
-            continue
         for assumption in nogood.environment:
             if scores.get(assumption, 0.0) < nogood.degree:
                 scores[assumption] = nogood.degree

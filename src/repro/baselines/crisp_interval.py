@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.fuzzy import FuzzyInterval
 
@@ -38,29 +37,12 @@ class Interval:
     def point(cls, value: float) -> "Interval":
         return cls(value, value)
 
-    @classmethod
-    def around(cls, value: float, tolerance: float) -> "Interval":
-        spread = abs(value) * tolerance
-        return cls(value - spread, value + spread)
-
     def to_fuzzy(self) -> FuzzyInterval:
         return FuzzyInterval.crisp_interval(self.lo, self.hi)
 
     # ------------------------------------------------------------------
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: "Interval | float") -> bool:
-        if isinstance(x, Interval):
-            return self.lo <= x.lo and x.hi <= self.hi
-        return self.lo <= x <= self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -107,9 +89,6 @@ class Interval:
 
     def __rtruediv__(self, other: "Interval | float") -> "Interval":
         return _coerce(other) / self
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.lo, self.hi)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.lo:g},{self.hi:g}]"

@@ -16,7 +16,6 @@ representation:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from repro.circuit.measurements import Measurement
@@ -41,9 +40,8 @@ def crispify(value: FuzzyInterval) -> FuzzyInterval:
 class CrispDiagnoser(Flames):
     """FLAMES's engine degraded to crisp intervals (the DIANA baseline)."""
 
-    def __init__(self, circuit: Circuit, config: FlamesConfig = None) -> None:
-        crisp = replace(config or FlamesConfig(), conflict_threshold=_CRISP_THRESHOLD)
-        super().__init__(circuit, crisp)
+    def __init__(self, circuit: Circuit) -> None:
+        super().__init__(circuit, FlamesConfig(conflict_threshold=_CRISP_THRESHOLD))
         self._crispify_network()
 
     # ------------------------------------------------------------------

@@ -76,28 +76,24 @@ class FaultDictionary:
     Args:
         circuit: the golden design.
         probes: nets whose voltages form the signature.
-        faults: (component, mode, Fault) triples to tabulate; defaults to
-            the common catalogue over every component.
+
+    The table holds :func:`dictionary_faults`, the common catalogue over
+    every component.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        probes: Sequence[str],
-        faults: Optional[Sequence[Tuple[str, str, Fault]]] = None,
-    ) -> None:
+    def __init__(self, circuit: Circuit, probes: Sequence[str]) -> None:
         self.circuit = circuit
         self.probes = list(probes)
         self.entries: List[DictionaryEntry] = []
-        self._build(faults if faults is not None else dictionary_faults(circuit))
+        self._build()
 
     def _signature(self, voltages: Mapping[str, float]) -> Tuple[float, ...]:
         return tuple(0.0 if net == "0" else voltages[net] for net in self.probes)
 
-    def _build(self, faults: Sequence[Tuple[str, str, Fault]]) -> None:
+    def _build(self) -> None:
         self.healthy_signature = self._signature(DCSolver(self.circuit).solve().voltages)
         model = CircuitModel()
-        for component, mode, fault in faults:
+        for component, mode, fault in dictionary_faults(self.circuit):
             voltages = model.fault_voltages(self.circuit, fault)
             if voltages is not None:
                 self.entries.append(DictionaryEntry(component, mode, self._signature(voltages)))

@@ -71,9 +71,6 @@ class GdeTestPlanner:
             posteriors[comp.name] = PRIOR + (0.5 - PRIOR) * suspicion
         return posteriors
 
-    def system_entropy(self, result: DiagnosisResult) -> float:
-        return shannon_entropy(list(self.probabilities(result).values()))
-
     # ------------------------------------------------------------------
     def candidate_points(
         self, result: DiagnosisResult, available: Optional[Sequence[str]] = None

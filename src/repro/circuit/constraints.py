@@ -662,11 +662,3 @@ class ConstraintNetwork:
                 guard=linear, guard_variables=gvars,
             )
         )
-
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        return {
-            "variables": len(self.variables),
-            "constraints": len(self.constraints),
-            "components": len(self.circuit.components),
-        }

@@ -23,6 +23,8 @@ __all__ = [
     "bridge_cascade",
 ]
 
+#: Relative tolerance of every generated resistor and gain.
+TOLERANCE = 0.05
 #: Source voltage of the ladder, mesh and bridge families.
 SUPPLY = 10.0
 #: Source voltage at the root of the divider tree.
@@ -38,7 +40,6 @@ def _pick(rng: Optional[random.Random], nominal: float, lo: float, hi: float) ->
 
 def resistor_ladder(
     sections: int,
-    tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
     """An R-2R-style ladder with ``sections`` series/shunt pairs.
@@ -56,15 +57,14 @@ def resistor_ladder(
         node = f"n{i}"
         series = 10e3 if rng is None else rng.uniform(5e3, 50e3)
         shunt = 20e3 if rng is None else rng.uniform(5e3, 50e3)
-        ckt.add(Resistor(f"Rs{i}", series, tolerance, a=prev, b=node))
-        ckt.add(Resistor(f"Rp{i}", shunt, tolerance, a=node, b=GROUND))
+        ckt.add(Resistor(f"Rs{i}", series, TOLERANCE, a=prev, b=node))
+        ckt.add(Resistor(f"Rp{i}", shunt, TOLERANCE, a=node, b=GROUND))
         prev = node
     return ckt
 
 
 def amplifier_chain(
     stages: int,
-    tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
     """A single-path chain of gain blocks (the paper's "single path" shape).
@@ -78,13 +78,12 @@ def amplifier_chain(
     ckt.add(VoltageSource("Vin", CHAIN_INPUT, p="s0", n=GROUND))
     for i in range(1, stages + 1):
         gain = (2.0 if i % 2 else 0.5) if rng is None else rng.uniform(0.5, 2.0)
-        ckt.add(Amplifier(f"amp{i}", gain, tolerance, inp=f"s{i-1}", out=f"s{i}"))
+        ckt.add(Amplifier(f"amp{i}", gain, TOLERANCE, inp=f"s{i-1}", out=f"s{i}"))
     return ckt
 
 
 def divider_tree(
     depth: int,
-    tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
     """A binary tree of voltage dividers (multiple interacting paths).
@@ -108,8 +107,8 @@ def divider_tree(
             node = f"{parent}{side}"
             upper = _pick(rng, 10e3, 5e3, 50e3)
             lower = _pick(rng, 10e3, 5e3, 50e3)
-            ckt.add(Resistor(f"Ra{counter[0]}", upper, tolerance, a=parent, b=node))
-            ckt.add(Resistor(f"Rb{counter[0]}", lower, tolerance, a=node, b=GROUND))
+            ckt.add(Resistor(f"Ra{counter[0]}", upper, TOLERANCE, a=parent, b=node))
+            ckt.add(Resistor(f"Rb{counter[0]}", lower, TOLERANCE, a=node, b=GROUND))
             grow(node, level + 1)
 
     grow("t", 0)
@@ -119,7 +118,6 @@ def divider_tree(
 def mesh_grid(
     rows: int,
     cols: int,
-    tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
     """A ``rows x cols`` resistive mesh (the many-loop stress shape).
@@ -144,19 +142,18 @@ def mesh_grid(
             if c + 1 < cols:
                 counter += 1
                 ckt.add(Resistor(f"Rh{counter}", _pick(rng, 10e3, 5e3, 50e3),
-                                 tolerance, a=node(r, c), b=node(r, c + 1)))
+                                 TOLERANCE, a=node(r, c), b=node(r, c + 1)))
             if r + 1 < rows:
                 counter += 1
                 ckt.add(Resistor(f"Rv{counter}", _pick(rng, 10e3, 5e3, 50e3),
-                                 tolerance, a=node(r, c), b=node(r + 1, c)))
-    ckt.add(Resistor("Rload", _pick(rng, 10e3, 5e3, 50e3), tolerance,
+                                 TOLERANCE, a=node(r, c), b=node(r + 1, c)))
+    ckt.add(Resistor("Rload", _pick(rng, 10e3, 5e3, 50e3), TOLERANCE,
                      a=node(rows - 1, cols - 1), b=GROUND))
     return ckt
 
 
 def bridge_cascade(
     sections: int,
-    tolerance: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> Circuit:
     """A chain of loaded Wheatstone bridges.
@@ -172,18 +169,18 @@ def bridge_cascade(
     ckt = Circuit(f"bridge-{sections}")
     ckt.add(VoltageSource("Vin", SUPPLY, p="b0", n=GROUND))
     for i in range(1, sections + 1):
-        ckt.add(Resistor(f"Ra{i}", _pick(rng, 10e3, 5e3, 50e3), tolerance,
+        ckt.add(Resistor(f"Ra{i}", _pick(rng, 10e3, 5e3, 50e3), TOLERANCE,
                          a=f"b{i-1}", b=f"x{i}"))
-        ckt.add(Resistor(f"Rb{i}", _pick(rng, 10e3, 5e3, 50e3), tolerance,
+        ckt.add(Resistor(f"Rb{i}", _pick(rng, 10e3, 5e3, 50e3), TOLERANCE,
                          a=f"x{i}", b=GROUND))
-        ckt.add(Resistor(f"Rc{i}", _pick(rng, 10e3, 5e3, 50e3), tolerance,
+        ckt.add(Resistor(f"Rc{i}", _pick(rng, 10e3, 5e3, 50e3), TOLERANCE,
                          a=f"b{i-1}", b=f"y{i}"))
-        ckt.add(Resistor(f"Rd{i}", _pick(rng, 10e3, 5e3, 50e3), tolerance,
+        ckt.add(Resistor(f"Rd{i}", _pick(rng, 10e3, 5e3, 50e3), TOLERANCE,
                          a=f"y{i}", b=GROUND))
-        ckt.add(Resistor(f"Re{i}", _pick(rng, 10e3, 5e3, 50e3), tolerance,
+        ckt.add(Resistor(f"Re{i}", _pick(rng, 10e3, 5e3, 50e3), TOLERANCE,
                          a=f"x{i}", b=f"y{i}"))
-        ckt.add(Resistor(f"Rf{i}", _pick(rng, 10e3, 5e3, 50e3), tolerance,
+        ckt.add(Resistor(f"Rf{i}", _pick(rng, 10e3, 5e3, 50e3), TOLERANCE,
                          a=f"x{i}", b=f"b{i}"))
-    ckt.add(Resistor("Rload", _pick(rng, 10e3, 5e3, 50e3), tolerance,
+    ckt.add(Resistor("Rload", _pick(rng, 10e3, 5e3, 50e3), TOLERANCE,
                      a=f"b{sections}", b=GROUND))
     return ckt

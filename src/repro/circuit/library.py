@@ -38,6 +38,10 @@ __all__ = [
 
 #: The probe points figure 7 reports on, output first.
 THREE_STAGE_PROBES = ("vs", "v2", "v1")
+#: Relative tolerance of every component value in the paper's circuits.
+TOLERANCE = 0.05
+#: Relative tolerance of figure 6's transistor betas.
+BETA_TOLERANCE = 0.1
 #: Figure 2's source voltage at A.
 CASCADE_INPUT = 3.0
 #: Figure 6's supply.
@@ -47,8 +51,8 @@ RC_RESISTANCE = 1e3
 RC_CAPACITANCE = 1e-6
 
 
-def amplifier_cascade(tolerance: float = 0.05) -> Circuit:
-    """Figure 2: three ideal gain blocks with +/-`tolerance` fuzzy gains.
+def amplifier_cascade() -> Circuit:
+    """Figure 2: three ideal gain blocks with +/-`TOLERANCE` fuzzy gains.
 
     Topology (from the figure's values): the source drives A; amp1 (gain
     1) produces B; amp2 (gain 2) and amp3 (gain 3) both read B, producing
@@ -56,9 +60,9 @@ def amplifier_cascade(tolerance: float = 0.05) -> Circuit:
     """
     ckt = Circuit("amplifier-cascade", description="figure 2 gain cascade")
     ckt.add(VoltageSource("Va", CASCADE_INPUT, p="a", n=GROUND))
-    ckt.add(Amplifier("amp1", 1.0, tolerance, inp="a", out="b"))
-    ckt.add(Amplifier("amp2", 2.0, tolerance, inp="b", out="c"))
-    ckt.add(Amplifier("amp3", 3.0, tolerance, inp="b", out="d"))
+    ckt.add(Amplifier("amp1", 1.0, TOLERANCE, inp="a", out="b"))
+    ckt.add(Amplifier("amp2", 2.0, TOLERANCE, inp="b", out="c"))
+    ckt.add(Amplifier("amp3", 3.0, TOLERANCE, inp="b", out="d"))
     return ckt
 
 
@@ -86,7 +90,7 @@ def diode_resistor_circuit() -> Circuit:
     return ckt
 
 
-def three_stage_amplifier(tolerance: float = 0.05, beta_tolerance: float = 0.1) -> Circuit:
+def three_stage_amplifier() -> Circuit:
     """Figure 6: the three-stage amplifier with the published values.
 
     Vcc = 18 V; R1 = 200k, R2 = 12k, R3 = 24k, R4 = 3k, R5 = 2.2k,
@@ -96,21 +100,21 @@ def three_stage_amplifier(tolerance: float = 0.05, beta_tolerance: float = 0.1) 
     ckt = Circuit("three-stage-amplifier", description="figure 6 unit under test")
     ckt.add(VoltageSource("Vcc", VCC, p="vcc", n=GROUND))
     # Stage 1: emitter follower biased by the R1/R3 divider.
-    ckt.add(Resistor("R1", 200e3, tolerance, a="vcc", b="n1"))
-    ckt.add(Resistor("R3", 24e3, tolerance, a="n1", b=GROUND))
-    ckt.add(BJT("T1", beta=300.0, beta_tolerance=beta_tolerance, c="vcc", b="n1", e="v1"))
-    ckt.add(Resistor("R2", 12e3, tolerance, a="v1", b=GROUND))
+    ckt.add(Resistor("R1", 200e3, TOLERANCE, a="vcc", b="n1"))
+    ckt.add(Resistor("R3", 24e3, TOLERANCE, a="n1", b=GROUND))
+    ckt.add(BJT("T1", beta=300.0, beta_tolerance=BETA_TOLERANCE, c="vcc", b="n1", e="v1"))
+    ckt.add(Resistor("R2", 12e3, TOLERANCE, a="v1", b=GROUND))
     # Stage 2: common emitter with degeneration.
-    ckt.add(Resistor("R4", 3e3, tolerance, a="vcc", b="v2"))
-    ckt.add(BJT("T2", beta=200.0, beta_tolerance=beta_tolerance, c="v2", b="v1", e="n2"))
-    ckt.add(Resistor("R5", 2.2e3, tolerance, a="n2", b=GROUND))
+    ckt.add(Resistor("R4", 3e3, TOLERANCE, a="vcc", b="v2"))
+    ckt.add(BJT("T2", beta=200.0, beta_tolerance=BETA_TOLERANCE, c="v2", b="v1", e="n2"))
+    ckt.add(Resistor("R5", 2.2e3, TOLERANCE, a="n2", b=GROUND))
     # Stage 3: output emitter follower.
-    ckt.add(BJT("T3", beta=100.0, beta_tolerance=beta_tolerance, c="vcc", b="v2", e="vs"))
-    ckt.add(Resistor("R6", 1.8e3, tolerance, a="vs", b=GROUND))
+    ckt.add(BJT("T3", beta=100.0, beta_tolerance=BETA_TOLERANCE, c="vcc", b="v2", e="vs"))
+    ckt.add(Resistor("R6", 1.8e3, TOLERANCE, a="vs", b=GROUND))
     return ckt
 
 
-def rc_lowpass(stages: int = 2, tolerance: float = 0.05) -> Circuit:
+def rc_lowpass(stages: int = 2) -> Circuit:
     """An RC low-pass ladder — the dynamic-mode workload.
 
     Each stage is a series resistor into a shunt capacitor; probe nets
@@ -129,7 +133,7 @@ def rc_lowpass(stages: int = 2, tolerance: float = 0.05) -> Circuit:
     prev = "in"
     for i in range(1, stages + 1):
         node = f"m{i}"
-        ckt.add(Resistor(f"R{i}", RC_RESISTANCE, tolerance, a=prev, b=node))
-        ckt.add(Capacitor(f"C{i}", RC_CAPACITANCE, tolerance, a=node, b=GROUND))
+        ckt.add(Resistor(f"R{i}", RC_RESISTANCE, TOLERANCE, a=prev, b=node))
+        ckt.add(Capacitor(f"C{i}", RC_CAPACITANCE, TOLERANCE, a=node, b=GROUND))
         prev = node
     return ckt

@@ -58,11 +58,15 @@ def _rule_key(entry: Dict) -> RuleKey:
     return signature, str(entry.get("component", "")), str(entry.get("mode", ""))
 
 
+#: Rule certainty after one episode, until a replica's snapshot reports its own.
+BASE_CERTAINTY = 0.6
+
+
 class ExperienceGossip:
     """The gateway's cluster-wide experience ledger and delivery state."""
 
-    def __init__(self, base_certainty: float = 0.6) -> None:
-        self.base_certainty = base_certainty
+    def __init__(self) -> None:
+        self.base_certainty = BASE_CERTAINTY
         # key -> cumulative occurrences across the whole cluster.
         self._ledger: Dict[RuleKey, int] = {}
         # per replica: what occurrence count we expect it to report next

@@ -32,6 +32,10 @@ __all__ = ["DynamicPrediction", "DynamicDiagnosisResult", "DynamicDiagnoser"]
 
 #: Minimum envelope half-width (volts) — the discretisation noise floor.
 ENVELOPE_FLOOR = 5e-3
+#: Dc-complement below which a sample discrepancy is tolerance noise.
+CONFLICT_THRESHOLD = 0.05
+#: Most components in one dynamic-mode diagnosis.
+MAX_CANDIDATE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,6 @@ class DynamicDiagnoser:
         duration: how long the response is observed; the probe instants
             are five points spread over it (skipping t=0, where every
             response trivially matches).
-        conflict_threshold: Dc-complement below which a sample
-            discrepancy is treated as tolerance noise.
     """
 
     def __init__(
@@ -78,8 +80,6 @@ class DynamicDiagnoser:
         waveforms: Dict[str, Waveform],
         dt: float,
         duration: float,
-        conflict_threshold: float = 0.05,
-        max_candidate_size: int = 2,
     ) -> None:
         # Work on a private clone: the sensitivity sweep perturbs
         # parameters in place (with restore), and callers should never
@@ -89,8 +89,6 @@ class DynamicDiagnoser:
         self.dt = dt
         self.duration = duration
         self.sample_times = [duration * k / 5.0 for k in range(1, 6)]
-        self.conflict_threshold = conflict_threshold
-        self.max_candidate_size = max_candidate_size
         self._predictions: Optional[Dict[Tuple[str, float], DynamicPrediction]] = None
 
     # ------------------------------------------------------------------
@@ -201,14 +199,14 @@ class DynamicDiagnoser:
                 conflicts.append(
                     (prediction.support, classify(reading, prediction.value).conflict_degree)
                 )
-        nogoods = fold_conflicts(conflicts, self.conflict_threshold)
+        nogoods = fold_conflicts(conflicts, CONFLICT_THRESHOLD)
         return DynamicDiagnosisResult(
             consistencies=consistencies,
             nogoods=nogoods,
             diagnoses=minimal_diagnoses(
                 nogoods,
-                threshold=self.conflict_threshold,
-                max_size=self.max_candidate_size,
+                threshold=CONFLICT_THRESHOLD,
+                max_size=MAX_CANDIDATE_SIZE,
             ),
             suspicions={
                 a.datum: s for a, s in suspicion_scores(nogoods).items()

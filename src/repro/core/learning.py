@@ -93,10 +93,6 @@ class SymptomSignature:
         )
         return cls(entries)
 
-    @property
-    def is_healthy(self) -> bool:
-        return all(bucket == "consistent" for _, bucket, _ in self.entries)
-
     def similarity(self, other: "SymptomSignature") -> float:
         """Fraction of probe entries that agree (0 when probes differ)."""
         mine = {p: (b, d) for p, b, d in self.entries}

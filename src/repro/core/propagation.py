@@ -245,13 +245,6 @@ class FuzzyPropagator:
             "conflicts": self.conflicts_logged,
         }
 
-    def best_interval(self, name: str) -> Optional[FuzzyInterval]:
-        value = self.best(name)
-        return value.interval if value else None
-
-    def estimates(self) -> Dict[str, Optional[FuzzyInterval]]:
-        return {name: self.best_interval(name) for name in self._values}
-
     @property
     def conflicts(self) -> List[RecognizedConflict]:
         return list(self._conflicts)

@@ -15,6 +15,9 @@ from repro.core.knowledge import ModeMatch
 
 __all__ = ["render_report", "render_consistency_row", "render_nogoods"]
 
+#: Nogoods a report lists before summarising the rest.
+NOGOOD_LINES = 8
+
 
 def render_consistency_row(result: DiagnosisResult, points: Sequence[str]) -> str:
     """One figure-7-style line: ``Dc(point) = value`` per probe."""
@@ -27,13 +30,13 @@ def render_consistency_row(result: DiagnosisResult, points: Sequence[str]) -> st
     return "  ".join(cells)
 
 
-def render_nogoods(result: DiagnosisResult, limit: int = 8) -> List[str]:
+def render_nogoods(result: DiagnosisResult) -> List[str]:
     lines = []
-    for nogood in result.nogoods[:limit]:
+    for nogood in result.nogoods[:NOGOOD_LINES]:
         comps = ",".join(sorted(a.datum for a in nogood.environment))
         lines.append(f"  {{{comps}}} @ {nogood.degree:.2f}")
-    if len(result.nogoods) > limit:
-        lines.append(f"  ... {len(result.nogoods) - limit} more")
+    if len(result.nogoods) > NOGOOD_LINES:
+        lines.append(f"  ... {len(result.nogoods) - NOGOOD_LINES} more")
     return lines
 
 

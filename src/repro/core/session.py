@@ -17,19 +17,16 @@ is exposed rather than hidden behind a verdict.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.measurements import Measurement, probe
 from repro.circuit.netlist import Circuit
 from repro.circuit.simulate import OperatingPoint
-from repro.core.diagnosis import DiagnosisResult, Flames, FlamesConfig
+from repro.core.diagnosis import DiagnosisResult, Flames
 from repro.core.knowledge import KnowledgeBase, ModeMatch
 from repro.core.learning import ExperienceBase, LearnedRule, SymptomSignature
 from repro.core.report import render_report
 from repro.core.strategy import BestTestPlanner, TestRecommendation
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.runtime.context import RunContext
 
 __all__ = ["TroubleshootingSession"]
 
@@ -39,83 +36,38 @@ class TroubleshootingSession:
 
     Args:
         circuit: the golden design (the model database is built from it).
-        config: engine configuration.
         experience: a shared :class:`ExperienceBase` carried across
             sessions (the repair shop's memory); a fresh one by default.
-        sanitize: measurement policy at the observation boundary —
-            ``"strict"`` (the default: observations enter verbatim,
-            byte-identical to the pre-resilience session) or ``"repair"``
-            (the resilience sanitizer drops absurd readings and widens
-            out-of-range ones; the session runs *degraded* and
-            :meth:`report` says so — see README "Resilience").
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        config: Optional[FlamesConfig] = None,
-        experience: Optional[ExperienceBase] = None,
-        sanitize: str = "strict",
-    ) -> None:
-        from repro.resilience.sanitize import POLICIES, SanitizeReport
-
-        if sanitize not in POLICIES:
-            raise ValueError(
-                f"unknown sanitize policy {sanitize!r}; choices: {', '.join(POLICIES)}"
-            )
-        self.engine = Flames(circuit, config)
+    def __init__(self, circuit: Circuit, experience: Optional[ExperienceBase] = None) -> None:
+        self.engine = Flames(circuit)
         self.experience = experience if experience is not None else ExperienceBase()
         #: The fault-mode/rule base, simulating through the engine's model.
         self.knowledge = KnowledgeBase(circuit, model=self.engine.model)
         #: The best-test strategy unit.
         self.planner = BestTestPlanner(self.engine)
-        self.sanitize = sanitize
-        self.sanitize_report = SanitizeReport()
         self.measurements: List[Measurement] = []
         self._result: Optional[DiagnosisResult] = None
 
     # ------------------------------------------------------------------
     # Observations
     # ------------------------------------------------------------------
-    def observe(
-        self, *measurements: Measurement, ctx: Optional["RunContext"] = None
-    ) -> DiagnosisResult:
-        """Add measurements and re-diagnose (bounded by ``ctx`` if given).
-
-        Under the ``"repair"`` sanitize policy, malformed observations
-        are dropped/widened at this boundary instead of poisoning the
-        constraint network; the actions accumulate in
-        :attr:`sanitize_report` and the session is :attr:`degraded`.
-        Raises ``ValueError`` when sanitisation leaves nothing to add.
-        """
+    def observe(self, *measurements: Measurement) -> DiagnosisResult:
+        """Add measurements and re-diagnose."""
         if not measurements:
             raise ValueError("observe() needs at least one measurement")
-        if self.sanitize == "repair":
-            from repro.resilience.sanitize import sanitize_measurements
-
-            survivors, report = sanitize_measurements(measurements)
-            self.sanitize_report.actions.extend(report.actions)
-            if not survivors:
-                raise ValueError(
-                    "sanitizer dropped every observation: "
-                    + "; ".join(a.reason for a in report.actions)
-                )
-            measurements = tuple(survivors)
         for m in measurements:
             self.measurements = [x for x in self.measurements if x.point != m.point]
             self.measurements.append(m)
-        self._result = self.engine.diagnose(self.measurements, ctx=ctx)
+        self._result = self.engine.diagnose(self.measurements)
         return self._result
 
     def observe_probe(
-        self,
-        op: OperatingPoint,
-        net: str,
-        imprecision: float = 0.02,
-        ctx: Optional["RunContext"] = None,
+        self, op: OperatingPoint, net: str, imprecision: float = 0.02
     ) -> DiagnosisResult:
         """Convenience: probe a simulated bench and observe the reading."""
-        return self.observe(probe(op, net, imprecision), ctx=ctx)
+        return self.observe(probe(op, net, imprecision))
 
     @property
     def result(self) -> DiagnosisResult:
@@ -126,11 +78,6 @@ class TroubleshootingSession:
     @property
     def has_observations(self) -> bool:
         return self._result is not None
-
-    @property
-    def degraded(self) -> bool:
-        """True when the sanitizer had to repair this unit's observations."""
-        return self.sanitize_report.degraded
 
     @property
     def unit_looks_healthy(self) -> bool:
@@ -162,12 +109,10 @@ class TroubleshootingSession:
     # Next test
     # ------------------------------------------------------------------
     def recommend_next(
-        self,
-        available: Optional[Sequence[str]] = None,
-        ctx: Optional["RunContext"] = None,
+        self, available: Optional[Sequence[str]] = None
     ) -> Optional[TestRecommendation]:
         """The §8 unit: the probe minimising expected fuzzy entropy."""
-        return self.planner.best(self.result, available, ctx=ctx)
+        return self.planner.best(self.result, available)
 
     # ------------------------------------------------------------------
     # Closure
@@ -180,10 +125,4 @@ class TroubleshootingSession:
 
     def report(self, title: str = "FLAMES troubleshooting session") -> str:
         refinements = self.refinements() if not self.result.is_consistent else None
-        text = render_report(self.result, refinements, title=title)
-        if self.degraded:
-            lines = ["", "DEGRADED MODE: some observations were repaired on entry"]
-            for action in self.sanitize_report.actions:
-                lines.append(f"  {action.point}: {action.action} ({action.reason})")
-            text += "\n".join(lines)
-        return text
+        return render_report(self.result, refinements, title=title)

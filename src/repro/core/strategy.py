@@ -21,9 +21,8 @@ centroid defuzzification of their expected entropy.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.diagnosis import DiagnosisResult, Flames
 from repro.fuzzy import (
@@ -34,9 +33,6 @@ from repro.fuzzy import (
     rank_key,
 )
 from repro.fuzzy.linguistic import FAULTINESS_5
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.runtime.context import RunContext
 
 __all__ = ["TestRecommendation", "BestTestPlanner"]
 
@@ -111,26 +107,14 @@ class BestTestPlanner:
         self,
         result: DiagnosisResult,
         available: Optional[Sequence[str]] = None,
-        ctx: Optional["RunContext"] = None,
     ) -> List[TestRecommendation]:
-        """Rank candidate probes by expected fuzzy entropy, best first.
-
-        A ``ctx`` bounds the search: each candidate evaluation charges
-        one tick, and on expiry the points scored so far are ranked and
-        returned (a partial-but-ordered recommendation list).
-        """
+        """Rank candidate probes by expected fuzzy entropy, best first."""
         estimations = self.estimations(result)
         support = self.engine.prediction_support()
         recommendations: List[TestRecommendation] = []
-        points = self.candidate_points(result, available)
-        span = ctx.span("plan", points=len(points)) if ctx is not None else nullcontext()
-        with span:
-            for point in points:
-                if ctx is not None and ctx.tick():
-                    break
-                supporters = frozenset(support.get(point, frozenset()))
-                rec = self._evaluate(point, supporters, estimations)
-                recommendations.append(rec)
+        for point in self.candidate_points(result, available):
+            supporters = frozenset(support.get(point, frozenset()))
+            recommendations.append(self._evaluate(point, supporters, estimations))
         recommendations.sort(key=lambda r: (rank_key(r.expected), r.point))
         return recommendations
 
@@ -138,9 +122,8 @@ class BestTestPlanner:
         self,
         result: DiagnosisResult,
         available: Optional[Sequence[str]] = None,
-        ctx: Optional["RunContext"] = None,
     ) -> Optional[TestRecommendation]:
-        ranked = self.recommend(result, available, ctx=ctx)
+        ranked = self.recommend(result, available)
         return ranked[0] if ranked else None
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.circuit.faults import Fault
-from repro.circuit.measurements import Measurement, MeasurementTuple
+from repro.circuit.measurements import MeasurementTuple
 from repro.circuit.netlist import Circuit
 from repro.circuit.spice import parse_netlist
 
@@ -61,9 +61,6 @@ class Scenario:
 
     def circuit(self) -> Circuit:
         return parse_netlist(self.netlist_text, name=self.id)
-
-    def to_measurements(self) -> List[Measurement]:
-        return [Measurement.from_tuple(m) for m in self.measurements]
 
     @property
     def meta(self) -> Dict[str, object]:

@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.circuit.faults import apply_fault
 from repro.circuit.library import three_stage_amplifier
@@ -18,7 +18,7 @@ from repro.circuit.measurements import probe_all
 from repro.circuit.simulate import DCSolver
 from repro.core.diagnosis import Flames, FlamesConfig
 from repro.core.strategy import BestTestPlanner
-from repro.experiments.figure7 import FIGURE7_SCENARIOS, Figure7Scenario
+from repro.experiments.figure7 import FIGURE7_SCENARIOS, IMPRECISION, Figure7Scenario
 from repro.experiments.runner import format_table
 from repro.fuzzy import FuzzyInterval, fuzzy_entropy
 from repro.fuzzy.entropy import entropy_term, entropy_term_product_form
@@ -42,17 +42,19 @@ ESTIMATIONS = (
 )
 #: The linguistic-scale sizes the granularity ablation sweeps.
 GRANULARITIES = (3, 5, 7, 9)
+#: The probe nets, Monte Carlo sample count and seed of the envelope check.
+ENVELOPE_NETS = ("v1", "v2", "vs")
+ENVELOPE_SAMPLES = 120
+ENVELOPE_SEED = 9
 
 
-def _scenario_measurements(scenario: Figure7Scenario, imprecision: float = 0.02):
+def _scenario_measurements(scenario: Figure7Scenario):
     golden = three_stage_amplifier()
     op = DCSolver(apply_fault(golden, scenario.fault)).solve()
-    return probe_all(op, ["vs", "v2", "v1"], imprecision=imprecision)
+    return probe_all(op, ["vs", "v2", "v1"], imprecision=IMPRECISION)
 
 
-def run_threshold_ablation(
-    scenarios: Sequence[Figure7Scenario] = FIGURE7_SCENARIOS,
-) -> List[Tuple[float, int, int]]:
+def run_threshold_ablation() -> List[Tuple[float, int, int]]:
     """(threshold, faults detected, total nogoods) over the scenarios."""
     rows = []
     for threshold in THRESHOLDS:
@@ -61,7 +63,7 @@ def run_threshold_ablation(
         )
         detected = 0
         nogoods = 0
-        for scenario in scenarios:
+        for scenario in FIGURE7_SCENARIOS:
             result = engine.diagnose(_scenario_measurements(scenario))
             detected += 0 if result.is_consistent else 1
             nogoods += len(result.nogoods)
@@ -95,11 +97,7 @@ def run_granularity_ablation() -> List[Tuple[int, str, float]]:
     return rows
 
 
-def run_envelope_validation(
-    nets: Sequence[str] = ("v1", "v2", "vs"),
-    samples: int = 120,
-    seed: int = 9,
-) -> List[Tuple[str, float, float, float, float]]:
+def run_envelope_validation() -> List[Tuple[str, float, float, float, float]]:
     """Validate the fuzzy prediction envelopes against reference analyses.
 
     Per probe net: (net, envelope width, Monte Carlo observed range,
@@ -112,8 +110,9 @@ def run_envelope_validation(
 
     golden = three_stage_amplifier()
     predictions = predict_nominal(golden)
-    sampled = monte_carlo(golden, samples=samples, seed=seed, nets=list(nets))
-    corners = worst_case(golden, nets=list(nets), exhaustive_limit=3)
+    nets = list(ENVELOPE_NETS)
+    sampled = monte_carlo(golden, samples=ENVELOPE_SAMPLES, seed=ENVELOPE_SEED, nets=nets)
+    corners = worst_case(golden, nets=nets, exhaustive_limit=3)
     rows = []
     for net in nets:
         envelope = predictions[f"V({net})"].value

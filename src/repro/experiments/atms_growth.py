@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.atms.assumptions import Assumption, Environment
 from repro.atms.candidates import minimal_diagnoses
@@ -93,8 +93,7 @@ def run_atms_growth() -> List[GrowthRow]:
     return rows
 
 
-def format_atms_growth(rows: Optional[List[GrowthRow]] = None) -> str:
-    rows = rows if rows is not None else run_atms_growth()
+def format_atms_growth(rows: List[GrowthRow]) -> str:
     table = format_table(
         [
             "conflicts",

@@ -17,7 +17,7 @@ fault on the cascade):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.baselines.fault_dictionary import FaultDictionary
 from repro.circuit.faults import Fault, FaultKind, apply_faults
@@ -30,6 +30,8 @@ from repro.experiments.runner import format_table
 __all__ = ["DictionaryRow", "run_dictionary_eval", "format_dictionary_eval"]
 
 _PROBES = ["vs", "v2", "v1"]
+#: Half-width (volts) of every probe reading.
+IMPRECISION = 0.02
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ def _flames_candidates(result) -> Tuple[str, ...]:
     return tuple(name for name, _ in result.ranked_components())
 
 
-def run_dictionary_eval(imprecision: float = 0.02) -> List[DictionaryRow]:
+def run_dictionary_eval() -> List[DictionaryRow]:
     golden = three_stage_amplifier()
     dictionary = FaultDictionary(golden, _PROBES)
     engine = Flames(golden)
@@ -71,7 +73,7 @@ def run_dictionary_eval(imprecision: float = 0.02) -> List[DictionaryRow]:
         verdict = (
             "healthy" if match.is_healthy else f"{match.component}:{match.mode}"
         )
-        result = engine.diagnose(probe_all(op, _PROBES, imprecision=imprecision))
+        result = engine.diagnose(probe_all(op, _PROBES, imprecision=IMPRECISION))
         candidates = _flames_candidates(result)
         rows.append(
             DictionaryRow(
@@ -99,7 +101,7 @@ def run_dictionary_eval(imprecision: float = 0.02) -> List[DictionaryRow]:
     op = DCSolver(faulty).solve()
     match = cascade_dictionary.lookup_op(op)
     result = cascade_engine.diagnose(
-        probe_all(op, cascade_probes, imprecision=imprecision)
+        probe_all(op, cascade_probes, imprecision=IMPRECISION)
     )
     pair_named = any(
         set(d.components) == {"amp2", "amp3"} for d in result.diagnoses
@@ -119,8 +121,7 @@ def run_dictionary_eval(imprecision: float = 0.02) -> List[DictionaryRow]:
     return rows
 
 
-def format_dictionary_eval(rows: Optional[List[DictionaryRow]] = None) -> str:
-    rows = rows if rows is not None else run_dictionary_eval()
+def format_dictionary_eval(rows: List[DictionaryRow]) -> str:
     table = format_table(
         [
             "defect",

@@ -14,7 +14,7 @@ cannot do at all.  On an RC low-pass ladder we inject capacitor faults
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.library import rc_lowpass
@@ -33,6 +33,13 @@ DYNAMIC_FAULTS: Tuple[Tuple[str, Fault], ...] = (
     ("C2 drift +80%", Fault(FaultKind.PARAM, "C2", "capacitance", 1.8e-6)),
     ("R1 drift +50%", Fault(FaultKind.PARAM, "R1", "resistance", 1.5e3)),
 )
+#: RC stages of the ladder under test.
+STAGES = 2
+#: Transient time step and run length (seconds).
+DT = 5e-5
+DURATION = 5e-3
+#: Half-width (volts) of every probe reading and sample.
+IMPRECISION = 0.01
 
 
 @dataclass(frozen=True)
@@ -44,31 +51,25 @@ class DynamicRow:
     culprit_blamed: bool
 
 
-def run_dynamic_eval(
-    faults: Sequence[Tuple[str, Fault]] = DYNAMIC_FAULTS,
-    stages: int = 2,
-    dt: float = 5e-5,
-    duration: float = 5e-3,
-    imprecision: float = 0.01,
-) -> List[DynamicRow]:
-    golden = rc_lowpass(stages)
+def run_dynamic_eval() -> List[DynamicRow]:
+    golden = rc_lowpass(STAGES)
     waveforms = {"Vin": step_waveform(0.0, 5.0)}
     static_engine = Flames(golden)
-    dynamic_engine = DynamicDiagnoser(golden, waveforms, dt=dt, duration=duration)
+    dynamic_engine = DynamicDiagnoser(golden, waveforms, dt=DT, duration=DURATION)
     dynamic_engine.predictions()  # build the envelopes once
 
-    probes = [f"m{i}" for i in range(1, stages + 1)]
+    probes = [f"m{i}" for i in range(1, STAGES + 1)]
     rows: List[DynamicRow] = []
-    for label, fault in faults:
+    for label, fault in DYNAMIC_FAULTS:
         faulty = apply_fault(golden, fault)
         # Static: DC probes (the step settled long ago).
         op = DCSolver(faulty).solve()
-        static = static_engine.diagnose(probe_all(op, probes, imprecision=imprecision))
+        static = static_engine.diagnose(probe_all(op, probes, imprecision=IMPRECISION))
         # Dynamic: the measured step response.
         measured = TransientSolver(
-            faulty, waveforms=waveforms, dt=dt, initial="dc"
-        ).run(duration)
-        dynamic = dynamic_engine.diagnose(measured, nets=probes, imprecision=imprecision)
+            faulty, waveforms=waveforms, dt=DT, initial="dc"
+        ).run(DURATION)
+        dynamic = dynamic_engine.diagnose(measured, nets=probes, imprecision=IMPRECISION)
         suspects = tuple(
             name
             for name, _ in sorted(
@@ -87,8 +88,7 @@ def run_dynamic_eval(
     return rows
 
 
-def format_dynamic_eval(rows: Optional[List[DynamicRow]] = None) -> str:
-    rows = rows if rows is not None else run_dynamic_eval()
+def format_dynamic_eval(rows: List[DynamicRow]) -> str:
     table = format_table(
         ["fault", "static detects", "dynamic detects", "dynamic suspects", "culprit blamed"],
         [

@@ -27,7 +27,7 @@ being reproduced:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.library import three_stage_amplifier
@@ -41,6 +41,8 @@ __all__ = ["Figure7Scenario", "Figure7Row", "FIGURE7_SCENARIOS", "run_figure7", 
 
 #: Probe points of the figure-7 table (output first, as the paper probes).
 PROBES = ("V(vs)", "V(v2)", "V(v1)")
+#: Half-width (volts) of every probe reading.
+IMPRECISION = 0.02
 #: Fault-mode refinements kept per scenario.
 REFINE_TOP_K = 5
 
@@ -133,23 +135,16 @@ class Figure7Row:
                 seen.append(match.component)
         return tuple(seen)
 
-    @property
-    def detected(self) -> bool:
-        return not self.result.is_consistent
 
-
-def run_figure7(
-    scenarios: Sequence[Figure7Scenario] = FIGURE7_SCENARIOS,
-    imprecision: float = 0.02,
-) -> List[Figure7Row]:
+def run_figure7() -> List[Figure7Row]:
     golden = three_stage_amplifier()
     engine = Flames(golden)
     knowledge = KnowledgeBase(golden)
     rows: List[Figure7Row] = []
-    for scenario in scenarios:
+    for scenario in FIGURE7_SCENARIOS:
         faulty = apply_fault(golden, scenario.fault)
         op = DCSolver(faulty).solve()
-        measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=imprecision)
+        measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=IMPRECISION)
         result = engine.diagnose(measurements)
         refinements = knowledge.refine(
             result.suspicions, measurements, top_k=REFINE_TOP_K
@@ -158,8 +153,7 @@ def run_figure7(
     return rows
 
 
-def format_figure7(rows: Optional[List[Figure7Row]] = None) -> str:
-    rows = rows if rows is not None else run_figure7()
+def format_figure7(rows: List[Figure7Row]) -> str:
     table_rows = []
     for row in rows:
         dc = row.dc_cells

@@ -32,6 +32,8 @@ TRAINING_FAULTS: Tuple[Tuple[str, Fault], ...] = (
     ("R2", Fault(FaultKind.SHORT, "R2")),
     ("R3", Fault(FaultKind.OPEN, "R3")),
 )
+#: Half-width (volts) of every probe reading.
+IMPRECISION = 0.02
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ def _rank_of(suspicions: Dict[str, float], culprit: str) -> Optional[int]:
     return None
 
 
-def run_learning_eval(imprecision: float = 0.02) -> List[LearningRow]:
+def run_learning_eval() -> List[LearningRow]:
     golden = three_stage_amplifier()
     engine = Flames(golden)
     experience = ExperienceBase()
@@ -60,7 +62,7 @@ def run_learning_eval(imprecision: float = 0.02) -> List[LearningRow]:
     results = []
     for culprit, fault in TRAINING_FAULTS:
         op = DCSolver(apply_fault(golden, fault)).solve()
-        measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=imprecision)
+        measurements = probe_all(op, ["vs", "v2", "v1"], imprecision=IMPRECISION)
         result = engine.diagnose(measurements)
         experience.record_result(result, culprit, fault.kind.value)
         results.append((culprit, fault, result))
@@ -82,8 +84,7 @@ def run_learning_eval(imprecision: float = 0.02) -> List[LearningRow]:
     return rows
 
 
-def format_learning_eval(rows: Optional[List[LearningRow]] = None) -> str:
-    rows = rows if rows is not None else run_learning_eval()
+def format_learning_eval(rows: List[LearningRow]) -> str:
     table = format_table(
         ["fault", "culprit", "rank before", "rank after", "rule certainty"],
         [

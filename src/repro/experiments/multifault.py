@@ -14,7 +14,7 @@ to manage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.circuit.faults import Fault, FaultKind, apply_faults
 from repro.circuit.library import amplifier_cascade
@@ -33,6 +33,8 @@ DOUBLE_FAULT: Tuple[Fault, Fault] = (
     Fault(FaultKind.PARAM, "amp2", "gain", 1.4),
     Fault(FaultKind.PARAM, "amp3", "gain", 4.0),
 )
+#: Half-width (volts) of every probe reading.
+IMPRECISION = 0.02
 
 
 @dataclass
@@ -49,14 +51,11 @@ class MultiFaultOutcome:
         return ("amp2", "amp3") in self.candidate_sets
 
 
-def run_multifault(
-    faults: Sequence[Fault] = DOUBLE_FAULT,
-    imprecision: float = 0.02,
-) -> List[MultiFaultOutcome]:
+def run_multifault() -> List[MultiFaultOutcome]:
     """Diagnose the double defect under different cardinality bounds."""
     golden = amplifier_cascade()
-    op = DCSolver(apply_faults(golden, faults)).solve()
-    measurements = probe_all(op, ["b", "c", "d"], imprecision=imprecision)
+    op = DCSolver(apply_faults(golden, DOUBLE_FAULT)).solve()
+    measurements = probe_all(op, ["b", "c", "d"], imprecision=IMPRECISION)
     outcomes = []
     for max_size in MAX_SIZES:
         engine = Flames(golden, FlamesConfig(max_candidate_size=max_size))

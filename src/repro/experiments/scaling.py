@@ -34,6 +34,8 @@ __all__ = ["ScalingRow", "run_scaling", "format_scaling"]
 STAGE_COUNTS = (2, 4, 6, 8, 10)
 #: The middle stage's gain drifts by this factor.
 DRIFT_RATIO = 1.06
+#: Half-width (volts) of every probe reading.
+IMPRECISION = 0.01
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ def _relative_spread(interval, nominal: float) -> float:
     return interval.width / abs(nominal)
 
 
-def run_scaling(imprecision: float = 0.01) -> List[ScalingRow]:
+def run_scaling() -> List[ScalingRow]:
     rows: List[ScalingRow] = []
     for stages in STAGE_COUNTS:
         golden = amplifier_chain(stages)
@@ -67,7 +69,7 @@ def run_scaling(imprecision: float = 0.01) -> List[ScalingRow]:
         )
         op = DCSolver(apply_fault(golden, fault)).solve()
         probes = [f"s{i}" for i in range(1, stages + 1)]
-        measurements = probe_all(op, probes, imprecision=imprecision)
+        measurements = probe_all(op, probes, imprecision=IMPRECISION)
 
         fuzzy_engine = Flames(amplifier_chain(stages))
         start = time.perf_counter()
@@ -102,8 +104,7 @@ def run_scaling(imprecision: float = 0.01) -> List[ScalingRow]:
     return rows
 
 
-def format_scaling(rows: List[ScalingRow] = None) -> str:
-    rows = rows if rows is not None else run_scaling()
+def format_scaling(rows: List[ScalingRow]) -> str:
     table = format_table(
         [
             "stages",

@@ -41,6 +41,10 @@ DEFAULT_FAULTS: Tuple[Fault, ...] = (
     Fault(FaultKind.PARAM, "R4", value=4.2e3),
     Fault(FaultKind.NODE_OPEN, "T1", pin="b"),
 )
+#: An episode ends once at most this many smallest diagnoses remain.
+TARGET_SIZE = 3
+#: Base seed of the random planner (offset by the fault's index).
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class EpisodeOutcome:
     culprit_found: bool = False
 
 
-def _isolated(result: DiagnosisResult, target_size: int) -> bool:
+def _isolated(result: DiagnosisResult) -> bool:
     """Isolation criterion: few enough smallest minimal diagnoses.
 
     Judged on the hitting sets, not on suspicion ties: two overlapping
@@ -64,7 +68,7 @@ def _isolated(result: DiagnosisResult, target_size: int) -> bool:
         return False
     smallest = min(d.size for d in result.diagnoses)
     leaders = [d for d in result.diagnoses if d.size == smallest]
-    return len(leaders) <= target_size
+    return len(leaders) <= TARGET_SIZE
 
 
 def run_episode(
@@ -72,14 +76,13 @@ def run_episode(
     op: OperatingPoint,
     choose: Callable[[DiagnosisResult], Optional[str]],
     imprecision: float = 0.02,
-    target_size: int = 3,
     start_point: str = "vs",
 ) -> Tuple[int, DiagnosisResult]:
     """Probe sequentially until isolation; returns (#probes, final result)."""
     measurements: List[Measurement] = [probe(op, start_point, imprecision)]
     result = engine.diagnose(measurements)
     probes_used = 1
-    while not _isolated(result, target_size):
+    while not _isolated(result):
         point = choose(result)
         if point is None:
             break
@@ -93,8 +96,6 @@ def run_episode(
 def run_strategy_eval(
     faults: Sequence[Fault] = DEFAULT_FAULTS,
     imprecision: float = 0.02,
-    target_size: int = 3,
-    seed: int = 7,
     golden=None,
     start_point: str = "vs",
 ) -> List[EpisodeOutcome]:
@@ -116,7 +117,7 @@ def run_strategy_eval(
         op = DCSolver(apply_fault(golden, fault)).solve()
         for name, choose in planners.items():
             probes_used, result = run_episode(
-                engine, op, choose, imprecision, target_size, start_point
+                engine, op, choose, imprecision, start_point
             )
             candidates = tuple(n for n, _ in result.ranked_components()[:4])
             outcomes.append(
@@ -124,7 +125,7 @@ def run_strategy_eval(
                     name,
                     fault.describe(),
                     probes_used,
-                    _isolated(result, target_size),
+                    _isolated(result),
                     candidates,
                     fault.component in candidates,
                 )
@@ -132,12 +133,12 @@ def run_strategy_eval(
         # The random planner is stateful (its RNG); rebuild per fault with
         # a deterministic fault-specific seed (str hashes are salted per
         # process, so hash() would make the experiment unrepeatable).
-        random_planner = RandomProbePlanner(engine, seed=seed + fault_index)
+        random_planner = RandomProbePlanner(engine, seed=SEED + fault_index)
         choose_random = lambda r: (
             random_planner.best(r).point if random_planner.best(r) else None
         )
         probes_used, result = run_episode(
-            engine, op, choose_random, imprecision, target_size, start_point
+            engine, op, choose_random, imprecision, start_point
         )
         candidates = tuple(n for n, _ in result.ranked_components()[:4])
         outcomes.append(
@@ -145,7 +146,7 @@ def run_strategy_eval(
                 "random",
                 fault.describe(),
                 probes_used,
-                _isolated(result, target_size),
+                _isolated(result),
                 candidates,
                 fault.component in candidates,
             )
@@ -161,30 +162,24 @@ LADDER_FAULTS: Tuple[Fault, ...] = (
     Fault(FaultKind.OPEN, "Rp1"),
     Fault(FaultKind.SHORT, "Rp5"),
 )
+#: Sections of the ladder, and the half-width (volts) of its probe readings.
+LADDER_SECTIONS = 5
+LADDER_IMPRECISION = 0.01
 
 
-def run_strategy_eval_ladder(
-    sections: int = 5,
-    faults: Sequence[Fault] = LADDER_FAULTS,
-    imprecision: float = 0.01,
-    target_size: int = 3,
-    seed: int = 7,
-) -> List[EpisodeOutcome]:
+def run_strategy_eval_ladder() -> List[EpisodeOutcome]:
     """The same evaluation on a generated resistor ladder."""
     from repro.circuit.generators import resistor_ladder
 
     return run_strategy_eval(
-        faults=faults,
-        imprecision=imprecision,
-        target_size=target_size,
-        seed=seed,
-        golden=resistor_ladder(sections),
-        start_point=f"n{sections}",
+        faults=LADDER_FAULTS,
+        imprecision=LADDER_IMPRECISION,
+        golden=resistor_ladder(LADDER_SECTIONS),
+        start_point=f"n{LADDER_SECTIONS}",
     )
 
 
-def format_strategy_eval(outcomes: Optional[List[EpisodeOutcome]] = None) -> str:
-    outcomes = outcomes if outcomes is not None else run_strategy_eval()
+def format_strategy_eval(outcomes: List[EpisodeOutcome]) -> str:
     table = format_table(
         ["fault", "planner", "probes", "isolated", "culprit found", "top candidates"],
         [

@@ -54,11 +54,6 @@ class Consistency:
             return self.degree
         return float(self.direction) if self.direction else 0.0
 
-    @property
-    def conflict_degree(self) -> float:
-        """``1 - Dc`` — the degree attached to the resulting nogood."""
-        return 1.0 - self.degree
-
 
 def consistency(measured: FuzzyInterval, nominal: FuzzyInterval) -> Consistency:
     """Degree of consistency of ``measured`` with ``nominal``.

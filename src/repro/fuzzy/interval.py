@@ -106,9 +106,9 @@ class FuzzyInterval:
         return cls(low, high, 0.0, 0.0)
 
     @classmethod
-    def number(cls, value: float, alpha: float, beta: float | None = None) -> "FuzzyInterval":
-        """A fuzzy number ``[m, m, alpha, beta]`` (``beta`` defaults to ``alpha``)."""
-        return cls(value, value, alpha, alpha if beta is None else beta)
+    def number(cls, value: float, alpha: float) -> "FuzzyInterval":
+        """A symmetric fuzzy number ``[m, m, alpha, alpha]``."""
+        return cls(value, value, alpha, alpha)
 
     @classmethod
     def from_support_core(

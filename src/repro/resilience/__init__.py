@@ -27,7 +27,6 @@ from repro.resilience.sanitize import (
     POLICIES,
     SanitizeAction,
     SanitizeReport,
-    sanitize_measurements,
     sanitize_tuples,
 )
 from repro.resilience.supervisor import EwmaHealth, FleetSupervisor
@@ -45,6 +44,5 @@ __all__ = [
     "active_plan",
     "install_plan",
     "uninstall_plan",
-    "sanitize_measurements",
     "sanitize_tuples",
 ]

@@ -217,10 +217,6 @@ class FaultPlan:
         except json.JSONDecodeError as exc:
             raise ValueError(f"fault plan is not valid JSON: {exc}") from None
 
-    def env(self) -> Dict[str, str]:
-        """The environment entry that carries this plan into subprocesses."""
-        return {ENV_VAR: self.to_json()}
-
 
 # ----------------------------------------------------------------------
 # The installed plan (module-global, per process)
@@ -336,9 +332,9 @@ def maybe_raise(point: str, key: Optional[str] = None) -> None:
         raise InjectedFault(point, key if key is not None else current_key(point))
 
 
-def maybe_sleep(point: str, key: Optional[str] = None) -> float:
+def maybe_sleep(point: str) -> float:
     """Sleep the firing rule's ``seconds``; returns the time slept."""
-    rule = maybe_fire(point, key)
+    rule = maybe_fire(point)
     if rule is None or rule.seconds <= 0:
         return 0.0
     import time
@@ -347,13 +343,13 @@ def maybe_sleep(point: str, key: Optional[str] = None) -> float:
     return rule.seconds
 
 
-def maybe_exit(point: str = "pool.worker_exit", key: Optional[str] = None) -> None:
+def maybe_exit(point: str = "pool.worker_exit") -> None:
     """Hard-kill the current *worker* process when ``point`` fires.
 
     Refuses to fire in the main process — killing the test runner or the
     server is never the chaos we want; only spawned pool workers die.
     """
-    rule = maybe_fire(point, key)
+    rule = maybe_fire(point)
     if rule is None:
         return
     import multiprocessing

@@ -7,10 +7,10 @@ conflicting but *malformed*: NaN/∞ readings from a glitched instrument,
 or magnitudes so far outside any electrical reality that propagating
 them would only poison the constraint network.
 
-Policy (:class:`SanitizePolicy`):
+Policy (:data:`POLICIES`):
 
 * ``strict`` (the default everywhere) — malformed readings are an
-  error: the session raises, the server answers a structured 400.
+  error: a job spec is rejected, the server answers a structured 400.
   Byte-identical to the pre-resilience engine for well-formed inputs;
 * ``repair`` — the sanitizer **drops** non-finite readings, **widens**
   merely out-of-range ones (clamping the core into ``±CLAMP_ABS`` while
@@ -19,9 +19,10 @@ Policy (:class:`SanitizePolicy`):
   result flagged with the actions taken, mirroring how the engine
   reports partial conflict rather than refusing to answer.
 
-Both the raw-tuple path (fleet jobs carry measurements as plain
-5-tuples) and the rich-object path (a live
-:class:`~repro.core.session.TroubleshootingSession`) are covered.
+The sanitizer works on raw ``(point, m1, m2, alpha, beta)`` tuples, the
+form fleet jobs carry and ``repro diagnose --sanitize repair`` reads; a
+constructed :class:`~repro.fuzzy.FuzzyInterval` already rejects
+non-finite values.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "SanitizeAction",
     "SanitizeReport",
     "sanitize_tuples",
-    "sanitize_measurements",
 ]
 
 #: Recognised sanitisation policies.
@@ -157,20 +157,4 @@ def sanitize_tuples(
             report.actions.append(action)
         if cleaned is not None:
             survivors.append(cleaned)
-    return survivors, report
-
-
-def sanitize_measurements(measurements: Sequence["Measurement"]):
-    """Sanitise rich :class:`~repro.circuit.measurements.Measurement` objects.
-
-    Non-finite values cannot exist inside a constructed
-    :class:`~repro.fuzzy.FuzzyInterval` (validation rejects them), so on
-    this path the sanitizer handles the out-of-range cases: absurd cores
-    are dropped, merely-large ones widened.  Returns
-    ``(survivors, SanitizeReport)``.
-    """
-    from repro.circuit.measurements import Measurement
-
-    cleaned, report = sanitize_tuples([m.as_tuple() for m in measurements])
-    survivors = [Measurement.from_tuple(m) for m in cleaned]
     return survivors, report

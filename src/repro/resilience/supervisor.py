@@ -138,10 +138,6 @@ class FleetSupervisor:
     # ------------------------------------------------------------------
     # Worker health
     # ------------------------------------------------------------------
-    @property
-    def health(self) -> float:
-        return self._health.score
-
     def record_worker_outcome(self, ok: bool) -> None:
         """Fold one worker outcome into the EWMA health score.
 

@@ -7,8 +7,8 @@ known at job granularity.  This package moves both concerns *inside*
 the engine:
 
 * :mod:`repro.runtime.context`  — :class:`RunContext`: monotonic
-  deadline, cooperative :class:`CancelToken`, deterministic step
-  budgets, trace ids;
+  deadline, cooperative cancellation, deterministic step budgets,
+  trace ids;
 * :mod:`repro.runtime.spans`    — :class:`Span` trees, the single
   timing mechanism behind engine traces, service telemetry phases and
   server metrics;
@@ -23,12 +23,11 @@ in-band worker deadlines, down to the propagator's fixpoint loop, which
 ticks the context per work-list pop and winds down cooperatively.
 """
 
-from repro.runtime.context import CancelToken, RunContext
+from repro.runtime.context import RunContext
 from repro.runtime.pipeline import STAGES, diagnose
 from repro.runtime.spans import Span, render_trace
 
 __all__ = [
-    "CancelToken",
     "RunContext",
     "STAGES",
     "diagnose",

@@ -8,7 +8,7 @@ carries:
 
 * a **monotonic deadline** — absolute, on an injectable clock so tests
   can expire it deterministically;
-* a **cooperative cancellation token** — thread-safe and sharable, so
+* a **cooperative cancellation flag** — thread-safe and latching, so
   the server's event loop can cancel the worker thread it timed out;
 * a **step budget** — a deterministic work bound counted in propagator
   queue pops (skipped no-op firings included), which is what makes
@@ -32,32 +32,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.runtime.spans import Span
 
-__all__ = ["CancelToken", "RunContext"]
-
-
-class CancelToken:
-    """A thread-safe, latching cancellation flag.
-
-    The requesting side (a server event loop, a supervising thread)
-    calls :meth:`cancel`; the working side observes :attr:`cancelled`
-    at its next checkpoint.  Cancellation is sticky — a token never
-    un-cancels — and one token may be shared by several contexts.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CancelToken({'cancelled' if self.cancelled else 'live'})"
+__all__ = ["RunContext"]
 
 
 class _NullSpanHandle:
@@ -113,10 +88,12 @@ class RunContext:
             fresh id is minted when omitted.
         tracing: collect :class:`Span` trees (off by default — span
             collection is cheap but not free).
-        cancel: a shared :class:`CancelToken`; a private one is built
-            when omitted.
         clock: monotonic time source (injectable for deterministic
             deadline tests).
+
+    Cancellation (:meth:`cancel`) is thread-safe and sticky: the
+    requesting side (a server event loop, a supervising thread) cancels
+    and the working side observes it at its next checkpoint.
     """
 
     __slots__ = (
@@ -125,7 +102,7 @@ class RunContext:
         "steps_used",
         "trace_id",
         "tracing",
-        "cancel_token",
+        "_cancelled",
         "clock",
         "spans",
         "interrupted",
@@ -140,7 +117,6 @@ class RunContext:
         step_budget: Optional[int] = None,
         trace_id: Optional[str] = None,
         tracing: bool = False,
-        cancel: Optional[CancelToken] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.clock = clock
@@ -149,7 +125,7 @@ class RunContext:
         self.steps_used = 0
         self.trace_id = trace_id if trace_id else uuid.uuid4().hex[:16]
         self.tracing = bool(tracing)
-        self.cancel_token = cancel if cancel is not None else CancelToken()
+        self._cancelled = threading.Event()
         self.spans: List[Span] = []
         self._span_stack: List[Span] = []
         self.interrupted = False
@@ -159,31 +135,16 @@ class RunContext:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def background(cls) -> "RunContext":
-        """An unbounded, untraced context (the no-deadline default)."""
-        return cls()
-
-    @classmethod
     def with_timeout(
         cls,
         seconds: Optional[float],
         *,
         trace_id: Optional[str] = None,
         tracing: bool = False,
-        cancel: Optional[CancelToken] = None,
-        clock: Callable[[], float] = time.monotonic,
-        step_budget: Optional[int] = None,
     ) -> "RunContext":
         """A context whose deadline is ``seconds`` from now (``None`` = never)."""
-        deadline = clock() + seconds if seconds is not None else None
-        return cls(
-            deadline=deadline,
-            step_budget=step_budget,
-            trace_id=trace_id,
-            tracing=tracing,
-            cancel=cancel,
-            clock=clock,
-        )
+        deadline = time.monotonic() + seconds if seconds is not None else None
+        return cls(deadline=deadline, trace_id=trace_id, tracing=tracing)
 
     # ------------------------------------------------------------------
     # Deadline / cancellation
@@ -196,11 +157,11 @@ class RunContext:
 
     def cancel(self) -> None:
         """Request cooperative cancellation (observable across threads)."""
-        self.cancel_token.cancel()
+        self._cancelled.set()
 
     @property
     def cancelled(self) -> bool:
-        return self.cancel_token.cancelled
+        return self._cancelled.is_set()
 
     def _stop(self, reason: str) -> bool:
         self.interrupted = True
@@ -210,7 +171,7 @@ class RunContext:
 
     def should_stop(self) -> bool:
         """True when the run must wind down; latches :attr:`stop_reason`."""
-        if self.cancel_token.cancelled:
+        if self._cancelled.is_set():
             return self._stop("cancelled")
         if self.deadline is not None and self.clock() >= self.deadline:
             return self._stop("deadline")

@@ -100,7 +100,7 @@ def diagnose(
 ) -> "DiagnosisResult":
     """Run every stage of one diagnose cycle; always returns a well-formed result."""
     if ctx is None:
-        ctx = RunContext.background()
+        ctx = RunContext()
 
     with ctx.span("diagnose", circuit=engine.circuit.name):
         with ctx.span("nominal") as span:

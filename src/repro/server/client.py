@@ -369,13 +369,11 @@ class DiagnosisClient:
         """Readiness probe; raises :class:`ClientError` 503 while draining."""
         return self._request("GET", "/readyz", retry_503=False, endpoints=endpoints)
 
-    def metrics(
-        self, samples: bool = False, endpoints: Optional[Sequence[object]] = None
-    ) -> Dict:
+    def metrics(self, samples: bool = False) -> Dict:
         """The telemetry snapshot; ``samples=True`` includes percentile
         reservoirs (what the gateway aggregates across replicas)."""
         path = "/metrics?samples=1" if samples else "/metrics"
-        return self._request("GET", path, endpoints=endpoints)
+        return self._request("GET", path)
 
     def diagnose(
         self,
@@ -420,17 +418,8 @@ class DiagnosisClient:
         """POST an experience delta for the replica to merge (gossip)."""
         return self._request("POST", "/v1/experience", data, endpoints=endpoints)
 
-    def tenant_report(
-        self,
-        tenant_id: str,
-        limit: int = 0,
-        endpoints: Optional[Sequence[object]] = None,
-    ) -> Dict:
+    def tenant_report(self, tenant_id: str) -> Dict:
         """GET the tenant's fleet-health report (requires this client's
         ``api_key`` to belong to ``tenant_id``; 401/403 →
-        :class:`AuthError`).  ``limit`` restricts the fold to the most
-        recent N history rows."""
-        path = f"/v1/tenants/{tenant_id}/report"
-        if limit > 0:
-            path += f"?limit={int(limit)}"
-        return self._request("GET", path, endpoints=endpoints)
+        :class:`AuthError`)."""
+        return self._request("GET", f"/v1/tenants/{tenant_id}/report")

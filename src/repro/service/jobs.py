@@ -138,18 +138,18 @@ class DiagnosisJob:
         unit: str,
         circuit: Union[Circuit, str],
         measurements: Sequence[Measurement],
-        config: Optional[Dict[str, float]] = None,
-        confirm: Optional[Tuple[str, str]] = None,
         sanitize: str = "strict",
     ) -> "DiagnosisJob":
-        """Build a job from rich objects (circuit and measurements)."""
+        """Build a job from rich objects (circuit and measurements).
+
+        Config overrides and a confirmed repair come from a job spec
+        (:func:`job_from_spec`).
+        """
         text = write_netlist(circuit) if isinstance(circuit, Circuit) else str(circuit)
         return cls(
             unit=unit,
             netlist_text=text,
             measurements=tuple(m.as_tuple() for m in measurements),
-            config=_config_overrides(config),
-            confirm=tuple(confirm) if confirm else None,  # type: ignore[arg-type]
             sanitize=_resolve_sanitize(sanitize),
         )
 

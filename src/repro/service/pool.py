@@ -733,12 +733,12 @@ class FleetEngine:
             self._persist_experience(tenant, batch.to_dict())
         return len(batch)
 
-    def experience_snapshot(self, tenant: Optional[str] = None) -> Dict:
-        """A base as plain data (the server's gossip/report endpoints)."""
+    def experience_snapshot(self) -> Dict:
+        """The shared base as plain data (the server's gossip endpoint)."""
         with self._experience_lock:
-            return self._experience_for(tenant).to_dict()
+            return self.experience.to_dict()
 
-    def absorb_experience(self, data: Dict, tenant: Optional[str] = None) -> int:
+    def absorb_experience(self, data: Dict) -> int:
         """Merge a peer replica's experience delta into the shared base.
 
         ``data`` is an :meth:`ExperienceBase.to_dict` payload (typically
@@ -755,6 +755,6 @@ class FleetEngine:
         delta = ExperienceBase.from_dict(data)
         if len(delta):
             with self._experience_lock:
-                self._experience_for(tenant).merge(delta)
+                self.experience.merge(delta)
             self.telemetry.incr("experience_absorbed_rules", len(delta))
         return len(delta)

@@ -125,7 +125,7 @@ class Telemetry:
         for child in span.children:
             self.record_span(child, prefix=name)
 
-    def record_trace(self, trace: Optional[Dict], prefix: str = "engine") -> None:
+    def record_trace(self, trace: Optional[Dict]) -> None:
         """Fold an engine trace (``RunContext.trace()`` dict) into the phases.
 
         Stage timings land under dotted names (``engine.diagnose.propagate``
@@ -135,7 +135,7 @@ class Telemetry:
         if not trace:
             return
         for span_dict in trace.get("spans", ()):
-            self.record_span(Span.from_dict(span_dict), prefix=prefix)
+            self.record_span(Span.from_dict(span_dict), prefix="engine")
 
     def event(self, kind: str, **fields: object) -> None:
         """Append one structured event (oldest events roll off)."""
@@ -295,12 +295,3 @@ class Telemetry:
         if len(lines) == 2:
             lines.append("(empty)")
         return "\n".join(lines)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._observations.clear()
-            self._samples.clear()
-            self._phases.clear()
-            self._events.clear()

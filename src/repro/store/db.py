@@ -478,7 +478,6 @@ class DiagnosisStore:
         name: str = "",
         quota_limit: int = 0,
         quota_interval: float = 60.0,
-        api_key: Optional[str] = None,
     ) -> str:
         """Create a tenant and return its API key (shown exactly once).
 
@@ -495,7 +494,7 @@ class DiagnosisStore:
             raise ValueError("quota_limit must be non-negative")
         if quota_interval <= 0:
             raise ValueError("quota_interval must be positive")
-        key = api_key if api_key is not None else f"rk_{secrets.token_hex(16)}"
+        key = f"rk_{secrets.token_hex(16)}"
         now = time.time()
         with self._lock:
             cur = self._conn.cursor()
@@ -560,7 +559,6 @@ class DiagnosisStore:
         self,
         tenant_id: str,
         overlap: float = 0.0,
-        api_key: Optional[str] = None,
         now: Optional[float] = None,
     ) -> str:
         """Mint a fresh API key for ``tenant_id`` and expire the old ones.
@@ -576,7 +574,7 @@ class DiagnosisStore:
             raise ValueError("overlap must be non-negative")
         if now is None:
             now = time.time()
-        key = api_key if api_key is not None else f"rk_{secrets.token_hex(16)}"
+        key = f"rk_{secrets.token_hex(16)}"
         with self._lock:
             cur = self._conn.cursor()
             cur.execute("BEGIN IMMEDIATE")

@@ -110,11 +110,6 @@ class DriftDetector:
             state.armed = True
         return False
 
-    def level(self, net: str) -> float:
-        """Current EWMA discrepancy for ``net`` (0.0 if never seen)."""
-        state = self._nets.get(net)
-        return state.ewma if state else 0.0
-
     def drifted_nets(self) -> List[str]:
         """Nets currently at or above the trigger threshold."""
         return sorted(

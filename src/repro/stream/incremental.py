@@ -158,7 +158,7 @@ class IncrementalDiagnosisEngine:
     ) -> DiagnosisResult:
         """Re-diagnose a snapshot, reusing the longest valid chain prefix."""
         if ctx is None:
-            ctx = RunContext.background()
+            ctx = RunContext()
 
         engine = self.engine
         with ctx.span("stream.tick", circuit=engine.circuit.name):

@@ -176,11 +176,7 @@ class StreamingSession:
             return None
 
         snapshot = self.builder.build()
-        ctx = (
-            RunContext.with_timeout(self.tick_deadline)
-            if self.tick_deadline is not None
-            else RunContext.background()
-        )
+        ctx = RunContext.with_timeout(self.tick_deadline)
         started = perf_counter()
         result = self._incremental.diagnose(snapshot.measurements, ctx=ctx)
         elapsed_ms = (perf_counter() - started) * 1e3

@@ -56,12 +56,6 @@ class Snapshot:
     def points(self) -> FrozenSet[str]:
         return frozenset(p for p, _ in self.readings)
 
-    def reading(self, point: str) -> Optional[float]:
-        for p, volts in self.readings:
-            if p == point:
-                return volts
-        return None
-
     def diff(self, newer: "Snapshot", epsilon: float = 0.0) -> SnapshotDiff:
         """What changed from this snapshot to ``newer``."""
         mine = dict(self.readings)

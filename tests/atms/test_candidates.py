@@ -126,11 +126,6 @@ class TestMinimalDiagnoses:
         named = {a.name: s for a, s in scores.items()}
         assert named == {"d1": 1.0, "r2": 1.0, "r1": 0.5}
 
-    def test_suspicion_threshold(self):
-        scores = suspicion_scores(self._nogoods(), threshold=0.8)
-        named = {a.name: s for a, s in scores.items()}
-        assert named == {"d1": 1.0, "r2": 1.0}
-
 
 class TestNogoodDatabase:
     def test_add_and_len(self):

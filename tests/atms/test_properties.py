@@ -109,7 +109,7 @@ class TestInterpretationProperties:
             # Maximal: adding any missing assumption breaks consistency
             # unless another interpretation contains the extension.
             for a in assumptions:
-                if not env.contains(a):
+                if a not in env.assumptions:
                     extended = Environment(env.assumptions | {a})
                     covered = any(
                         extended.is_subset(other) for other in maximal

@@ -12,9 +12,6 @@ class TestConstruction:
     def test_point(self):
         assert Interval.point(3.0) == Interval(3.0, 3.0)
 
-    def test_around(self):
-        assert Interval.around(100.0, 0.05) == Interval(95.0, 105.0)
-
     def test_inverted_rejected(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
@@ -60,14 +57,6 @@ class TestArithmetic:
 
 
 class TestSetOperations:
-    def test_contains(self):
-        assert Interval(0, 10).contains(Interval(2, 3))
-        assert Interval(0, 10).contains(5.0)
-        assert not Interval(0, 10).contains(Interval(5, 11))
-
-    def test_hull(self):
-        assert Interval(0, 1).hull(Interval(3, 4)) == Interval(0, 4)
-
     def test_paper_figure2_crisp_row(self):
         """Crisp propagation Vb = Va * [0.95, 1.05] = [2.8, 3.2]."""
         va = Interval(2.95, 3.05)
@@ -95,7 +84,7 @@ class TestProperties:
     @given(intervals(), intervals())
     def test_addition_encloses_pointwise(self, a, b):
         s = a + b
-        assert s.contains(midpoint(a) + midpoint(b))
+        assert s.lo <= midpoint(a) + midpoint(b) <= s.hi
 
     @given(intervals(), intervals())
     def test_multiplication_encloses_pointwise(self, a, b):
@@ -104,11 +93,3 @@ class TestProperties:
             for y in (b.lo, midpoint(b), b.hi):
                 assert p.lo - 1e-6 <= x * y <= p.hi + 1e-6
 
-    @given(intervals(), intervals())
-    def test_hull_contains_both(self, a, b):
-        h = a.hull(b)
-        assert h.contains(a) and h.contains(b)
-
-    @given(intervals())
-    def test_width_non_negative(self, a):
-        assert a.width >= 0.0

@@ -73,12 +73,6 @@ class TestBehaviour:
         result = crisp.diagnose(probe_all(op, ["vs", "v2", "v1"], imprecision=0.02))
         assert all(n.degree >= 0.999 for n in result.nogoods)
 
-    def test_config_passthrough(self):
-        from repro.core import FlamesConfig
-
-        diag = CrispDiagnoser(
-            three_stage_amplifier(), FlamesConfig(max_candidate_size=1)
-        )
-        assert diag.config.max_candidate_size == 1
-        # Crispness is enforced regardless of the provided threshold.
-        assert diag.config.conflict_threshold > 0.99
+    def test_crisp_threshold_enforced(self, engines):
+        crisp, _ = engines
+        assert crisp.config.conflict_threshold > 0.99

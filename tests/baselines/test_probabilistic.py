@@ -66,10 +66,6 @@ class TestGdePlanner:
         best = planner.best(faulty_result)
         assert best.point in ("V(n1)", "V(n2)")
 
-    def test_system_entropy_positive(self, engine, faulty_result):
-        planner = GdeTestPlanner(engine)
-        assert planner.system_entropy(faulty_result) > 0.0
-
     def test_empty_pool(self, engine, faulty_result):
         planner = GdeTestPlanner(engine)
         assert planner.best(faulty_result, available=[]) is None

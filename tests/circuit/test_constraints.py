@@ -135,9 +135,8 @@ class TestGuards:
 class TestNetworkBuild:
     def test_three_stage_inventory(self):
         net = ConstraintNetwork(three_stage_amplifier())
-        stats = net.stats()
-        assert stats["components"] == 10
-        assert stats["variables"] > 15
+        assert len(net.circuit.components) == 10
+        assert len(net.variables) > 15
         # Every component contributes at least one guarded/unguarded model.
         for comp in net.circuit.components:
             assert any(

@@ -83,7 +83,7 @@ class TestDelivery:
         assert first == second
 
     def test_delta_certainty_follows_repetition(self):
-        gossip = ExperienceGossip(base_certainty=0.6)
+        gossip = ExperienceGossip()
         gossip.observe("r0", 1, snapshot_with((SIG_A, "R1"), (SIG_A, "R1"), (SIG_A, "R1")))
         delta = gossip.pending("r1")
         rule = delta["rules"][0]

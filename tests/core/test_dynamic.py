@@ -1,5 +1,7 @@
 """Tests for dynamic-mode diagnosis."""
 
+from unittest import mock
+
 import pytest
 
 from repro.circuit import (
@@ -12,7 +14,7 @@ from repro.circuit import (
     rc_lowpass,
     step_waveform,
 )
-from repro.core import DynamicDiagnoser, Flames
+from repro.core import DynamicDiagnoser, Flames, dynamic
 
 WAVE = {"Vin": step_waveform(0.0, 5.0)}
 
@@ -132,15 +134,13 @@ class TestDiagnosis:
 
     def test_zero_threshold_skips_zero_degree_samples(self, golden, diagnoser):
         """At threshold 0 a corroborating sample is no nogood, as in static mode."""
-        lenient = DynamicDiagnoser(
-            golden, WAVE, dt=5e-5, duration=5e-3, conflict_threshold=0.0
-        )
-        healthy = lenient.diagnose(measure(golden))
-        assert all(0.0 < n.degree <= 1.0 for n in healthy.nogoods)
         faulty = apply_fault(
             golden, Fault(FaultKind.PARAM, "C1", "capacitance", 1e-12)
         )
-        result = lenient.diagnose(measure(faulty))
+        with mock.patch.object(dynamic, "CONFLICT_THRESHOLD", 0.0):
+            healthy = diagnoser.diagnose(measure(golden))
+            result = diagnoser.diagnose(measure(faulty))
+        assert all(0.0 < n.degree <= 1.0 for n in healthy.nogoods)
         assert "C1" in result.suspicions
         # Every nogood the default threshold records is kept or subsumed.
         for strict in diagnoser.diagnose(measure(faulty)).nogoods:

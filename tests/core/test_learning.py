@@ -34,11 +34,6 @@ class TestSignatures:
         other = signature([("V(x)", "conflict", 1)])
         assert SIG_A.similarity(other) == 0.0
 
-    def test_healthy_detection(self):
-        healthy = signature([("V(vs)", "consistent", 0)])
-        assert healthy.is_healthy
-        assert not SIG_A.is_healthy
-
     def test_from_result(self):
         golden = three_stage_amplifier()
         engine = Flames(golden)
@@ -46,7 +41,7 @@ class TestSignatures:
         result = engine.diagnose(probe_all(op, ["vs", "v1"], imprecision=0.02))
         sig = SymptomSignature.from_result(result)
         assert len(sig.entries) == 2
-        assert not sig.is_healthy
+        assert any(bucket != "consistent" for _, bucket, _ in sig.entries)
 
 
 class TestExperienceBase:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.circuit.faults import Fault, FaultKind, apply_fault
 from repro.circuit.generators import resistor_ladder
 from repro.circuit.library import three_stage_amplifier
-from repro.circuit.measurements import probe_all
+from repro.circuit.measurements import Measurement, probe_all
 from repro.circuit.simulate import DCSolver
 from repro.core.diagnosis import Flames
 from repro.corpus import generate_corpus
@@ -43,14 +43,14 @@ def _baseline(index):
     if index not in _BASELINES:
         scenario = SCENARIOS[index]
         _ENGINES[index] = Flames(scenario.circuit())
-        _BASELINES[index] = _canonical(_ENGINES[index], scenario.to_measurements())
+        _BASELINES[index] = _canonical(_ENGINES[index], [Measurement.from_tuple(m) for m in scenario.measurements])
     return _BASELINES[index]
 
 
 @st.composite
 def _permuted_scenario(draw):
     index = draw(st.integers(min_value=0, max_value=len(SCENARIOS) - 1))
-    measurements = SCENARIOS[index].to_measurements()
+    measurements = [Measurement.from_tuple(m) for m in SCENARIOS[index].measurements]
     return index, draw(st.permutations(measurements))
 
 

@@ -12,6 +12,7 @@ from repro.circuit import (
 )
 from repro.core import Flames
 from repro.core.knowledge import KnowledgeBase
+from repro.core import report
 from repro.core.report import render_consistency_row, render_nogoods, render_report
 
 
@@ -60,8 +61,9 @@ class TestRendering:
         assert "Dc(V(vs))" in row
         assert "Dc(V(v1))=-1.00" in row
 
-    def test_nogood_lines_capped(self, faulty_result):
-        lines = render_nogoods(faulty_result, limit=1)
+    def test_nogood_lines_capped(self, faulty_result, monkeypatch):
+        monkeypatch.setattr(report, "NOGOOD_LINES", 1)
+        lines = render_nogoods(faulty_result)
         assert len(lines) <= 2  # one nogood + optional "... more"
 
     def test_custom_title(self, healthy_result):

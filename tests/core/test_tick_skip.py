@@ -174,8 +174,8 @@ def _incremental_states(circuit, faulty, nets, propagator_cls):
             for c in prop.conflicts
         )
         estimates = {
-            n: (iv.as_tuple() if iv is not None else None)
-            for n, iv in prop.estimates().items()
+            n: (best.interval.as_tuple() if best is not None else None)
+            for n, best in ((n, prop.best(n)) for n in prop.network.variables)
         }
         snapshots.append((conflicts, estimates))
 
@@ -268,7 +268,8 @@ class TestInterruptionDifferential:
 
         results = {}
         for engine in ENGINES:
-            ctx = RunContext.with_timeout(0.05, clock=make_clock())
+            clock = make_clock()
+            ctx = RunContext(deadline=clock() + 0.05, clock=clock)
             result = self._run(measurements, engine, ctx)
             assert result.interrupted
             assert ctx.stop_reason == "deadline"

@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from repro.circuit.measurements import Measurement
 from repro.corpus import CERTAIN, CLASSES, generate_corpus, ranking_from_payload
 from repro.service.jobs import diagnosis_to_dict
 from tests.core.test_tick_skip import ENGINES
@@ -35,7 +36,7 @@ def payloads():
     table = {}
     for scenario in manifest.scenarios:
         for name, engine_cls in ENGINES.items():
-            result = engine_cls(scenario.circuit()).diagnose(scenario.to_measurements())
+            result = engine_cls(scenario.circuit()).diagnose([Measurement.from_tuple(m) for m in scenario.measurements])
             table[(scenario.id, name)] = diagnosis_to_dict(result)
     return manifest, table
 

@@ -81,7 +81,7 @@ class TestFigure7:
         return run_figure7()
 
     def test_every_scenario_detected(self, rows):
-        assert all(row.detected for row in rows)
+        assert not any(row.result.is_consistent for row in rows)
 
     def test_hard_faults_total_conflicts(self, rows):
         by_label = {row.scenario.label: row for row in rows}
@@ -221,21 +221,23 @@ class TestStrategyLadder:
 
 
 class TestEnvelopeValidation:
-    def test_full_monte_carlo_coverage(self):
-        from repro.experiments import run_envelope_validation
+    def test_full_monte_carlo_coverage(self, monkeypatch):
+        from repro.experiments import ablations, run_envelope_validation
 
         for samples in (60, 120):
-            rows = run_envelope_validation(samples=samples)
+            monkeypatch.setattr(ablations, "ENVELOPE_SAMPLES", samples)
+            rows = run_envelope_validation()
             for net, envelope, observed, corner, coverage in rows:
                 assert coverage == 1.0, (net, samples)
                 assert envelope >= observed - 1e-6, (net, samples)
 
-    def test_envelope_not_absurdly_wide(self):
+    def test_envelope_not_absurdly_wide(self, monkeypatch):
         """First-order spread accumulation stays within ~2x the realised
         Monte Carlo range (the one-at-a-time corner band underestimates
         joint-tolerance extremes, so the sampled range is the yardstick)."""
-        from repro.experiments import run_envelope_validation
+        from repro.experiments import ablations, run_envelope_validation
 
-        rows = run_envelope_validation(samples=60)
+        monkeypatch.setattr(ablations, "ENVELOPE_SAMPLES", 60)
+        rows = run_envelope_validation()
         for net, envelope, observed, corner, coverage in rows:
             assert envelope <= 2.5 * observed + 1e-6, net

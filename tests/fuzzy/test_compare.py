@@ -33,7 +33,6 @@ class TestConsistencyDegree:
         measured = FuzzyInterval.crisp(105.0)
         c = consistency(measured, nominal)
         assert c.degree == pytest.approx(0.5)
-        assert c.conflict_degree == pytest.approx(0.5)
 
     def test_paper_diode_example_total_conflict(self):
         """Ir2 = 200 uA is entirely outside the fuzzy current bound -> Dc 0."""
@@ -41,7 +40,6 @@ class TestConsistencyDegree:
         measured = FuzzyInterval.crisp(200.0)
         c = consistency(measured, nominal)
         assert c.degree == 0.0
-        assert c.conflict_degree == 1.0
         assert c.direction == 1
 
     def test_point_measurement_uses_membership(self):

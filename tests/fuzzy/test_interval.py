@@ -20,11 +20,6 @@ class TestConstruction:
         v = FuzzyInterval.number(3.0, 0.05)
         assert v.as_tuple() == (3.0, 3.0, 0.05, 0.05)
 
-    def test_asymmetric_fuzzy_number(self):
-        v = FuzzyInterval.number(3.0, 0.05, 0.1)
-        assert v.alpha == 0.05
-        assert v.beta == 0.1
-
     def test_from_support_core(self):
         v = FuzzyInterval.from_support_core((0.0, 10.0), (2.0, 8.0))
         assert v.as_tuple() == (2.0, 8.0, 2.0, 2.0)

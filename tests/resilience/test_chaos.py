@@ -99,7 +99,7 @@ class TestWorkerCrash:
         engine.run_batch([_job(f"u{i}", 5.0 + i * 0.1) for i in range(8)])
         assert engine.telemetry.counter("pool_restarts") >= 1
         assert engine.telemetry.counter("worker_evictions") >= 1
-        assert sup.health == 1.0  # reset optimistically after the restart
+        assert sup.snapshot()["health"] == 1.0  # reset optimistically after the restart
 
 
 class TestWorkerExit:

@@ -71,8 +71,7 @@ class TestSerialisation:
 
     def test_env_round_trip(self, monkeypatch):
         plan = FaultPlan.build(seed=9, server_io=0.5)
-        for name, value in plan.env().items():
-            monkeypatch.setenv(name, value)
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
         faults.uninstall_plan()  # forget the fixture's explicit disarm
         assert faults.active_plan() == plan
 
@@ -91,7 +90,7 @@ class TestInjectionHelpers:
     def test_disarmed_is_noop(self):
         assert faults.maybe_fire("pool.worker_crash", "k") is None
         faults.maybe_raise("pool.worker_crash", "k")  # must not raise
-        assert faults.maybe_sleep("pool.worker_hang", "k") == 0.0
+        assert faults.maybe_sleep("pool.worker_hang") == 0.0
 
     def test_maybe_raise_fires(self):
         faults.install_plan(FaultPlan.build(seed=0, pool_worker_crash=1.0))
@@ -130,7 +129,7 @@ class TestInjectionHelpers:
 
     def test_maybe_exit_refuses_in_main_process(self):
         faults.install_plan(FaultPlan.build(seed=0, pool_worker_exit=1.0))
-        faults.maybe_exit("pool.worker_exit", "k")  # still alive = pass
+        faults.maybe_exit("pool.worker_exit")  # still alive = pass
 
     def test_install_overrides_environment(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, FaultPlan.build(seed=1).to_json())

@@ -1,21 +1,11 @@
-"""The measurement sanitizer and the session's degraded mode."""
+"""The measurement sanitizer."""
 
 import math
 
 import pytest
 
-from repro.circuit.measurements import Measurement
-from repro.circuit.spice import parse_netlist
-from repro.core.session import TroubleshootingSession
 from repro.fuzzy import FuzzyInterval
-from repro.resilience.sanitize import sanitize_measurements, sanitize_tuples
-
-NETLIST = (
-    ".title divider\n"
-    "Vin top 0 12\n"
-    "Rtop top mid 10k tol=0.05\n"
-    "Rbot mid 0 10k tol=0.05\n"
-)
+from repro.resilience.sanitize import sanitize_tuples
 
 
 class TestSanitizeTuples:
@@ -74,46 +64,7 @@ class TestSanitizeTuples:
         assert report.to_dict()["policy"] == "repair"
 
 
-class TestSanitizeMeasurements:
-    def test_widens_rich_objects(self):
-        measurements = [Measurement("V(a)", FuzzyInterval(2e6, 2e6, 0.1, 0.1))]
-        survivors, report = sanitize_measurements(measurements)
-        assert report.widened == ["V(a)"]
-        assert survivors[0].value.m1 <= 1e6
-
-
-class TestSessionDegradedMode:
-    def _session(self, **kwargs):
-        return TroubleshootingSession(parse_netlist(NETLIST), **kwargs)
-
-    def test_strict_session_unchanged(self):
-        strict = self._session()
-        repair = self._session(sanitize="repair")
-        m = Measurement("V(mid)", FuzzyInterval.number(7.5, 0.02))
-        a = strict.observe(m)
-        b = repair.observe(m)
-        assert a.suspicions == b.suspicions
-        assert not repair.degraded
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown sanitize policy"):
-            self._session(sanitize="yolo")
-
-    def test_repair_widens_and_flags_the_report(self):
-        session = self._session(sanitize="repair")
-        session.observe(
-            Measurement("V(mid)", FuzzyInterval.number(7.5, 0.02)),
-            Measurement("V(top)", FuzzyInterval(2e6, 2e6, 0.1, 0.1)),
-        )
-        assert session.degraded
-        assert session.sanitize_report.widened == ["V(top)"]
-        assert "DEGRADED MODE" in session.report()
-
-    def test_repair_raises_when_nothing_survives(self):
-        session = self._session(sanitize="repair")
-        with pytest.raises(ValueError, match="dropped every observation"):
-            session.observe(Measurement("V(mid)", FuzzyInterval(1e12, 1e12, 0.1, 0.1)))
-
+class TestStrictBoundary:
     def test_interval_rejects_non_finite(self):
         # The strict boundary: a glitched reading can't even be built.
         for bad in (float("nan"), float("inf"), -float("inf")):

@@ -44,12 +44,12 @@ class TestQuarantine:
 class TestWorkerHealth:
     def test_health_decays_on_failures_and_recovers(self):
         sup = FleetSupervisor()
-        assert sup.health == 1.0
+        assert sup.snapshot()["health"] == 1.0
         for _ in range(4):
             sup.record_worker_outcome(False)
         assert sup.should_evict()
         sup.record_eviction()
-        assert sup.health == 1.0
+        assert sup.snapshot()["health"] == 1.0
         assert sup.evictions == 1
         assert not sup.should_evict()
 

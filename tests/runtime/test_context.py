@@ -4,25 +4,19 @@ import threading
 
 import pytest
 
-from repro.runtime import CancelToken, RunContext, Span, render_trace
+from repro.runtime import RunContext, Span, render_trace
 
 
-class TestCancelToken:
+class TestCancellation:
     def test_latches(self):
-        token = CancelToken()
-        assert not token.cancelled
-        token.cancel()
-        assert token.cancelled
-        token.cancel()  # idempotent
-        assert token.cancelled
-
-    def test_shared_across_contexts(self):
-        token = CancelToken()
-        a = RunContext(cancel=token)
-        b = RunContext(cancel=token)
-        a.cancel()
-        assert b.should_stop()
-        assert b.stop_reason == "cancelled"
+        ctx = RunContext()
+        assert not ctx.cancelled
+        ctx.cancel()
+        assert ctx.cancelled
+        ctx.cancel()  # idempotent
+        assert ctx.cancelled
+        assert ctx.should_stop()
+        assert ctx.stop_reason == "cancelled"
 
     def test_visible_across_threads(self):
         ctx = RunContext()
@@ -51,20 +45,21 @@ class TestDeadline:
         return clock
 
     def test_no_deadline_is_unbounded(self):
-        ctx = RunContext.background()
+        ctx = RunContext()
         assert ctx.remaining() is None
         for _ in range(100):
             assert not ctx.tick()
         assert not ctx.interrupted
 
     def test_with_timeout_none_never_expires(self):
-        ctx = RunContext.with_timeout(None, clock=self._fake_clock())
+        ctx = RunContext.with_timeout(None)
         assert ctx.deadline is None
         assert not ctx.should_stop()
 
     def test_deadline_expiry_latches_reason(self):
         # clock: 1.0 at construction -> deadline 4.0; checks at 2, 3, 4.
-        ctx = RunContext.with_timeout(3.0, clock=self._fake_clock())
+        clock = self._fake_clock()
+        ctx = RunContext(deadline=clock() + 3.0, clock=clock)
         assert not ctx.should_stop()
         assert not ctx.should_stop()
         assert ctx.should_stop()
@@ -72,11 +67,13 @@ class TestDeadline:
         assert ctx.stop_reason == "deadline"
 
     def test_remaining_floors_at_zero(self):
-        ctx = RunContext.with_timeout(0.5, clock=self._fake_clock())
+        clock = self._fake_clock()
+        ctx = RunContext(deadline=clock() + 0.5, clock=clock)
         assert ctx.remaining() == 0.0
 
     def test_first_reason_wins(self):
-        ctx = RunContext.with_timeout(0.0, clock=self._fake_clock())
+        clock = self._fake_clock()
+        ctx = RunContext(deadline=clock(), clock=clock)
         assert ctx.should_stop()
         assert ctx.stop_reason == "deadline"
         ctx.cancel()
@@ -163,6 +160,7 @@ class TestConstruction:
         assert RunContext(trace_id="req-7").trace_id == "req-7"
 
     def test_repr_smoke(self):
-        ctx = RunContext.with_timeout(5.0, step_budget=10)
+        ctx = RunContext.with_timeout(5.0)
+        ctx.step_budget = 10
         text = repr(ctx)
         assert "remaining" in text and "budget" in text

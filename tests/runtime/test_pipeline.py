@@ -15,7 +15,6 @@ from repro.circuit.library import three_stage_amplifier
 from repro.circuit.measurements import probe_all
 from repro.circuit.simulate import DCSolver
 from repro.core.diagnosis import Flames
-from repro.core.session import TroubleshootingSession
 from repro.runtime import STAGES, RunContext, diagnose
 
 
@@ -178,37 +177,6 @@ class TestInterruption:
         assert result.interrupted
         assert ctx.stop_reason == "cancelled"
         assert result.propagation.steps == 0
-
-
-class TestSessionThreading:
-    def test_observe_accepts_a_context(self):
-        golden, measurements = _amp_measurements()
-        session = TroubleshootingSession(golden)
-        ctx = RunContext(tracing=True)
-        result = session.observe(*measurements, ctx=ctx)
-        assert result.trace is not None
-        assert session.result is result
-
-    def test_recommend_next_respects_budget(self):
-        golden, measurements = _amp_measurements()
-        session = TroubleshootingSession(golden)
-        session.observe(*measurements)
-        unbounded = session.recommend_next()
-        assert unbounded is not None
-        # A context with an exhausted budget yields no recommendations.
-        ctx = RunContext(step_budget=0)
-        assert session.recommend_next(ctx=ctx) is None
-        assert ctx.stop_reason == "step-budget"
-
-    def test_planner_span_when_tracing(self):
-        golden, measurements = _amp_measurements()
-        session = TroubleshootingSession(golden)
-        session.observe(*measurements)
-        ctx = RunContext(tracing=True)
-        session.recommend_next(ctx=ctx)
-        (plan,) = ctx.trace()["spans"]
-        assert plan["name"] == "plan"
-        assert plan["meta"]["points"] > 0
 
 
 class TestServiceThreading:

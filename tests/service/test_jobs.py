@@ -1,6 +1,7 @@
 """Tests for diagnosis jobs: hashing, manifests, JSON shapes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +34,17 @@ def _measure(volts=6.0, spread=0.02):
     return [Measurement("V(mid)", FuzzyInterval.number(volts, spread))]
 
 
+def _configured(config):
+    """The ``_measure()`` job with ``config`` overrides, as a job spec states them."""
+    spec = {
+        "unit": "u",
+        "netlist_text": NETLIST,
+        "measurements": [measurement_to_dict(m) for m in _measure()],
+        "config": config,
+    }
+    return job_from_spec(spec)
+
+
 class TestContentHash:
     def test_deterministic(self):
         a = DiagnosisJob.build("u1", NETLIST, _measure())
@@ -46,7 +58,7 @@ class TestContentHash:
 
     def test_confirm_not_hashed(self):
         a = DiagnosisJob.build("u", NETLIST, _measure())
-        b = DiagnosisJob.build("u", NETLIST, _measure(), confirm=("Rtop", "short"))
+        b = replace(DiagnosisJob.build("u", NETLIST, _measure()), confirm=("Rtop", "short"))
         assert a.content_hash == b.content_hash
 
     def test_measurement_changes_hash(self):
@@ -56,7 +68,7 @@ class TestContentHash:
 
     def test_config_changes_hash(self):
         a = DiagnosisJob.build("u", NETLIST, _measure())
-        b = DiagnosisJob.build("u", NETLIST, _measure(), config={"conflict_threshold": 0.2})
+        b = _configured({"conflict_threshold": 0.2})
         assert a.content_hash != b.content_hash
 
     def test_component_order_does_not_change_hash(self):
@@ -100,10 +112,7 @@ class TestJobViews:
         assert m.value.alpha == pytest.approx(0.03)
 
     def test_flames_config_overrides(self):
-        job = DiagnosisJob.build(
-            "u", NETLIST, _measure(),
-            config={"conflict_threshold": 0.1, "max_candidate_size": 2},
-        )
+        job = _configured({"conflict_threshold": 0.1, "max_candidate_size": 2})
         cfg = job.flames_config()
         assert cfg.conflict_threshold == pytest.approx(0.1)
         assert cfg.max_candidate_size == 2
@@ -113,13 +122,13 @@ class TestJobViews:
         # There is one engine: naming any kernel is an unknown field.
         for name in ("reference", "turbo"):
             with pytest.raises(ManifestError, match="unknown config field"):
-                DiagnosisJob.build("u", NETLIST, _measure(), config={"kernel": name})
+                _configured({"kernel": name})
 
     def test_unknown_config_field_rejected(self):
         # ``hard_threshold`` and ``t_norm`` were engine knobs nothing read.
         for name in ("bogus", "hard_threshold", "t_norm"):
             with pytest.raises(ManifestError, match="unknown config field"):
-                DiagnosisJob.build("u", NETLIST, _measure(), config={name: 1})
+                _configured({name: 1})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -142,11 +151,11 @@ class TestJobViews:
     )
     def test_out_of_range_config_value_rejected(self, field, value):
         with pytest.raises(ManifestError, match=f"bad config value for '{field}'"):
-            DiagnosisJob.build("u", NETLIST, _measure(), config={field: value})
+            _configured({field: value})
 
     def test_boundary_config_values_accepted_with_stable_hash(self):
         config = {"conflict_threshold": 0.0, "max_candidate_size": 1, "assumable_nodes": True}
-        job = DiagnosisJob.build("u", NETLIST, _measure(), config=config)
+        job = _configured(config)
         assert job.config == (
             ("assumable_nodes", 1.0), ("conflict_threshold", 0.0), ("max_candidate_size", 1.0)
         )
@@ -155,18 +164,17 @@ class TestJobViews:
             True, 0.0, 1
         )
         # Whole-number floats and ints store the same, so keys do not move.
-        same = DiagnosisJob.build(
-            "u", NETLIST, _measure(),
-            config={"conflict_threshold": 0, "max_candidate_size": 1.0, "assumable_nodes": 1},
+        same = _configured(
+            {"conflict_threshold": 0, "max_candidate_size": 1.0, "assumable_nodes": 1}
         )
         assert same.content_hash == job.content_hash
-        top = DiagnosisJob.build("u", NETLIST, _measure(), config={"conflict_threshold": 1})
+        top = _configured({"conflict_threshold": 1})
         assert top.config == (("conflict_threshold", 1.0),)
 
     def test_job_is_picklable(self):
         import pickle
 
-        job = DiagnosisJob.build("u", NETLIST, _measure(), confirm=("Rtop", ""))
+        job = replace(DiagnosisJob.build("u", NETLIST, _measure()), confirm=("Rtop", ""))
         clone = pickle.loads(pickle.dumps(job))
         assert clone == job
 

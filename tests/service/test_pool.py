@@ -1,6 +1,7 @@
 """Tests for the fleet engine: parallel batches, caching, degradation."""
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -20,12 +21,10 @@ BROKEN_NETLIST = "Rbroken top 0\n"
 
 
 def _job(unit, volts=6.0, confirm=None, netlist=NETLIST):
-    return DiagnosisJob.build(
-        unit,
-        netlist,
-        [Measurement("V(mid)", FuzzyInterval.number(volts, 0.02))],
-        confirm=confirm,
+    job = DiagnosisJob.build(
+        unit, netlist, [Measurement("V(mid)", FuzzyInterval.number(volts, 0.02))]
     )
+    return replace(job, confirm=confirm)
 
 
 def _fleet(n_healthy=8, n_faulty=8):

@@ -99,12 +99,6 @@ class TestEventsAndSnapshot:
     def test_empty_summary(self):
         assert "(empty)" in Telemetry().summary()
 
-    def test_reset(self):
-        tel = Telemetry()
-        tel.incr("jobs")
-        tel.reset()
-        assert tel.counter("jobs") == 0
-
 
 class TestPercentiles:
     def test_percentile_function(self):
@@ -183,10 +177,3 @@ class TestGauges:
         text = tel.summary()
         assert "gauges" in text
         assert "streams_active" in text
-
-    def test_reset_clears_gauges(self):
-        tel = Telemetry()
-        tel.gauge("streams_active", 2.0)
-        tel.reset()
-        assert tel.snapshot()["gauges"] == {}
-        assert Telemetry().summary().count("gauges") == 0

@@ -45,7 +45,7 @@ class TestDrift:
         # already over threshold, so the detector fires immediately.
         assert decisions[0] is True
         assert detector.fired == 1
-        assert detector.level("n1") == pytest.approx(1.0)
+        assert detector._nets["n1"].ewma == pytest.approx(1.0)
         assert detector.drifted_nets() == ["n1"]
 
     def test_gradual_drift_fires_after_smoothing(self):

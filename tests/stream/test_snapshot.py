@@ -18,7 +18,7 @@ class TestBuilder:
         builder.ingest(Reading(0.0, "n1", 1.0))
         builder.ingest(Reading(0.1, "n1", 2.0))
         snapshot = builder.build()
-        assert snapshot.reading("V(n1)") == 2.0
+        assert dict(snapshot.readings)["V(n1)"] == 2.0
         assert snapshot.t == 0.1
 
     def test_clock_never_runs_backwards(self):
@@ -39,7 +39,7 @@ class TestBuilder:
         assert m.value.membership(1.5) == pytest.approx(0.0)
 
     def test_unknown_point_reads_none(self):
-        assert snap(0.0, n1=1.0).reading("V(zz)") is None
+        assert "V(zz)" not in dict(snap(0.0, n1=1.0).readings)
 
 
 class TestDiff:

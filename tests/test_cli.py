@@ -245,6 +245,11 @@ class TestCorpus:
         assert code == 2
         assert "bad --top-k" in capsys.readouterr().err
 
+    def test_zero_workers_exit_two(self, capsys):
+        code = main(["corpus", "run", "--workers", "0"] + self.RECIPE)
+        assert code == 2
+        assert "bad engine options" in capsys.readouterr().err
+
     def test_unknown_class_exit_two(self, capsys):
         code = main(["corpus", "generate", "--classes", "nonsense"])
         assert code == 2

@@ -7,34 +7,43 @@ rest of the defining module.
 * **Names.**  Every public top-level function and class must be
   referenced somewhere outside its own body.
 * **Members.**  Every public method and property of every class (not a
-  dunder, not ``_private``) must be referenced somewhere outside its
-  own body.
+  dunder, not ``_private``) must be read as an attribute (``obj.name``)
+  or named by a string literal (``getattr(obj, "name")``) somewhere
+  outside its own body.  A bare local or a keyword of the same name is
+  not a reference.
 * **Settings.**  Every defaulted parameter of a public function or
-  method must be passed by some call: a keyword argument of its name,
-  or a call to a function of its name (the class name for
-  ``__init__``) with enough positional arguments to reach it.  A call
-  that splats ``*args`` or ``**kwargs`` counts as passing everything.
+  method, in the package or in ``scripts``, must be passed by some call
+  *of that callable*: ``f(...)`` or ``obj.f(...)`` by its own name;
+  for ``__init__``, the class or a subclass that inherits it by name,
+  ``cls(...)`` in a class body, or ``super().__init__(...)`` from a
+  subclass; ``functools.partial(f, ...)`` counts as a call of ``f``.
+  The call passes the setting by keyword or with enough positional
+  arguments to reach it.  A call that splats ``*args`` or ``**kwargs``
+  counts as passing everything, and so does a callable handed on as a
+  value (``run_in_executor(None, self.fleet.poll_once)``), since the
+  scan cannot follow it to its call.
 
 A name nothing references is code no caller runs: delete it, or move it
 under ``tests/`` if a test needs it as an oracle.  A setting no caller
 passes is a constant: make it one, in the module that reads it, and let
 tests monkeypatch the constant.
 
-Names are matched as plain identifiers: ``Name`` and attribute nodes,
-keyword-argument names and string literals (``getattr(obj, "name")``),
-so the scans err towards "referenced".  That is also their blind spot:
-a dead member whose name a live member of another class also uses
-(``merge``, ``clear``, ``hard``) looks referenced, and so does a dead
-setting whose name some other call passes.  Such code is found by
-reading, not by this guard.
+Callees are still matched by name, not by type, so the scans err
+towards "referenced".  What they cannot see is a dead member whose name
+is also defined on another class (50 public member names in the
+package are, ``snapshot`` on eleven classes): a read of the live one,
+or a call passing a keyword to it, keeps the dead one too.  Such code
+is found by reading, not by this guard.
 """
 
 import ast
 import functools
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
+SCRIPTS = ROOT / "scripts"
 CALLERS = ("scripts", "flamesbench", "examples")
 
 #: Public names kept without a non-test caller, each for a stated reason.
@@ -60,6 +69,16 @@ ALLOWED_SETTINGS = {
     "TroubleshootingSession.recommend_next(available=)": (
         "the paper's best-test step chooses among each available test"
     ),
+    "RunContext(clock=)": "test seam: a fake clock expires deadlines deterministically",
+    "RunContext(step_budget=)": "test seam: a work-count budget interrupts a run reproducibly",
+    "DiagnosisServer(engine=)": "test seam: server tests hand in a prepared or stubbed FleetEngine",
+    "StoreMaintenance(clock=)": "test seam: a fake clock paces the lifecycle ticks",
+    "StoreMaintenance(seed=)": "test seam: a fixed seed makes the backoff jitter reproducible",
+    "StoreMaintenance.maybe_tick(now=)": "test seam: ticks at a chosen instant, no sleeping",
+    "TokenBucketQuota(clock=)": "test seam: a fake clock refills the buckets deterministically",
+    "TenantRegistry(clock=)": "test seam: a fake clock expires the tenant cache deterministically",
+    "DiagnosisStore.resolve_api_key(now=)": "test seam: checks key expiry at a chosen instant",
+    "DiagnosisStore.rotate_key(now=)": "test seam: rotates at a chosen instant to test the overlap",
 }
 
 
@@ -73,12 +92,18 @@ def _modules():
 
 
 @functools.lru_cache(maxsize=None)
+def _scripts():
+    return {path: _parse(path) for path in sorted(SCRIPTS.rglob("*.py"))}
+
+
+@functools.lru_cache(maxsize=None)
 def _callers():
-    return tuple(
+    return (*_scripts().values(), *(
         _parse(path)
         for directory in CALLERS
+        if directory != "scripts"
         for path in sorted((ROOT / directory).rglob("*.py"))
-    )
+    ))
 
 
 def _walk(tree, skip=None):
@@ -92,41 +117,36 @@ def _walk(tree, skip=None):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _referenced_names(tree, skip=None, strings=False):
-    """Identifiers used in ``tree``, ignoring the subtree ``skip``.
-
-    With ``strings``, keyword-argument names and string literals count
-    as references too.
-    """
+def _identifiers(tree, skip=None):
+    """``Name`` ids and attribute names used in ``tree``, outside ``skip``."""
     names = set()
     for node in _walk(tree, skip):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif strings and isinstance(node, ast.keyword) and node.arg:
-            names.add(node.arg)
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+    return names
+
+
+def _attributes(tree, skip=None):
+    """Attribute names and string literals used in ``tree``, outside ``skip``."""
+    names = set()
+    for node in _walk(tree, skip):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     return names
 
 
-@functools.lru_cache(maxsize=None)
-def _references_elsewhere(strings):
-    """Per module: the identifiers every other module and caller uses."""
-    refs = {path: _referenced_names(tree, strings=strings) for path, tree in _modules().items()}
-    callers = set().union(*(_referenced_names(tree, strings=strings) for tree in _callers()))
+def _elsewhere(modules, callers, collect):
+    """Per module: what ``collect`` finds in every other module and caller."""
+    found = {path: collect(tree) for path, tree in modules.items()}
+    outside = set().union(*(collect(tree) for tree in callers))
     return {
-        path: callers.union(*(names for other, names in refs.items() if other != path))
-        for path in refs
+        path: outside.union(*(names for other, names in found.items() if other != path))
+        for path in found
     }
-
-
-def _is_referenced(name, path, tree, skip, strings=False):
-    """Whether ``name`` is used outside ``tests/`` and outside the subtree ``skip``."""
-    if name in _references_elsewhere(strings)[path]:
-        return True
-    return name in _referenced_names(tree, skip, strings)
 
 
 def _top_level_defs(tree):
@@ -151,68 +171,199 @@ def _is_public(name):
     return not name.startswith("_")
 
 
-def _entry(path, node, label):
-    return f"{path.relative_to(ROOT)}:{node.lineno} {label}"
-
-
-@functools.lru_cache(maxsize=None)
-def unreferenced_public_names():
-    dead = []
-    for path, tree in _modules().items():
+def unreferenced_names(modules, callers):
+    """(path, def, name) for each public top-level def nothing else names."""
+    elsewhere = _elsewhere(modules, callers, _identifiers)
+    for path, tree in modules.items():
         for node in _top_level_defs(tree):
-            if not _is_public(node.name):
+            if not _is_public(node.name) or node.name in elsewhere[path]:
                 continue
-            if not _is_referenced(node.name, path, tree, node):
-                dead.append(_entry(path, node, node.name))
-    return tuple(dead)
+            if node.name not in _identifiers(tree, node):
+                yield path, node, node.name
 
 
-@functools.lru_cache(maxsize=None)
-def unreferenced_public_members():
-    dead = []
-    for path, tree in _modules().items():
+def unreferenced_members(modules, callers):
+    """(path, def, "Class.member") for each public member nothing else reads."""
+    elsewhere = _elsewhere(modules, callers, _attributes)
+    for path, tree in modules.items():
         for cls in _classes(tree):
             for method in _methods(cls):
-                if not _is_public(method.name):
+                if not _is_public(method.name) or method.name in elsewhere[path]:
                     continue
-                if not _is_referenced(method.name, path, tree, method, strings=True):
-                    dead.append(_entry(path, method, f"{cls.name}.{method.name}"))
-    return tuple(dead)
+                if method.name not in _attributes(tree, method):
+                    yield path, method, f"{cls.name}.{method.name}"
 
 
-def _calls(node, cls=None):
-    """Every call under ``node``, as (callee name, call node)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            if isinstance(func, ast.Name):
-                # ``cls(...)`` in a class body is an alternate constructor.
-                yield (cls if func.id == "cls" and cls else func.id), child
-            elif isinstance(func, ast.Attribute):
-                yield func.attr, child
-        yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else cls)
+def _base_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
-@functools.lru_cache(maxsize=None)
-def _call_index():
-    """Callee name -> (keywords passed, most positional arguments, splats)."""
-    index = {}
-    trees = [*_modules().values(), *_callers()]
-    for name, call in (found for tree in trees for found in _calls(tree)):
-        keywords, positional, splat = index.get(name, (frozenset(), 0, False))
-        keywords |= {kw.arg for kw in call.keywords if kw.arg}
-        splat = splat or any(kw.arg is None for kw in call.keywords) or any(
-            isinstance(arg, ast.Starred) for arg in call.args
+class _Hierarchy:
+    """Which class's ``__init__`` a construction by name or ``super()`` runs."""
+
+    def __init__(self, trees):
+        self.bases = {}
+        self.has_init = set()
+        self.functions = set()
+        for tree in trees:
+            self.functions.update(
+                node.name
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+            for cls in _classes(tree):
+                bases = [_base_name(base) for base in cls.bases]
+                self.bases.setdefault(cls.name, []).extend(b for b in bases if b)
+                if any(method.name == "__init__" for method in _methods(cls)):
+                    self.has_init.add(cls.name)
+
+    def owner(self, name, seen=()):
+        """The class whose ``__init__`` ``name(...)`` runs, or None."""
+        if name not in self.bases or name in seen:
+            return None
+        if name in self.has_init:
+            return name
+        for base in self.bases[name]:
+            found = self.owner(base, (*seen, name))
+            if found:
+                return found
+        return None
+
+    def super_owner(self, name):
+        """The class whose ``__init__`` ``super().__init__`` in ``name`` runs."""
+        for base in self.bases.get(name, ()):
+            found = self.owner(base, (name,))
+            if found:
+                return found
+        return None
+
+
+class _Calls(ast.NodeVisitor):
+    """What the calls in a set of trees pass to each callee.
+
+    ``passed`` maps a callee (a function or method name, or the class
+    whose ``__init__`` runs) to (keywords, most positional arguments,
+    passes everything).
+    """
+
+    def __init__(self, hierarchy):
+        self.hierarchy = hierarchy
+        self.passed = {}
+        self.cls = None
+
+    def _key(self, name):
+        """Constructions count for the class that owns the ``__init__``."""
+        if name in self.hierarchy.bases:
+            return self.hierarchy.owner(name)
+        return name
+
+    def _record(self, key, positional=0, keywords=(), everything=False):
+        if key is None:
+            return
+        known, reach, splat = self.passed.get(key, (frozenset(), 0, False))
+        self.passed[key] = (known | set(keywords), max(reach, positional), splat or everything)
+
+    def _call(self, func, args, keywords):
+        if isinstance(func, ast.Name):
+            key = self._key(self.cls if func.id == "cls" and self.cls else func.id)
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and _base_name(func.value.func) == "super"
+        ):
+            key = self.hierarchy.super_owner(self.cls)
+        elif isinstance(func, ast.Attribute):
+            key = self._key(func.attr)
+        else:
+            return
+        splat = any(kw.arg is None for kw in keywords) or any(
+            isinstance(arg, ast.Starred) for arg in args
         )
-        index[name] = (keywords, max(positional, len(call.args)), splat)
-    return index
+        self._record(key, len(args), (kw.arg for kw in keywords if kw.arg), splat)
+
+    def visit_Call(self, node):
+        func, args = node.func, node.args
+        name = _base_name(func)
+        if name in ("isinstance", "issubclass"):
+            # A class tested against is not constructed.
+            args = args[:1]
+        elif name == "partial" and args:
+            self._call(args[0], args[1:], node.keywords)
+            func, args = args[0], args[1:]
+        else:
+            self._call(func, args, node.keywords)
+        if isinstance(func, ast.Attribute):
+            self._receiver(func.value)
+        elif not isinstance(func, ast.Name):
+            self.visit(func)
+        for child in (*args, *node.keywords):
+            self.visit(child)
+
+    def visit_Name(self, node):
+        # A callable read as a value is called where the scan cannot see.
+        # Only functions and classes are read by bare name; a local that
+        # shares a method's name is not that method.
+        named = node.id in self.hierarchy.functions or node.id in self.hierarchy.bases
+        if named and isinstance(node.ctx, ast.Load):
+            self._record(self._key(node.id), everything=True)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._record(self._key(node.attr), everything=True)
+        self._receiver(node.value)
+
+    def _receiver(self, node):
+        # ``Cls.method`` or ``module.f`` reads the attribute, not the class.
+        if not isinstance(node, ast.Name):
+            self.visit(node)
+
+    def _decorate(self, decorators):
+        # ``@d`` calls ``d`` with the decorated callable.
+        for decorator in decorators:
+            self._call(decorator, [decorator], [])
+            if not isinstance(decorator, ast.Name):
+                self.visit(decorator)
+
+    def visit_ClassDef(self, node):
+        # Bases and keywords name a class without constructing it.
+        self._decorate(node.decorator_list)
+        outer, self.cls = self.cls, node.name
+        for statement in node.body:
+            self.visit(statement)
+        self.cls = outer
+
+    def visit_FunctionDef(self, node):
+        # Annotations name a class without constructing it.
+        self._decorate(node.decorator_list)
+        for default in (*node.args.defaults, *node.args.kw_defaults):
+            if default is not None:
+                self.visit(default)
+        for statement in node.body:
+            self.visit(statement)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_ExceptHandler(self, node):
+        for statement in node.body:
+            self.visit(statement)
 
 
-def _callables(tree):
-    """Public functions and methods: (label, callee name, def, self offset)."""
+def _callables(tree, methods=True):
+    """Public functions and methods: (label, callee key, def, self offset)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_public(node.name):
             yield node.name, node.name, node, 0
+    if not methods:
+        return
     for cls in _classes(tree):
         for method in _methods(cls):
             static = any(
@@ -237,23 +388,50 @@ def _defaulted(function):
             yield arg.arg, None
 
 
-@functools.lru_cache(maxsize=None)
-def unset_public_settings():
-    index = _call_index()
-    keywords_anywhere = set()
-    for keywords, _, _ in index.values():
-        keywords_anywhere |= keywords
-    dead = []
-    for path, tree in _modules().items():
-        for label, callee, function, offset in _callables(tree):
-            _, reach, splat = index.get(callee, (frozenset(), 0, False))
+def unset_settings(modules, callers, functions=None):
+    """(path, def, "callable(setting=)") for each setting no call passes.
+
+    ``modules`` are scanned for functions and methods, ``functions``
+    (default none) for top-level functions only; calls count from
+    ``modules`` and ``callers``, which hold the trees of ``functions``.
+    """
+    functions = functions or {}
+    trees = [*modules.values(), *callers]
+    calls = _Calls(_Hierarchy(trees))
+    for tree in trees:
+        calls.visit(tree)
+    scanned = [(path, tree, True) for path, tree in modules.items()]
+    scanned += [(path, tree, False) for path, tree in functions.items()]
+    for path, tree, methods in scanned:
+        for label, callee, function, offset in _callables(tree, methods):
+            keywords, reach, everything = calls.passed.get(callee, (frozenset(), 0, False))
+            if everything:
+                continue
             for parameter, position in _defaulted(function):
-                if parameter in keywords_anywhere or splat:
+                if parameter in keywords:
                     continue
                 if position is not None and reach + offset > position:
                     continue
-                dead.append(_entry(path, function, f"{label}({parameter}=)"))
-    return tuple(dead)
+                yield path, function, f"{label}({parameter}=)"
+
+
+def _entries(found):
+    return tuple(f"{path.relative_to(ROOT)}:{node.lineno} {label}" for path, node, label in found)
+
+
+@functools.lru_cache(maxsize=None)
+def unreferenced_public_names():
+    return _entries(unreferenced_names(_modules(), _callers()))
+
+
+@functools.lru_cache(maxsize=None)
+def unreferenced_public_members():
+    return _entries(unreferenced_members(_modules(), _callers()))
+
+
+@functools.lru_cache(maxsize=None)
+def unset_public_settings():
+    return _entries(unset_settings(_modules(), _callers(), _scripts()))
 
 
 def _label(entry):
@@ -285,3 +463,70 @@ def test_allowlist_is_not_stale():
         (ALLOWED_SETTINGS, unset_public_settings()),
     ):
         assert set(allowed) <= {_label(entry) for entry in found}
+
+
+def _scan(scan, source, callers=""):
+    """Labels ``scan`` reports for one module and one caller, both in source."""
+    module = {ROOT / "m.py": ast.parse(textwrap.dedent(source))}
+    return [label for _, _, label in scan(module, (ast.parse(textwrap.dedent(callers)),))]
+
+
+def test_a_keyword_counts_only_for_its_own_callee():
+    module = """
+        def run(limit=10):
+            return limit
+
+        def other(limit=5):
+            return limit
+        """
+    assert _scan(unset_settings, module, "other(limit=1)\nrun()\n") == ["run(limit=)"]
+
+
+def test_partial_super_and_subclass_construction_pass_settings():
+    module = """
+        import functools
+
+        def fetch(timeout=1.0):
+            return timeout
+
+        class Base:
+            def __init__(self, size=1, name="b"):
+                self.size, self.name = size, name
+
+        class Child(Base):
+            def __init__(self):
+                super().__init__(size=2)
+
+        class Inherits(Base):
+            pass
+
+        TASK = functools.partial(fetch, timeout=2.0)
+        """
+    assert _scan(unset_settings, module, "Child()\nInherits(name='i')\n") == []
+
+
+def test_a_callable_passed_as_a_value_passes_everything():
+    module = """
+        class Fleet:
+            def poll_once(self, budget=3):
+                return budget
+
+        def start(loop, fleet):
+            return loop.run_in_executor(None, fleet.poll_once)
+        """
+    assert _scan(unset_settings, module, "start(None, Fleet())\n") == []
+
+
+def test_a_bare_local_does_not_keep_a_member():
+    module = """
+        class Engine:
+            def estimates(self):
+                return {}
+
+            def run(self):
+                estimates = {}
+                return estimates
+        """
+    assert _scan(unreferenced_members, module, "Engine().run(snapshot=None)\n") == [
+        "Engine.estimates"
+    ]
